@@ -9,7 +9,6 @@ factorizations are always certified.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 # Deterministic Miller-Rabin witnesses for n < 3_317_044_064_679_887_385_961_981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -118,16 +117,6 @@ def factorint(n: int) -> dict[int, int]:
         stack.append(d)
         stack.append(m // d)
     return dict(sorted(factors.items()))
-
-
-@lru_cache(maxsize=4096)
-def _factorint_cached(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(factorint(n).items())
-
-
-def factorint_small(n: int) -> tuple[tuple[int, int], ...]:
-    """Cached factorization for the small values that sweeps hit repeatedly."""
-    return _factorint_cached(n)
 
 
 def vp_int(n: int, p: int) -> int:

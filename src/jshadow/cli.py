@@ -15,6 +15,7 @@ composite number where a prime is required).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -114,18 +115,11 @@ def _prov(*statement_ids: str) -> list[dict]:
 
 
 def _sweep_report(result: SweepResult, command: str) -> dict:
-    inputs = {k: v for k, v in result.params.items()}
-    inputs["sweep"] = result.name
     rows = result.rows + [
         {"summary": True, "checked": result.checked, "failures": result.failures}
     ]
-    return _report(
-        command,
-        inputs,
-        rows,
-        result.verdict,
-        [{"statement_id": result.statement_id, "statement": result.statement}],
-    )
+    inputs = result.params | {"sweep": result.name}
+    return _report(command, inputs, rows, result.verdict, _prov(result.statement_id))
 
 
 def _emit(report: dict, as_json: bool) -> int:
@@ -380,39 +374,32 @@ def _cmd_imj_consistency(args) -> dict:
     return _sweep_report(result, "imj-consistency")
 
 
-def _cmd_sweep(args) -> dict:
-    name = args.name
-    if name == "all":
-        rows = []
-        failures = 0
-        checked = 0
-        provenance = []
-        for sweep_name, fn in SWEEPS.items():
-            result = fn() if sweep_name not in _SEEDED_SWEEPS else fn(seed=args.seed)
-            rows.append(
-                {
-                    "sweep": sweep_name,
-                    "checked": result.checked,
-                    "failures": result.failures,
-                    "verdict": result.verdict,
-                }
-            )
-            checked += result.checked
-            failures += result.failures
-            provenance.append(
-                {"statement_id": result.statement_id, "statement": result.statement}
-            )
-        rows.append({"summary": True, "checked": checked, "failures": failures})
-        verdict = "pass" if failures == 0 else "fail"
-        return _report("sweep", {"sweep": "all", "seed": args.seed}, rows, verdict, provenance)
-    if name not in SWEEPS:
-        raise UsageError(f"unknown sweep {name!r}; known: {', '.join(sorted(SWEEPS))}, all")
+def _run_sweep(name: str, seed: int) -> SweepResult:
+    """Run the registered sweep ``name``, seeded exactly when it takes a seed."""
     fn = SWEEPS[name]
-    result = fn(seed=args.seed) if name in _SEEDED_SWEEPS else fn()
-    return _sweep_report(result, "sweep")
+    return fn(seed=seed) if "seed" in inspect.signature(fn).parameters else fn()
 
 
-_SEEDED_SWEEPS = {"reciprocity", "oracle-agreement", "low-degree-j"}
+def _cmd_sweep(args) -> dict:
+    if args.name != "all":
+        if args.name not in SWEEPS:
+            raise UsageError(f"unknown sweep {args.name!r}; known: {', '.join(sorted(SWEEPS))}, all")
+        return _sweep_report(_run_sweep(args.name, args.seed), "sweep")
+    results = [_run_sweep(name, args.seed) for name in SWEEPS]
+    rows = [
+        {"sweep": r.name, "checked": r.checked, "failures": r.failures, "verdict": r.verdict}
+        for r in results
+    ]
+    checked = sum(r.checked for r in results)
+    failures = sum(r.failures for r in results)
+    rows.append({"summary": True, "checked": checked, "failures": failures})
+    return _report(
+        "sweep",
+        {"sweep": "all", "seed": args.seed},
+        rows,
+        "pass" if failures == 0 else "fail",
+        _prov(*(r.statement_id for r in results)),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -148,9 +148,6 @@ class K1SphereOrder:
     def factors(self) -> tuple[tuple[int, int], ...]:
         return tuple(factorint(self.order).items()) if self.order > 1 else ()
 
-    def group_order(self) -> GroupOrderReport:
-        return GroupOrderReport.finite(self.order)
-
 
 def k1_sphere_order(ell: int, k: int, generator: int | None = None) -> K1SphereOrder:
     """|Z_l/(u^k - 1)| = l**v_l(u^k - 1) for a topological generator u.

@@ -7,16 +7,26 @@ subcommand and the acceptance test suite both run these functions with
 their default bounds, so the command line and the test gate are the same
 code path.
 
-Sweeps with a randomized component take an explicit seed and default to
-a fixed one; reports are deterministic byte-for-byte for a given seed.
+A sweep is one function decorated with ``@_sweep(name, statement_id)``.
+Its body takes a fresh :class:`SweepResult` and then its parameters, each
+with a default, and counts every check with ``result.checked += 1`` and
+``result.record_failure(...)``.  The decorator registers it in
+:data:`SWEEPS`, where ``jshadow sweep <name>`` and ``jshadow sweep all``
+find it, records the parameters used in ``params``, and rejects a grid on
+which nothing was checked.  A sweep with a randomized component has a
+``seed`` parameter defaulting to :data:`DEFAULT_SEED`; the CLI passes
+``--seed`` to exactly those sweeps, and reports are byte-for-byte
+deterministic for a given seed.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from ._integers import primes_up_to
 from .imj import (
@@ -134,190 +144,168 @@ class SweepResult:
         if self.failures <= _MAX_FAILURE_ROWS:
             self.rows.append({"failure": True, **what})
 
+    def check(self, ok: bool, **what) -> None:
+        """Count one check; hot per-check loops inline this instead."""
+        self.checked += 1
+        if not ok:
+            self.record_failure(**what)
 
+
+SWEEPS: dict[str, object] = {}
+
+
+def _sweep(name: str, statement_id: str):
+    """Register the body as sweep ``name`` of ``statement_id``.  The
+    registered function takes the parameters only, records them (defaults
+    included, tuples as lists) and raises ``ValueError`` on an empty grid."""
+
+    def register(body):
+        signature = inspect.signature(body)
+        signature = signature.replace(parameters=list(signature.parameters.values())[1:])
+
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> SweepResult:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            values = bound.arguments
+            params = {k: list(v) if isinstance(v, (tuple, list)) else v for k, v in values.items()}
+            result = SweepResult(name, statement_id, STATEMENTS[statement_id], params)
+            body(result, **values)
+            if not result.checked:
+                raise ValueError(f"sweep {name} checked nothing: empty grid {params}")
+            return result
+
+        run.__signature__ = signature
+        SWEEPS[name] = run
+        return run
+
+    return register
+
+
+@_sweep("reciprocity", "hilbert-reciprocity")
 def sweep_reciprocity(
-    bound: int = 200, rational_samples: int = 20000, seed: int = DEFAULT_SEED
-) -> SweepResult:
+    result: SweepResult, bound: int = 200, rational_samples: int = 20000, seed: int = DEFAULT_SEED
+) -> None:
     """Hilbert reciprocity: the product of (a,b)_v over all places is +1,
     exhaustively for integer pairs with |a|, |b| <= bound and for a seeded
     sample of rational pairs with numerator and denominator <= bound."""
-    result = SweepResult(
-        name="reciprocity",
-        statement_id="hilbert-reciprocity",
-        statement=STATEMENTS["hilbert-reciprocity"],
-        params={"bound": bound, "rational_samples": rational_samples, "seed": seed},
-    )
-    grid_failures = 0
-    for a in range(-bound, bound + 1):
-        if a == 0:
-            continue
-        for b in range(-bound, bound + 1):
-            if b == 0:
-                continue
+    nonzero = [n for n in range(-bound, bound + 1) if n]
+    before = result.failures
+    for a in nonzero:
+        for b in nonzero:
             result.checked += 1
             if hilbert_reciprocity_check(a, b).product != 1:
-                grid_failures += 1
                 result.record_failure(a=a, b=b)
     result.rows.append(
-        {"kind": "integer-grid", "pairs": (2 * bound) ** 2, "failures": grid_failures}
+        {"kind": "integer-grid", "pairs": (2 * bound) ** 2, "failures": result.failures - before}
     )
     rng = random.Random(seed)
-    sample_failures = 0
-    nonzero = [n for n in range(-bound, bound + 1) if n]
+    before = result.failures
     for _ in range(rational_samples):
         a = Fraction(rng.choice(nonzero), rng.randint(1, bound))
         b = Fraction(rng.choice(nonzero), rng.randint(1, bound))
         result.checked += 1
         if hilbert_reciprocity_check(a, b).product != 1:
-            sample_failures += 1
             result.record_failure(a=str(a), b=str(b))
     result.rows.append(
-        {"kind": "rational-sample", "pairs": rational_samples, "failures": sample_failures}
+        {"kind": "rational-sample", "pairs": rational_samples, "failures": result.failures - before}
     )
-    return result
 
 
+@_sweep("oracle-agreement", "hilbert-symbol-solvability")
 def sweep_oracle_agreement(
+    result: SweepResult,
     prime_max: int = 50,
     coeff_bound: int = 30,
     rational_samples: int = 2000,
     seed: int = DEFAULT_SEED,
-) -> SweepResult:
+) -> None:
     """Closed-form Hilbert symbol versus the solvability oracle, for every
     place p <= prime_max plus infinity and all integers |a|, |b| <= bound,
     plus a seeded sample of rational pairs."""
-    result = SweepResult(
-        name="oracle-agreement",
-        statement_id="hilbert-symbol-solvability",
-        statement=STATEMENTS["hilbert-symbol-solvability"],
-        params={
-            "prime_max": prime_max,
-            "coeff_bound": coeff_bound,
-            "rational_samples": rational_samples,
-            "seed": seed,
-        },
-    )
     places = [Place.finite(p) for p in primes_up_to(prime_max)] + [INFINITY]
     nonzero = [n for n in range(-coeff_bound, coeff_bound + 1) if n]
     for place in places:
-        mismatches = 0
+        before = result.failures
         for a in nonzero:
             for b in nonzero:
                 result.checked += 1
                 if hilbert_symbol(a, b, place) != hilbert_oracle(a, b, place):
-                    mismatches += 1
                     result.record_failure(place=str(place), a=a, b=b)
         result.rows.append(
-            {"place": str(place), "pairs": len(nonzero) ** 2, "mismatches": mismatches}
+            {"place": str(place), "pairs": len(nonzero) ** 2, "mismatches": result.failures - before}
         )
     rng = random.Random(seed)
-    sample_mismatches = 0
+    before = result.failures
     for _ in range(rational_samples):
         a = Fraction(rng.choice(nonzero), rng.randint(1, coeff_bound))
         b = Fraction(rng.choice(nonzero), rng.randint(1, coeff_bound))
         place = rng.choice(places)
         result.checked += 1
         if hilbert_symbol(a, b, place) != hilbert_oracle(a, b, place):
-            sample_mismatches += 1
             result.record_failure(place=str(place), a=str(a), b=str(b))
     result.rows.append(
-        {"place": "rational-sample", "pairs": rational_samples, "mismatches": sample_mismatches}
+        {"place": "rational-sample", "pairs": rational_samples, "mismatches": result.failures - before}
     )
-    return result
 
 
-def sweep_zolotarev(p_max: int = 500) -> SweepResult:
+@_sweep("zolotarev", "zolotarev-lemma")
+def sweep_zolotarev(result: SweepResult, p_max: int = 500) -> None:
     """Permutation sign of multiplication by a on Z/p equals the Legendre
     symbol, for every odd prime p <= p_max and every 1 <= a < p."""
-    result = SweepResult(
-        name="zolotarev",
-        statement_id="zolotarev-lemma",
-        statement=STATEMENTS["zolotarev-lemma"],
-        params={"p_max": p_max},
-    )
-    for p in primes_up_to(p_max):
-        if p == 2:
-            continue
-        mismatches = 0
+    for p in primes_up_to(p_max)[1:]:  # odd primes
+        before = result.failures
         for a in range(1, p):
             result.checked += 1
             if zolotarev_sign(a, p) != legendre(a, p):
-                mismatches += 1
                 result.record_failure(p=p, a=a)
-        result.rows.append({"p": p, "pairs": p - 1, "mismatches": mismatches})
-    return result
+        result.rows.append({"p": p, "pairs": p - 1, "mismatches": result.failures - before})
 
 
-def sweep_imj_consistency(ell_max: int = 97, k_max: int = 30) -> SweepResult:
+@_sweep("imj-consistency", "image-of-j-order")
+def sweep_imj_consistency(result: SweepResult, ell_max: int = 97, k_max: int = 30) -> None:
     """The l-part of den(B_{2k}/4k) equals l**v_l(u^{2k} - 1) for the
     canonical topological generator u, for every odd l <= ell_max and
     1 <= k <= k_max; the closed form l**(1 + v_l(2k)) is checked inside
     k1_sphere_order."""
-    result = SweepResult(
-        name="imj-consistency",
-        statement_id="image-of-j-order",
-        statement=STATEMENTS["image-of-j-order"],
-        params={"ell_max": ell_max, "k_max": k_max},
-    )
-    for ell in primes_up_to(ell_max):
-        if ell == 2:
-            continue
-        failures = 0
+    for ell in primes_up_to(ell_max)[1:]:  # odd primes
+        u = smallest_topological_generator(ell)
+        before = result.failures
         for k in range(1, k_max + 1):
             result.checked += 1
             if not imj_consistency_check(ell, k):
-                failures += 1
                 result.record_failure(ell=ell, k=k)
         result.rows.append(
-            {
-                "ell": ell,
-                "k_max": k_max,
-                "generator": smallest_topological_generator(ell),
-                "failures": failures,
-            }
+            {"ell": ell, "k_max": k_max, "generator": u, "failures": result.failures - before}
         )
-    return result
 
 
-def sweep_bernoulli(n_max: int = 60) -> SweepResult:
+@_sweep("bernoulli", "von-staudt-clausen")
+def sweep_bernoulli(result: SweepResult, n_max: int = 60) -> None:
     """Recurrence denominators equal the von Staudt-Clausen product for all
     even n <= n_max, and B_12 has its known value."""
-    result = SweepResult(
-        name="bernoulli",
-        statement_id="von-staudt-clausen",
-        statement=STATEMENTS["von-staudt-clausen"],
-        params={"n_max": n_max},
-    )
     for n in range(2, n_max + 1, 2):
-        result.checked += 1
         den = bernoulli(n).denominator
         expected = von_staudt_clausen_denominator(n)
+        result.checked += 1
         if den != expected:
             result.record_failure(n=n, denominator=den, expected=expected)
         result.rows.append({"n": n, "denominator": den, "vsc_product": expected})
-    result.checked += 1
     b12 = bernoulli(12)
-    if b12 != Fraction(-691, 2730):
-        result.record_failure(n=12, value=str(b12), expected="-691/2730")
+    result.check(b12 == Fraction(-691, 2730), n=12, value=str(b12), expected="-691/2730")
     result.rows.append({"n": 12, "value": str(b12), "expected": "-691/2730"})
-    return result
 
 
-def sweep_rezk_log(ells: tuple[int, ...] = (3, 5, 7, 11), precision: int = 64) -> SweepResult:
+@_sweep("rezk-log", "degree-zero-logarithm")
+def sweep_rezk_log(
+    result: SweepResult, ells: tuple[int, ...] = (3, 5, 7, 11), precision: int = 64
+) -> None:
     """The degree-zero logarithm sends 1+l to an l-adic unit (so it is onto
     Z_l) and kills every Teichmuller representative."""
-    result = SweepResult(
-        name="rezk-log",
-        statement_id="degree-zero-logarithm",
-        statement=STATEMENTS["degree-zero-logarithm"],
-        params={"ells": list(ells), "precision": precision},
-    )
     for ell in ells:
-        result.checked += 1
         value = rezk_log_pi0(embed(1 + ell, ell, precision))
         unit_ok = (not value.is_zero) and value.valuation == 0
-        if not unit_ok:
-            result.record_failure(ell=ell, kind="1+l not a unit image")
+        result.check(unit_ok, ell=ell, kind="1+l not a unit image")
         killed = 0
         for a in range(1, ell):
             result.checked += 1
@@ -333,59 +321,42 @@ def sweep_rezk_log(ells: tuple[int, ...] = (3, 5, 7, 11), precision: int = 64) -
                 "teichmuller_total": ell - 1,
             }
         )
-    return result
 
 
-def sweep_surjectivity(ell_max: int = 50, p_max: int = 50, k_max: int = 40) -> SweepResult:
+@_sweep("surjectivity", "k-theory-order-domination")
+def sweep_surjectivity(
+    result: SweepResult, ell_max: int = 50, p_max: int = 50, k_max: int = 40
+) -> None:
     """v_l(p^k - 1) >= v_l(u^k - 1) for all odd l <= ell_max, primes
     p <= p_max with p != l, and 1 <= k <= k_max."""
-    result = SweepResult(
-        name="surjectivity",
-        statement_id="k-theory-order-domination",
-        statement=STATEMENTS["k-theory-order-domination"],
-        params={"ell_max": ell_max, "p_max": p_max, "k_max": k_max},
-    )
     primes = primes_up_to(p_max)
-    for ell in primes_up_to(ell_max):
-        if ell == 2:
-            continue
-        failures = 0
+    for ell in primes_up_to(ell_max)[1:]:  # odd primes
+        before = result.failures
         for p in primes:
             if p == ell:
                 continue
             for k in range(1, k_max + 1):
                 result.checked += 1
                 if not surjectivity_check(ell, p, k):
-                    failures += 1
                     result.record_failure(ell=ell, p=p, k=k)
-        result.rows.append({"ell": ell, "failures": failures})
-    return result
+        result.rows.append({"ell": ell, "failures": result.failures - before})
 
 
+@_sweep("norm-identity", "geometric-sum-identity")
 def sweep_norm_identity(
-    ell_max: int = 23, d_max: int = 6, m_max: int = 10, precision: int = 20
-) -> SweepResult:
+    result: SweepResult, ell_max: int = 23, d_max: int = 6, m_max: int = 10, precision: int = 20
+) -> None:
     """(u^d)^m - 1 = (u^m - 1)(1 + u^m + ... + (u^m)^(d-1)) in Z_l at the
     given precision, over the full (l, d, m) grid."""
-    result = SweepResult(
-        name="norm-identity",
-        statement_id="geometric-sum-identity",
-        statement=STATEMENTS["geometric-sum-identity"],
-        params={"ell_max": ell_max, "d_max": d_max, "m_max": m_max, "precision": precision},
-    )
-    for ell in primes_up_to(ell_max):
-        if ell == 2:
-            continue
+    for ell in primes_up_to(ell_max)[1:]:  # odd primes
         u = smallest_topological_generator(ell)
-        failures = 0
+        before = result.failures
         for d in range(1, d_max + 1):
             for m in range(1, m_max + 1):
                 result.checked += 1
                 if not norm_identity_check(ell, u, d, m, precision):
-                    failures += 1
                     result.record_failure(ell=ell, d=d, m=m)
-        result.rows.append({"ell": ell, "generator": u, "failures": failures})
-    return result
+        result.rows.append({"ell": ell, "generator": u, "failures": result.failures - before})
 
 
 def _prime_powers_up_to(q_max: int) -> list[int]:
@@ -398,123 +369,76 @@ def _prime_powers_up_to(q_max: int) -> list[int]:
     return sorted(out)
 
 
-def sweep_quillen(q_max: int = 49, i_max: int = 10) -> SweepResult:
+@_sweep("quillen", "k-groups-finite-field")
+def sweep_quillen(result: SweepResult, q_max: int = 49, i_max: int = 10) -> None:
     """|K_{2i-1}(F_q)| = q^i - 1 and K_{2i}(F_q) = 0 for prime powers
     q <= q_max and 1 <= i <= i_max, with every order prime to q."""
-    result = SweepResult(
-        name="quillen",
-        statement_id="k-groups-finite-field",
-        statement=STATEMENTS["k-groups-finite-field"],
-        params={"q_max": q_max, "i_max": i_max},
-    )
     for q in _prime_powers_up_to(q_max):
-        failures = 0
-        result.checked += 1
-        if k_finite_field(0, q).order is not None:
-            failures += 1
-            result.record_failure(q=q, degree=0)
+        before = result.failures
+        result.check(k_finite_field(0, q).order is None, q=q, degree=0)
         for i in range(1, i_max + 1):
             odd_report = k_finite_field(2 * i - 1, q)
             even_report = k_finite_field(2 * i, q)
             result.checked += 2
             order_ok = odd_report.order == q**i - 1
-            factor_ok = 1
-            for prime, exponent in odd_report.factors:
-                factor_ok *= prime**exponent
+            factor_ok = prod(prime**exponent for prime, exponent in odd_report.factors)
             if not order_ok or factor_ok != odd_report.order:
-                failures += 1
                 result.record_failure(q=q, degree=2 * i - 1)
             if gcd(odd_report.order, q) != 1:
-                failures += 1
                 result.record_failure(q=q, degree=2 * i - 1, kind="order not prime to q")
             if not even_report.is_trivial:
-                failures += 1
                 result.record_failure(q=q, degree=2 * i)
-        result.rows.append({"q": q, "i_max": i_max, "failures": failures})
-    return result
+        result.rows.append({"q": q, "i_max": i_max, "failures": result.failures - before})
 
 
-def sweep_pi2_nontriviality(p_max: int = 100) -> SweepResult:
+@_sweep("pi2-nontriviality", "local-symbol-nontriviality")
+def sweep_pi2_nontriviality(result: SweepResult, p_max: int = 100) -> None:
     """For every prime p <= p_max, exhibit a pair (a, b) with (a,b)_p = -1."""
-    result = SweepResult(
-        name="pi2-nontriviality",
-        statement_id="local-symbol-nontriviality",
-        statement=STATEMENTS["local-symbol-nontriviality"],
-        params={"p_max": p_max},
-    )
     pool = [-1, 2, 3, 5, 6, 7, 10, 11, 13, 17]
     for p in primes_up_to(p_max):
         place = Place.finite(p)
-        witness = None
-        for b in [p] + pool:
-            for a in pool:
-                if hilbert_symbol(a, b, place) == -1:
-                    witness = (a, b)
-                    break
-            if witness:
-                break
+        pairs = ((a, b) for b in [p] + pool for a in pool)
+        witness = next(((a, b) for a, b in pairs if hilbert_symbol(a, b, place) == -1), None)
         result.checked += 1
         if witness is None:
             result.record_failure(p=p)
         else:
             result.rows.append({"p": p, "a": witness[0], "b": witness[1]})
-    return result
 
 
-def sweep_geometric_series(depth: int = 64) -> SweepResult:
+@_sweep("geometric-series", "three-adic-geometric-series")
+def sweep_geometric_series(result: SweepResult, depth: int = 64) -> None:
     """Partial sums s_k of 1 + 3 + 3^2 + ... satisfy 2 s_k + 1 = 3^k for all
     k <= depth, certifying the 3-adic limit -1/2."""
-    result = SweepResult(
-        name="geometric-series",
-        statement_id="three-adic-geometric-series",
-        statement=STATEMENTS["three-adic-geometric-series"],
-        params={"depth": depth},
-    )
-    result.checked += 1
-    if not geometric_series_witness(3, depth):
-        result.record_failure(depth=depth)
+    result.check(geometric_series_witness(3, depth), depth=depth)
     s5 = sum(3**i for i in range(5))
-    result.checked += 1
-    if 2 * s5 + 1 != 3**5:
-        result.record_failure(k=5, partial_sum=s5)
+    result.check(2 * s5 + 1 == 3**5, k=5, partial_sum=s5)
     result.rows.append({"ell": 3, "depth": depth, "spot_check_s5": s5})
-    return result
 
 
+@_sweep("low-degree-j", "low-degree-j-values")
 def sweep_low_degree_j(
+    result: SweepResult,
     inversion_samples: int = 1000,
     tame_samples: int = 10000,
     precision: int = 64,
     seed: int = DEFAULT_SEED,
-) -> SweepResult:
+) -> None:
     """The low-degree J tables: identity on pi_0 over R, negation and
     inversion for the wild map, p**v_p(x) (multiplicatively) for the tame
     map, and the tame/degree factorization."""
-    result = SweepResult(
-        name="low-degree-j",
-        statement_id="low-degree-j-values",
-        statement=STATEMENTS["low-degree-j-values"],
-        params={
-            "inversion_samples": inversion_samples,
-            "tame_samples": tame_samples,
-            "precision": precision,
-            "seed": seed,
-        },
-    )
     rng = random.Random(seed)
-    failures = 0
+    before = result.failures
     for k in range(-100, 101):
         result.checked += 2
         if j_real_pi0(k) != k:
-            failures += 1
             result.record_failure(check="real-pi0", k=k)
         if j_wild_pi0(k) != -k:
-            failures += 1
             result.record_failure(check="wild-pi0", k=k)
-    result.rows.append({"check": "pi0-tables", "samples": 402, "failures": failures})
+    result.rows.append({"check": "pi0-tables", "samples": 402, "failures": result.failures - before})
 
-    primes = [p for p in primes_up_to(50)]
-    failures = 0
+    primes = primes_up_to(50)
+    before = result.failures
     for _ in range(inversion_samples):
         p = rng.choice(primes)
         digits = rng.randrange(1, p**precision)
@@ -523,13 +447,12 @@ def sweep_low_degree_j(
         x = PadicNumber.from_unit(p, 0, digits, precision)
         result.checked += 1
         if x * j_wild_pi1(x) != embed(1, p, precision):
-            failures += 1
             result.record_failure(check="wild-pi1", p=p)
     result.rows.append(
-        {"check": "wild-pi1-inversion", "samples": inversion_samples, "failures": failures}
+        {"check": "wild-pi1-inversion", "samples": inversion_samples, "failures": result.failures - before}
     )
 
-    failures = 0
+    before = result.failures
     for _ in range(tame_samples):
         p = rng.choice(primes)
         num = rng.choice([-1, 1]) * rng.randint(1, 10**6)
@@ -550,40 +473,21 @@ def sweep_low_degree_j(
         result.checked += 1
         ok = value == expected
         # factorization through the residue-field degree map
-        ok = ok and value == Fraction(
-            j_fp_pi0(max(v, 0), p), j_fp_pi0(max(-v, 0), p)
-        )
+        ok = ok and value == Fraction(j_fp_pi0(max(v, 0), p), j_fp_pi0(max(-v, 0), p))
         # multiplicativity against a second sample
         y = Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
         ok = ok and j_tame_pi1(x * y, p) == value * j_tame_pi1(y, p)
         if not ok:
-            failures += 1
             result.record_failure(check="tame-pi1", p=p, x=str(x))
-    result.rows.append({"check": "tame-pi1", "samples": tame_samples, "failures": failures})
+    result.rows.append({"check": "tame-pi1", "samples": tame_samples, "failures": result.failures - before})
 
-    failures = 0
+    before = result.failures
     for _ in range(200):
         num = rng.choice([-1, 1]) * rng.randint(1, 10**6)
         den = rng.randint(1, 10**6)
         result.checked += 1
         if adelic_norm_product(Fraction(num, den)) != 1:
-            failures += 1
             result.record_failure(check="norm-product", x=f"{num}/{den}")
-    result.rows.append({"check": "adelic-norm-product", "samples": 200, "failures": failures})
-    return result
-
-
-SWEEPS = {
-    "reciprocity": sweep_reciprocity,
-    "oracle-agreement": sweep_oracle_agreement,
-    "zolotarev": sweep_zolotarev,
-    "imj-consistency": sweep_imj_consistency,
-    "bernoulli": sweep_bernoulli,
-    "rezk-log": sweep_rezk_log,
-    "surjectivity": sweep_surjectivity,
-    "norm-identity": sweep_norm_identity,
-    "quillen": sweep_quillen,
-    "pi2-nontriviality": sweep_pi2_nontriviality,
-    "geometric-series": sweep_geometric_series,
-    "low-degree-j": sweep_low_degree_j,
-}
+    result.rows.append(
+        {"check": "adelic-norm-product", "samples": 200, "failures": result.failures - before}
+    )

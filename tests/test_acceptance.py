@@ -5,9 +5,18 @@ code the CLI ``sweep`` subcommand uses), prints a single PASS/FAIL line,
 and asserts zero failures.  All arithmetic is exact or carried out at a
 certified p-adic precision, so every tolerance is zero.
 
+Every criterion runs at its sweep's default grid and seed, so each result
+is also what ``jshadow --json sweep <name>`` reports; the sha256 of that
+canonical report is pinned, so a refactor of the sweeps or the report
+builder must keep the output byte-identical.
+
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 """
 
+import hashlib
+import json
+
+from jshadow.cli import _sweep_report
 from jshadow.sweeps import (
     sweep_bernoulli,
     sweep_geometric_series,
@@ -24,6 +33,23 @@ from jshadow.sweeps import (
 )
 
 
+# sha256 of the output of `jshadow --json sweep <name>` (default grid and seed)
+REPORT_SHA256 = {
+    "reciprocity": "429c6c21ed2fb62373cf7dd17ef71f554c492da2b9d4df524aaa72e078aa8af5",
+    "oracle-agreement": "1ad03c791c35eb2f882edbe17ca6f1a6709d6f67e349f543d63717f169a8508b",
+    "zolotarev": "0d4e8b2ea886d78ca35545f5d9190370110707f41e3b92a53f9fc74f391fd126",
+    "imj-consistency": "891cc48489fb93b921232461abd251998574f14a054378119804d85629421b45",
+    "bernoulli": "9250d452547e2681629c938f7aa20d67361e3d112d5dbf24e6b9311491448648",
+    "rezk-log": "ffc27d337eb17ce83874364f21a9d889b62ae172840eaa02accf1db27ef81cd1",
+    "surjectivity": "327631f2515f0afbcbbbc9aaf787b5b72ec0e87e80d5d67efddae7bc1a1aceab",
+    "norm-identity": "b4fc87cb17098a204d843eaa7748527eed1466a289d45bb196e7e761c9615177",
+    "quillen": "a7c1889130640967a793cf48ac977ce242d2171858388ccea17681f78db6cfc3",
+    "pi2-nontriviality": "c80aa561d5bad27dbafc8091bc51be8c6234f95b4c7e0ec4ba45b840d27f9de0",
+    "geometric-series": "49b586d7373274437bd6d5e84841f9fa68da1601a7f8d6e71308937bb7c1690f",
+    "low-degree-j": "5e61874fdd7bab6d9c458134d8fca7edde0d9f59067e1444a11e340a6fe729cc",
+}
+
+
 def _report(number: int, label: str, result) -> None:
     line = (
         f"criterion {number:2d} [{label}]: {result.verdict.upper()} "
@@ -31,6 +57,11 @@ def _report(number: int, label: str, result) -> None:
     )
     print(line)
     assert result.failures == 0, line
+    canonical = json.dumps(
+        _sweep_report(result, "sweep"), sort_keys=True, separators=(",", ": "), indent=1
+    )
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    assert digest == REPORT_SHA256[result.name], f"{result.name} report changed"
 
 
 def test_criterion_01_hilbert_reciprocity():

@@ -174,6 +174,18 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["zolotarev", "--p-max=2"], ["imj-consistency", "--k-max=0"], ["imj-consistency", "--ell-max=2"]],
+)
+def test_empty_sweep_grid_exits_2(capsys, argv):
+    # an empty grid used to print "verdict: pass" with 0 checks and exit 0
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "checked nothing" in captured.err
+
+
 def test_failing_report_exits_1(capsys):
     # theorems do not fail, so exercise the exit path directly
     report = {

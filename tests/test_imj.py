@@ -1,6 +1,7 @@
 """Tests for Bernoulli machinery, group orders, and the consistency checks."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -58,10 +59,14 @@ def test_b2_against_sum_of_squares():
 def test_bernoulli_odd_vanishing_and_squarefree_denominators():
     for n in range(3, 61, 2):
         assert bernoulli(n) == 0
-    for n in range(2, 61, 2):
-        den = bernoulli(n).denominator
-        for p, e in [(p, vp_int(den, p)) for p in primes_up_to(den) if den % p == 0]:
-            assert e == 1, (n, p)
+    denominators = {n: bernoulli(n).denominator for n in range(2, 61, 2)}
+    # a square factor q^2 of den has q <= isqrt(den): one sieve covers every n
+    primes = primes_up_to(isqrt(max(denominators.values())))
+    for n, den in denominators.items():
+        for p in primes:
+            if p > isqrt(den):
+                break
+            assert den % (p * p) != 0, (n, p)
 
 
 def test_bernoulli_rejects_negative():

@@ -1,0 +1,93 @@
+"""Tests for the sweep registry: order, recorded parameters, seeding.
+
+None of these runs a default grid; the acceptance suite does that.
+"""
+
+import functools
+
+import pytest
+
+from jshadow import sweeps
+from jshadow.cli import run
+from jshadow.sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, SweepResult
+
+# The params each sweep reports at its defaults, in signature order, with
+# the sweeps in the order `sweep all` runs and reports them.
+DEFAULT_PARAMS = {
+    "reciprocity": {"bound": 200, "rational_samples": 20000, "seed": DEFAULT_SEED},
+    "oracle-agreement": {
+        "prime_max": 50,
+        "coeff_bound": 30,
+        "rational_samples": 2000,
+        "seed": DEFAULT_SEED,
+    },
+    "zolotarev": {"p_max": 500},
+    "imj-consistency": {"ell_max": 97, "k_max": 30},
+    "bernoulli": {"n_max": 60},
+    "rezk-log": {"ells": [3, 5, 7, 11], "precision": 64},
+    "surjectivity": {"ell_max": 50, "p_max": 50, "k_max": 40},
+    "norm-identity": {"ell_max": 23, "d_max": 6, "m_max": 10, "precision": 20},
+    "quillen": {"q_max": 49, "i_max": 10},
+    "pi2-nontriviality": {"p_max": 100},
+    "geometric-series": {"depth": 64},
+    "low-degree-j": {
+        "inversion_samples": 1000,
+        "tame_samples": 10000,
+        "precision": 64,
+        "seed": DEFAULT_SEED,
+    },
+}
+
+
+def test_registry_order_and_module_names():
+    assert tuple(SWEEPS) == tuple(DEFAULT_PARAMS)
+    for name, fn in SWEEPS.items():
+        assert getattr(sweeps, "sweep_" + name.replace("-", "_")) is fn
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", DEFAULT_PARAMS)
+def test_default_params(monkeypatch, name):
+    # Stop each sweep as it builds its result, before the grid runs.
+    def build(name, statement_id, statement, params):
+        assert statement == STATEMENTS[statement_id]
+        raise _Built(name, params)
+
+    monkeypatch.setattr(sweeps, "SweepResult", build)
+    with pytest.raises(_Built) as built:
+        SWEEPS[name]()
+    assert built.value.args[0] == name
+    assert list(built.value.args[1].items()) == list(DEFAULT_PARAMS[name].items())
+
+
+def test_params_record_the_arguments_used():
+    result = SWEEPS["rezk-log"](ells=(3,))
+    assert result.params == {"ells": [3], "precision": 64}
+    assert result.checked == 3 and result.verdict == "pass"
+    assert SWEEPS["zolotarev"](7).params == {"p_max": 7}
+    with pytest.raises(TypeError):
+        SWEEPS["zolotarev"](p_min=3)
+    with pytest.raises(ValueError, match="checked nothing"):
+        SWEEPS["zolotarev"](p_max=2)
+
+
+def test_cli_seeds_exactly_the_sweeps_with_a_seed_parameter(monkeypatch, capsys):
+    calls = []
+    for name, fn in SWEEPS.items():
+
+        @functools.wraps(fn)
+        def stub(*args, _name=name, **kwargs):
+            calls.append((_name, args, kwargs))
+            return SweepResult(_name, "hilbert-reciprocity", "", {}, checked=1)
+
+        monkeypatch.setitem(SWEEPS, name, stub)
+    assert run(["sweep", "all", "--seed=7"]) == 0
+    for name in DEFAULT_PARAMS:
+        assert run(["sweep", name, "--seed=7"]) == 0
+    capsys.readouterr()
+    seeded = {"reciprocity", "oracle-agreement", "low-degree-j"}
+    expected = [(n, (), {"seed": 7} if n in seeded else {}) for n in DEFAULT_PARAMS]
+    assert calls == expected + expected
