@@ -1,17 +1,17 @@
 """Shared integer utilities: primality, sieves, exact factorization.
 
-Everything here is deterministic.  Miller-Rabin uses a base set that is
-provably sufficient below 3.3 * 10**24, far beyond any number this
-package factors; larger inputs fall back to trial division first, so
-factorizations are always certified.
+Everything here is deterministic.  Miller-Rabin with the first thirteen
+prime bases is a proof of primality below psi_13 = 3317044064679887385961981
+(Sorenson-Webster 2017), so factorizations of numbers below psi_13 are
+certified; at or above it a prime factor is only a strong probable prime.
 """
 
 from __future__ import annotations
 
 import math
 
-# Deterministic Miller-Rabin witnesses for n < 3_317_044_064_679_887_385_961_981.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Witnesses that prove primality below psi_13; 2..37 alone stop at psi_12 = 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIME_LIMIT = 1000
 
@@ -34,7 +34,8 @@ _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a proven base set)."""
+    """Primality by Miller-Rabin with bases 2..41: deterministic for
+    n < psi_13, a strong probable prime test at or above it."""
     if n < 2:
         return False
     if n <= _SMALL_PRIME_LIMIT:
@@ -99,12 +100,12 @@ def factorint(n: int) -> dict[int, int]:
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
-            break
+            if n > 1:  # no prime factor below p, and p * p > n: n is prime
+                factors[n] = 1
+            return factors
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    if n == 1:
-        return factors
     stack = [n]
     while stack:
         m = stack.pop()

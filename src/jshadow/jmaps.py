@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from ._integers import factorint, is_prime
+from ._integers import factorint, is_prime, vp_int
 from .padic import PadicNumber, ZeroOperandError, vp
 from .symbols import (
     Place,
@@ -149,9 +149,12 @@ def adelic_norm_product(x: Rational) -> Fraction:
     x = Fraction(x)
     if x == 0:
         raise ZeroOperandError("norm product of 0 is undefined")
-    product = abs(x)
-    support = set(factorint(abs(x.numerator))) | set(factorint(x.denominator))
-    for p in support:
-        v = vp(x, p)
-        product *= Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
-    return product
+    num, den = abs(x.numerator), x.denominator
+    product_num, product_den = num, den  # |x|
+    for p in set(factorint(num)) | set(factorint(den)):
+        v = vp_int(num, p) - vp_int(den, p)
+        if v >= 0:
+            product_den *= p**v
+        else:
+            product_num *= p**-v
+    return Fraction(product_num, product_den)

@@ -63,7 +63,8 @@ def vp(x: Rational, p: int) -> int:
     Additive: vp(x*y) = vp(x) + vp(y).
     """
     _check_prime(p)
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x == 0:
         raise ZeroOperandError("valuation of 0 is undefined")
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)

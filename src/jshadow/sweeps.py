@@ -154,6 +154,13 @@ class SweepResult:
 SWEEPS: dict[str, object] = {}
 
 
+def _at_least(low: int, **params: int) -> None:
+    """Reject a parameter below the least value its grid can use."""
+    for name, value in params.items():
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def _sweep(name: str, statement_id: str):
     """Register the body as sweep ``name`` of ``statement_id``.  The
     registered function takes the parameters only, records them (defaults
@@ -189,6 +196,8 @@ def sweep_reciprocity(
     """Hilbert reciprocity: the product of (a,b)_v over all places is +1,
     exhaustively for integer pairs with |a|, |b| <= bound and for a seeded
     sample of rational pairs with numerator and denominator <= bound."""
+    _at_least(1, bound=bound)
+    _at_least(0, rational_samples=rational_samples)
     nonzero = [n for n in range(-bound, bound + 1) if n]
     before = result.failures
     for a in nonzero:
@@ -223,6 +232,8 @@ def sweep_oracle_agreement(
     """Closed-form Hilbert symbol versus the solvability oracle, for every
     place p <= prime_max plus infinity and all integers |a|, |b| <= bound,
     plus a seeded sample of rational pairs."""
+    _at_least(1, coeff_bound=coeff_bound)
+    _at_least(0, rational_samples=rational_samples)
     places = [Place.finite(p) for p in primes_up_to(prime_max)] + [INFINITY]
     nonzero = [n for n in range(-coeff_bound, coeff_bound + 1) if n]
     for place in places:
@@ -284,6 +295,7 @@ def sweep_imj_consistency(result: SweepResult, ell_max: int = 97, k_max: int = 3
 def sweep_bernoulli(result: SweepResult, n_max: int = 60) -> None:
     """Recurrence denominators equal the von Staudt-Clausen product for all
     even n <= n_max, and B_12 has its known value."""
+    _at_least(2, n_max=n_max)  # the B_12 spot check alone is no grid
     for n in range(2, n_max + 1, 2):
         den = bernoulli(n).denominator
         expected = von_staudt_clausen_denominator(n)
@@ -427,6 +439,8 @@ def sweep_low_degree_j(
     """The low-degree J tables: identity on pi_0 over R, negation and
     inversion for the wild map, p**v_p(x) (multiplicatively) for the tame
     map, and the tame/degree factorization."""
+    _at_least(1, precision=precision)
+    _at_least(0, inversion_samples=inversion_samples, tame_samples=tame_samples)
     rng = random.Random(seed)
     before = result.failures
     for k in range(-100, 101):

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Union
 
 from ._integers import factorint, is_prime, vp_int
@@ -131,17 +132,23 @@ def zolotarev_sign(a: int, p: int) -> Sign:
 
 
 def _cleared_int(x: Rational, what: str) -> int:
-    """Replace x by the integer x * den(x)^2 (same square class)."""
-    x = Fraction(x)
+    """Replace x by the integer x * den(x)^2 (same square class); an int
+    is returned as it is."""
+    if not isinstance(x, int):
+        x = Fraction(x)
+        x = x.numerator * x.denominator
     if x == 0:
         raise SymbolError(f"{what} must be nonzero")
-    return x.numerator * x.denominator
+    return x
 
 
 def _split_unit(n: int, p: int) -> tuple[int, int]:
-    """n = p**alpha * u with u prime to p; returns (alpha, u)."""
-    alpha = vp_int(n, p)
-    return alpha, n // p**alpha
+    """n = p**alpha * u with u prime to p (n != 0); returns (alpha, u)."""
+    alpha = 0
+    while n % p == 0:
+        n //= p
+        alpha += 1
+    return alpha, n
 
 
 def hilbert_symbol(a: Rational, b: Rational, place: Place) -> Sign:
@@ -154,14 +161,10 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> Sign:
     unit parts u, w, (-1)^(eps(u)eps(w) + alpha omega(w) + beta omega(u))
     where eps(x) = (x-1)/2 and omega(x) = (x^2-1)/8 mod 2.
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0 or b == 0:
-        raise SymbolError("Hilbert symbol inputs must be nonzero")
-    if not place.is_finite:
-        return -1 if a < 0 and b < 0 else 1
     A = _cleared_int(a, "a")
     B = _cleared_int(b, "b")
+    if not place.is_finite:
+        return -1 if A < 0 and B < 0 else 1
     return _hilbert_symbol_int(A, B, place.prime)
 
 
@@ -276,15 +279,11 @@ def hilbert_oracle(
     primitive solution at that modulus certifies a Z_p point).  A larger
     modulus exponent may be supplied; a smaller one is rejected.
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0 or b == 0:
-        raise SymbolError("oracle inputs must be nonzero")
-    if not place.is_finite:
-        return -1 if a < 0 and b < 0 else 1
-    p = place.prime
     A = _cleared_int(a, "a")
     B = _cleared_int(b, "b")
+    if not place.is_finite:
+        return -1 if A < 0 and B < 0 else 1
+    p = place.prime
     required = 2 * vp_int(4 * A * B, p) + 3
     if modulus_exponent is None:
         modulus_exponent = required
@@ -312,14 +311,6 @@ def tame_symbol(a: Rational, b: Rational, p: int) -> int:
     return r.numerator * pow(r.denominator, -1, p) % p
 
 
-def _odd_prime_support(a: Fraction, b: Fraction) -> list[int]:
-    primes: set[int] = set()
-    for n in (a.numerator, a.denominator, b.numerator, b.denominator):
-        primes.update(factorint(abs(n)))
-    primes.discard(2)
-    return sorted(primes)
-
-
 @dataclass(frozen=True)
 class ReciprocityResult:
     """Per-place Hilbert symbols of a pair, with their product.
@@ -345,17 +336,28 @@ class ReciprocityResult:
         return tuple(v for v, s in self.local_symbols if s == -1)
 
 
+@lru_cache(maxsize=1024)
+def _place(p: int) -> Place:
+    """The place of a prime, built (and primality-checked) once per prime."""
+    return Place.finite(p)
+
+
 def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
-    """Evaluate (a,b)_v on the finite support set and multiply."""
+    """Evaluate (a,b)_v on the finite support set and multiply.
+
+    a and b are cleared to A = num*den and B = num*den once, and each
+    numerator and denominator (never a product) is factored once."""
     a = Fraction(a)
     b = Fraction(b)
     if a == 0 or b == 0:
         raise SymbolError("inputs must be nonzero")
-    places = [Place.finite(2)]
-    places += [Place.finite(p) for p in _odd_prime_support(a, b)]
-    places.append(INFINITY)
-    symbols = tuple((v, hilbert_symbol(a, b, v)) for v in places)
-    product = 1
-    for _, s in symbols:
-        product *= s
-    return ReciprocityResult(a=a, b=b, local_symbols=symbols, product=product)
+    odd: set[int] = set()
+    for n in (a.numerator, a.denominator, b.numerator, b.denominator):
+        odd.update(factorint(abs(n)))
+    odd.discard(2)
+    A = a.numerator * a.denominator
+    B = b.numerator * b.denominator
+    symbols = [(_place(p), _hilbert_symbol_int(A, B, p)) for p in [2, *sorted(odd)]]
+    symbols.append((INFINITY, -1 if A < 0 and B < 0 else 1))
+    product = prod(s for _, s in symbols)
+    return ReciprocityResult(a=a, b=b, local_symbols=tuple(symbols), product=product)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from jshadow.cli import _emit, parse_place, parse_prime, parse_rational, run
+from jshadow.padic import DEFAULT_PRECISION
 
 REPORT_KEYS = {"command", "inputs", "rows", "verdict", "provenance", "version"}
 
@@ -46,6 +47,27 @@ def test_reciprocity_report_shape(capsys):
     assert report["verdict"] == "pass"
     assert report["provenance"][0]["statement_id"] == "hilbert-reciprocity"
     assert report["provenance"][0]["statement"]
+
+
+def test_reciprocity_places_of_a_strong_pseudoprime(capsys):
+    # psi_12 passes Miller-Rabin to bases 2..37 and was listed as a place.
+    code, report = run_json(capsys, ["reciprocity", "--a=318665857834031151167461", "--b=5"])
+    assert code == 0
+    places = [row["place"] for row in report["rows"] if "place" in row]
+    assert places == ["2", "5", "399165290221", "798330580441", "inf"]
+
+
+def test_consecutive_runs_share_no_state(capsys):
+    # Each run() starts from its defaults, whatever the run before it was given.
+    code, report = run_json(capsys, ["hilbert", "--a=2", "--b=5", "--place=5", "--oracle"])
+    assert code == 0 and report["inputs"]["oracle"] is True and "oracle" in report["rows"][0]
+    assert run(["hilbert", "--a=2", "--b=5", "--place=5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("command: hilbert\n") and "oracle = False" in out and "oracle=" not in out
+    assert run(["padic", "--p=3", "--op=valuation", "--x=9", "--precision=5"]) == 0
+    assert "precision = 5" in capsys.readouterr().out
+    code, report = run_json(capsys, ["padic", "--p=3", "--op=valuation", "--x=9"])
+    assert report["inputs"]["precision"] == DEFAULT_PRECISION
 
 
 def test_reports_are_deterministic(capsys):

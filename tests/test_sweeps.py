@@ -74,6 +74,26 @@ def test_params_record_the_arguments_used():
         SWEEPS["zolotarev"](p_max=2)
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("reciprocity", {"bound": 0}, "bound must be >= 1, got 0"),
+        ("reciprocity", {"bound": -3}, "bound must be >= 1, got -3"),
+        ("oracle-agreement", {"coeff_bound": 0}, "coeff_bound must be >= 1"),
+        ("low-degree-j", {"precision": 0}, "precision must be >= 1, got 0"),
+        ("low-degree-j", {"tame_samples": -1}, "tame_samples must be >= 0"),
+        ("bernoulli", {"n_max": -4}, "n_max must be >= 2, got -4"),
+        ("bernoulli", {"n_max": 1}, "n_max must be >= 2, got 1"),
+        ("geometric-series", {"depth": 0}, "depth must be >= 1"),
+    ],
+)
+def test_out_of_range_parameters_raise_value_error(name, params, message):
+    # These used to raise IndexError or a randrange error, or (bernoulli)
+    # pass on the B_12 spot check alone.
+    with pytest.raises(ValueError, match=message):
+        SWEEPS[name](**params)
+
+
 def test_cli_seeds_exactly_the_sweeps_with_a_seed_parameter(monkeypatch, capsys):
     calls = []
     for name, fn in SWEEPS.items():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jshadow._integers import primes_up_to
+from jshadow.padic import vp
 from jshadow.symbols import (
     INFINITY,
     Place,
@@ -266,6 +267,55 @@ def test_reciprocity_random_rationals():
         a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 200), rng.randint(1, 200))
         b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 200), rng.randint(1, 200))
         assert hilbert_reciprocity_check(a, b).product == 1
+
+
+def _odd_primes_by_trial_division(n: int) -> set[int]:
+    n = abs(n)
+    while n % 2 == 0:
+        n //= 2
+    primes, d = set(), 3
+    while d * d <= n:
+        if n % d == 0:
+            primes.add(d)
+            while n % d == 0:
+                n //= d
+        d += 2
+    return primes | {n} if n > 1 else primes
+
+
+def _random_part(rng: random.Random) -> int:
+    """Up to 10**12: uniform, or 2**e * s**2 * r with a squared factor."""
+    if rng.random() < 0.3:
+        return rng.randint(1, 10**12)
+    return 2 ** rng.randint(0, 3) * rng.randint(1, 1000) ** 2 * rng.randint(1, 10**5)
+
+
+def test_reciprocity_places_and_symbols_differential():
+    rng = random.Random(2024)
+    pairs = [(-12, 18), (50, -98), (1, 1)]
+    for _ in range(120):
+        a, b = (
+            Fraction(rng.choice([-1, 1]) * _random_part(rng), _random_part(rng))
+            for _ in range(2)
+        )
+        pairs.append((a, b))
+    for a, b in pairs:
+        result = hilbert_reciprocity_check(a, b)
+        assert type(result.a) is Fraction and result.a == a and result.b == b
+        places = [v for v, _ in result.local_symbols]
+        assert result.local_symbols == tuple((v, hilbert_symbol(a, b, v)) for v in places)
+        a, b = Fraction(a), Fraction(b)
+        odd = set().union(
+            *map(_odd_primes_by_trial_division, (a.numerator, a.denominator, b.numerator, b.denominator))
+        )
+        assert places == [Place.finite(p) for p in [2, *sorted(odd)]] + [INFINITY]
+        for v, s in result.local_symbols:
+            if v.is_finite and v.prime <= 50:
+                # The same square classes with v_p cut to 0 or 1, which keeps
+                # the oracle's search modulus small.
+                cut_a, cut_b = (x / Fraction(v.prime) ** (vp(x, v.prime) // 2 * 2) for x in (a, b))
+                assert s == hilbert_oracle(cut_a, cut_b, v), (a, b, v)
+        assert result.product == 1
 
 
 def test_pi2_nontriviality_at_every_place():
