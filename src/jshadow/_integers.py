@@ -3,7 +3,8 @@
 Everything here is deterministic.  Miller-Rabin with the first thirteen
 prime bases is a proof of primality below psi_13 = 3317044064679887385961981
 (Sorenson-Webster 2017), so factorizations of numbers below psi_13 are
-certified; at or above it a prime factor is only a strong probable prime.
+certified.  At or above it a strong Lucas test follows the bases (BPSW),
+and a prime factor is a BPSW probable prime: none is known to be composite.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ import math
 
 # Witnesses that prove primality below psi_13; 2..37 alone stop at psi_12 = 318665857834031151167461.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Least strong pseudoprime to the bases 2..41: from here on the bases alone prove nothing.
+_PSI_13 = 3317044064679887385961981
 
 _SMALL_PRIME_LIMIT = 1000
 
@@ -35,7 +39,8 @@ _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 def is_prime(n: int) -> bool:
     """Primality by Miller-Rabin with bases 2..41: deterministic for
-    n < psi_13, a strong probable prime test at or above it."""
+    n < psi_13.  At or above psi_13 a strong Lucas test follows, which
+    makes it BPSW: True there means a BPSW probable prime."""
     if n < 2:
         return False
     if n <= _SMALL_PRIME_LIMIT:
@@ -43,11 +48,8 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES[:25]:
         if n % p == 0:
             return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2**s exactly divides n - 1
+    d = (n - 1) >> s
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -58,7 +60,54 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a|n) for odd n >= 1 (unchecked), by the reciprocity ladder."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of odd n > 1, Selfridge's parameters: D first of
+    5, -7, 9, -11, ... with (D|n) = -1, P = 1, Q = (1-D)/4.  With n + 1 =
+    d 2^s, d odd, n passes iff U_d = 0 or some V_(d 2^r) = 0, r < s, mod n."""
+    if math.isqrt(n) ** 2 == n:  # no D has (D|n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    U, V, Qk = 1, 1, Q  # U_1, V_1, Q^1 with P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V  # twice U_(k+1) and V_(k+1)
+            U = (U + n if U % 2 else U) // 2 % n
+            V = (V + n if V % 2 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_brent(n: int) -> int:
@@ -94,7 +143,7 @@ def _pollard_brent(n: int) -> int:
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Exact prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}; factors >= psi_13 are BPSW probable primes."""
     if n < 1:
         raise ValueError("factorint requires n >= 1")
     factors: dict[int, int] = {}

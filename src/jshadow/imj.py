@@ -22,47 +22,48 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from ._integers import factorint, is_prime, prime_power_base, primes_up_to, vp_int
+from ._integers import factorint, is_prime, prime_power_base, vp_int
 from .padic import embed, is_topological_generator, smallest_topological_generator
 
-_EXACT_POWER_LIMIT = 4096  # beyond this, u**k is computed modulo l**N instead
-
-
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+_bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+_zigzag_row: list[int] = [1]  # row 0 of the Seidel boustrophedon; row n ends in E_n
 
 
 def bernoulli(n: int) -> Fraction:
     """The Bernoulli number B_n, exactly (convention B_1 = -1/2).
 
-    Computed by the recurrence sum_{j<=n} C(n+1, j) B_j = 0 with B_0 = 1.
+    B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), reduced, for the tangent
+    number T_k = E_{2k-1} (Brent-Harvey, arXiv:1108.0286).  Row m of the
+    Seidel boustrophedon, the running sum of row m-1 reversed, ends in E_m.
     """
+    global _zigzag_row
     if n < 0:
         raise ValueError("n must be >= 0")
     while len(_bernoulli_cache) <= n:
         m = len(_bernoulli_cache)
-        if m > 2 and m % 2:
+        if m % 2:
             _bernoulli_cache.append(Fraction(0))
             continue
-        acc = Fraction(0)
-        for j, bj in enumerate(_bernoulli_cache):
-            if bj:
-                acc += math.comb(m + 1, j) * bj
-        _bernoulli_cache.append(-acc / (m + 1))
+        while len(_zigzag_row) < m:  # row m - 1 has m entries
+            _zigzag_row = list(accumulate(reversed(_zigzag_row), initial=0))
+        four_k = 4 ** (m // 2)
+        sign = 1 if m % 4 else -1
+        _bernoulli_cache.append(Fraction(sign * m * _zigzag_row[-1], four_k * (four_k - 1)))
     return _bernoulli_cache[n]
 
 
 def von_staudt_clausen_denominator(n: int) -> int:
     """The denominator of B_n for even n >= 2: the product of primes q
-    with (q-1) | n.  An independent route that never touches the
-    recurrence."""
+    with (q-1) | n, found among d + 1 for the divisors d of n.  An
+    independent route that never touches the Bernoulli numbers."""
     if n < 2 or n % 2:
         raise ValueError("defined for even n >= 2")
-    product = 1
-    for q in primes_up_to(n + 1):
-        if n % (q - 1) == 0:
-            product *= q
-    return product
+    divisors = [1]
+    for q, e in factorint(n).items():
+        divisors = [d * q**i for d in divisors for i in range(e + 1)]
+    return math.prod(d + 1 for d in divisors if is_prime(d + 1))
 
 
 @dataclass(frozen=True)
@@ -114,19 +115,20 @@ def imj_order(k: int) -> GroupOrderReport:
 
 
 def _vl_power_minus_one(u: int, k: int, ell: int) -> int:
-    """v_l(u**|k| - 1) for a unit u, exactly for small |k|, else via a
-    certified modulus: the valuation is at most 1 + v_l(k), so computing
-    mod l**(v-bound + 8) decides it."""
+    """v_l(u**|k| - 1) for an odd prime l and u != +-1, exactly, by lifting the
+    exponent: 0 unless u**k = 1 mod l (ord_l(u) | k), else v_l(u**(l-1) - 1)
+    + v_l(k), the first term read mod l**e for e = 2, 4, 8, ... until not 1."""
     k = abs(k)
     if k == 0:
         raise ValueError("k must be nonzero")
-    if k <= _EXACT_POWER_LIMIT:
-        return vp_int(u**k - 1, ell)
-    bound = 1 + vp_int(k, ell) + 8
-    residue = pow(u, k, ell**bound)
-    if residue == 1:
-        raise ArithmeticError("valuation exceeded its certified bound")
-    return vp_int(residue - 1, ell)
+    if pow(u, k, ell) != 1:
+        return 0
+    if abs(u) == 1:
+        raise ValueError("valuation of 0 is undefined")
+    e = 2
+    while (residue := pow(u, ell - 1, ell**e)) == 1:
+        e *= 2
+    return vp_int(residue - 1, ell) + vp_int(k, ell)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ none of the identities verified here apply at 2.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from ._integers import is_prime, multiplicative_order_divides_check, vp_int
@@ -174,7 +175,7 @@ class PadicNumber:
             return f"PadicNumber.zero({self.prime}, {self.precision})"
         return (
             f"PadicNumber.from_unit({self.prime}, {self._valuation}, "
-            f"{self._unit_digits}, {self.precision})"
+            f"{_digits(self._unit_digits)}, {self.precision})"
         )
 
     def __str__(self) -> str:
@@ -182,7 +183,7 @@ class PadicNumber:
         if self.is_zero:
             return f"O({p}^{self.precision})"
         head = f"{p}^{self._valuation} * " if self._valuation else ""
-        return f"{head}{self._unit_digits} + O({p}^{self.abs_precision})"
+        return f"{head}{_digits(self._unit_digits)} + O({p}^{self.abs_precision})"
 
     # -- precision management -----------------------------------------
 
@@ -219,7 +220,7 @@ class PadicNumber:
                 raise ZeroOperandError("cannot coerce exact 0; use PadicNumber.zero")
             # An exact rational is known to unlimited precision; give it
             # enough digits that it never limits the result.
-            v = vp(other, self.prime)
+            v = vp_int(other.numerator, self.prime) - vp_int(other.denominator, self.prime)
             return embed(other, self.prime, max(1, self.abs_precision - v))
         return NotImplemented  # type: ignore[return-value]
 
@@ -229,7 +230,7 @@ class PadicNumber:
         if self.is_zero:
             return self
         m = self.prime**self.precision
-        return PadicNumber.from_unit(self.prime, self._valuation, m - self._unit_digits, self.precision)
+        return PadicNumber._make(self.prime, self._valuation, m - self._unit_digits, self.precision)
 
     def __add__(self, other: "PadicNumber | Rational") -> "PadicNumber":
         if isinstance(other, (int, Fraction)) and other == 0:
@@ -255,7 +256,7 @@ class PadicNumber:
         if s == 0:
             return PadicNumber.zero(p, a)
         w = vp_int(s, p)
-        return PadicNumber.from_unit(p, v + w, s // p**w, width - w)
+        return PadicNumber._make(p, v + w, s // p**w, width - w)
 
     __radd__ = __add__
 
@@ -284,7 +285,7 @@ class PadicNumber:
             return PadicNumber.zero(p, other.precision + self._valuation)
         n = min(self.precision, other.precision)
         digits = self._unit_digits * other._unit_digits % p**n
-        return PadicNumber.from_unit(p, self._valuation + other._valuation, digits, n)
+        return PadicNumber._make(p, self._valuation + other._valuation, digits, n)
 
     __rmul__ = __mul__
 
@@ -292,7 +293,7 @@ class PadicNumber:
         if self.is_zero:
             raise ZeroOperandError("cannot invert the zero element")
         digits = pow(self._unit_digits, -1, self.prime**self.precision)
-        return PadicNumber.from_unit(self.prime, -self._valuation, digits, self.precision)
+        return PadicNumber._make(self.prime, -self._valuation, digits, self.precision)
 
     def __truediv__(self, other: "PadicNumber | Rational") -> "PadicNumber":
         other = self._coerce(other)
@@ -313,11 +314,20 @@ class PadicNumber:
                 raise ZeroOperandError("zero element cannot be raised to a nonpositive power")
             return PadicNumber.zero(self.prime, exponent * self.precision)
         if exponent == 0:
-            return PadicNumber.from_unit(self.prime, 0, 1, self.precision)
+            return PadicNumber._make(self.prime, 0, 1, self.precision)
         base = self if exponent > 0 else self.inv()
         e = abs(exponent)
         digits = pow(base._unit_digits, e, base.prime**base.precision)
-        return PadicNumber.from_unit(base.prime, base._valuation * e, digits, base.precision)
+        return PadicNumber._make(base.prime, base._valuation * e, digits, base.precision)
+
+
+def _digits(n: int) -> str:
+    """str(n), also past the interpreter's limit on int-to-str digits."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal  # prints any length; imported only when needed
+        return str(Decimal(n))
 
 
 def embed(x: Rational, prime: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -327,25 +337,23 @@ def embed(x: Rational, prime: int, precision: int = DEFAULT_PRECISION) -> "Padic
     """
     _check_prime(prime)
     _check_precision(precision)
-    x = Fraction(x)
+    x = x if isinstance(x, int) else Fraction(x)  # an int needs no Fraction round trip
     if x == 0:
         raise ZeroOperandError("cannot embed 0; use PadicNumber.zero")
     vn = vp_int(x.numerator, prime)
     vd = vp_int(x.denominator, prime)
     m = prime**precision
-    num_unit = abs(x.numerator) // prime**vn
-    den_unit = x.denominator // prime**vd
-    digits = num_unit * pow(den_unit, -1, m) % m
+    digits = abs(x.numerator) // prime**vn * pow(x.denominator // prime**vd, -1, m) % m
     if x < 0:
-        digits = (m - digits) % m
-    return PadicNumber.from_unit(prime, vn - vd, digits, precision)
+        digits = m - digits
+    return PadicNumber._make(prime, vn - vd, digits, precision)
 
 
 def teichmuller(a: int, prime: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
     """The Teichmuller representative: the (p-1)-st root of unity congruent to a mod p.
 
-    Computed as the limit of a**(p**n), which stabilizes within
-    `precision` iterations.  Requires an odd prime and a nonzero residue.
+    Newton's iteration x -> x (p - x**(p-1)) / (p-1) from x = a mod p doubles
+    the digits known each step.  Requires an odd prime and a nonzero residue.
     """
     _check_prime(prime)
     if prime == 2:
@@ -353,14 +361,12 @@ def teichmuller(a: int, prime: int, precision: int = DEFAULT_PRECISION) -> "Padi
     _check_precision(precision)
     if a % prime == 0:
         raise ZeroOperandError("residue must be nonzero mod p")
-    m = prime**precision
-    x = a % m
-    while True:
-        y = pow(x, prime, m)
-        if y == x:
-            break
-        x = y
-    return PadicNumber.from_unit(prime, 0, x, precision)
+    x, n = a % prime, 1
+    while n < precision:
+        n = min(2 * n, precision)
+        m = prime**n
+        x = x * (prime - pow(x, prime - 1, m)) * pow(prime - 1, -1, m) % m
+    return PadicNumber._make(prime, 0, x, precision)
 
 
 def _ilog(n: int, p: int) -> int:
@@ -450,6 +456,7 @@ def is_topological_generator(u: int, ell: int) -> bool:
     return pow(u, ell - 1, ell * ell) != 1
 
 
+@lru_cache(maxsize=1024)
 def smallest_topological_generator(ell: int) -> int:
     """The least integer u >= 2 that topologically generates Z_l^x."""
     u = 2

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import prod
 from typing import Union
 
-from ._integers import factorint, is_prime, vp_int
+from ._integers import _jacobi, factorint, is_prime, vp_int
 
 Rational = Union[int, Fraction]
 Sign = int  # always +1 or -1
@@ -84,18 +84,7 @@ def jacobi(a: int, n: int) -> int:
     """The Jacobi symbol (a|n) for odd n >= 1, by the reciprocity ladder."""
     if n <= 0 or n % 2 == 0:
         raise SymbolError("Jacobi symbol needs odd n >= 1")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+    return _jacobi(a, n)
 
 
 def _check_odd_prime(p: int) -> None:
@@ -274,16 +263,21 @@ def hilbert_oracle(
     """Decide (a,b)_v by direct solvability of z^2 = a x^2 + b y^2.
 
     At the infinite place this is sign inspection.  At a finite prime the
-    equation is cleared to integer coefficients and searched modulo
-    p**M with M = 2*v_p(4ab) + 3 (see module docstring for why a
-    primitive solution at that modulus certifies a Z_p point).  A larger
-    modulus exponent may be supplied; a smaller one is rejected.
+    equation is cleared to integer coefficients A, B, each divided by p^2
+    while p^2 divides it (its square class, so solvability, stays), and
+    searched modulo p**M with M = 2*v_p(4AB) + 3 (see module docstring for
+    why a primitive solution at that modulus certifies a Z_p point).  A
+    larger modulus exponent may be supplied; a smaller one is rejected.
     """
     A = _cleared_int(a, "a")
     B = _cleared_int(b, "b")
     if not place.is_finite:
         return -1 if A < 0 and B < 0 else 1
     p = place.prime
+    while A % (p * p) == 0:
+        A //= p * p
+    while B % (p * p) == 0:
+        B //= p * p
     required = 2 * vp_int(4 * A * B, p) + 3
     if modulus_exponent is None:
         modulus_exponent = required

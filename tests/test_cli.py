@@ -1,6 +1,8 @@
 """Tests for the command-line front end: reports, exit codes, determinism."""
 
 import json
+import time
+from decimal import Decimal
 
 import pytest
 
@@ -84,6 +86,15 @@ def test_hilbert_with_oracle(capsys):
     row = report["rows"][0]
     assert row["symbol"] == -1 and row["oracle"] == -1
     assert report["verdict"] == "pass"
+
+
+def test_hilbert_oracle_on_a_high_power_of_the_place(capsys):
+    # a = 3 * 17**5: before the oracle divided out 17**2 its search ran
+    # modulo 17**13 and did not finish within a minute.
+    code, report = run_json(capsys, ["hilbert", "--a=4259571", "--b=5", "--place=17", "--oracle"])
+    assert code == 0 and report["verdict"] == "pass"
+    row = report["rows"][0]
+    assert row["oracle"] == row["symbol"] == -1
 
 
 def test_hilbert_informational_verdict(capsys):
@@ -221,3 +232,18 @@ def test_failing_report_exits_1(capsys):
     assert _emit(report, as_json=True) == 1
     assert _emit(report, as_json=False) == 1
     capsys.readouterr()
+
+
+def test_teichmuller_at_the_largest_precision(capsys):
+    # 8210 digits: more than the interpreter prints with str(int), and a
+    # minute of work for the fixed-point iteration the lift used to run.
+    start = time.perf_counter()
+    code, report = run_json(
+        capsys, ["padic", "--op=teichmuller", "--p=101", "--precision=4096", "--residue=3"]
+    )
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    digits, error = report["rows"][0]["value"].split(" + ")
+    assert error == "O(101^4096)"
+    x = int(Decimal(digits))
+    assert x % 101 == 3 and pow(x, 100, 101**4096) == 1

@@ -1,5 +1,6 @@
 """Tests for Bernoulli machinery, group orders, and the consistency checks."""
 
+import math
 from fractions import Fraction
 from math import isqrt
 
@@ -8,6 +9,7 @@ import pytest
 from jshadow._integers import primes_up_to, vp_int
 from jshadow.imj import (
     GroupOrderReport,
+    _vl_power_minus_one,
     bernoulli,
     imj_consistency_check,
     imj_order,
@@ -36,6 +38,15 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
     return -value if n == 1 else value
 
 
+def bernoulli_recurrence(n_max: int) -> list[Fraction]:
+    """B_0..B_n_max by sum_{j<=n} C(n+1, j) B_j = 0 with B_0 = 1, in Fractions."""
+    values = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        acc = sum((math.comb(m + 1, j) * bj for j, bj in enumerate(values) if bj), Fraction(0))
+        values.append(-acc / (m + 1))
+    return values
+
+
 def test_bernoulli_examples():
     assert bernoulli(0) == 1
     assert bernoulli(1) == Fraction(-1, 2)
@@ -46,6 +57,18 @@ def test_bernoulli_examples():
 def test_bernoulli_against_akiyama_tanigawa():
     for n in range(0, 40):
         assert bernoulli(n) == bernoulli_akiyama_tanigawa(n), n
+
+
+def test_bernoulli_against_binomial_recurrence():
+    for n, expected in enumerate(bernoulli_recurrence(300)):
+        assert bernoulli(n) == expected, n
+
+
+def test_bernoulli_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(2, 701, 2):
+        expected = sympy.bernoulli(n)
+        assert bernoulli(n) == Fraction(int(expected.p), int(expected.q)), n
 
 
 def test_b2_against_sum_of_squares():
@@ -82,6 +105,13 @@ def test_von_staudt_clausen_examples():
         von_staudt_clausen_denominator(3)
     with pytest.raises(ValueError):
         von_staudt_clausen_denominator(0)
+
+
+def test_von_staudt_clausen_against_sieve_definition():
+    primes = primes_up_to(2001)
+    for n in range(2, 2001, 2):
+        expected = math.prod(q for q in primes if n % (q - 1) == 0)
+        assert von_staudt_clausen_denominator(n) == expected, n
 
 
 def test_denominators_match_von_staudt_clausen():
@@ -266,3 +296,28 @@ def test_smallest_generator_recorded():
     for ell in (3, 5, 7, 11):
         result = k1_sphere_order(ell, 2)
         assert result.generator == smallest_topological_generator(ell)
+
+
+def test_vl_power_minus_one_against_exact_valuation():
+    # Units that are not topological generators exercise every order
+    # ord_l(u) and every v_l(u**(l-1) - 1), not just the generic ones.
+    for ell in ODD_PRIMES_97[:6]:
+        units = [u for u in range(2, 31) if u % ell and not is_topological_generator(u, ell)]
+        assert units
+        for u in units:
+            for k in [*range(1, 61), 4097, 4098]:
+                assert _vl_power_minus_one(u, k, ell) == vp_int(u**k - 1, ell), (u, k, ell)
+                assert _vl_power_minus_one(u, -k, ell) == vp_int(u**k - 1, ell), (u, -k, ell)
+
+
+def test_vl_power_minus_one_rejects_zero_valuations():
+    with pytest.raises(ValueError):
+        _vl_power_minus_one(5, 0, 3)
+    with pytest.raises(ValueError):
+        _vl_power_minus_one(1, 4, 3)
+
+
+def test_surjectivity_past_the_old_exact_power_limit():
+    # Past k = 4096 the valuation used to be read modulo 3**10, and
+    # v_3(5314411**4098 - 1) = 13 (5314411 = 10 * 3**12 + 1) raised ArithmeticError.
+    assert surjectivity_check(3, 5314411, 4098) is True

@@ -4,16 +4,31 @@ import random
 
 import pytest
 
-from jshadow._integers import factorint, is_prime
+from jshadow._integers import _is_strong_lucas_probable_prime, factorint, is_prime
 
-# Least strong pseudoprime to the prime bases 2..37 (Sorenson-Webster 2017).
+# Least strong pseudoprimes to the prime bases 2..37 and 2..41 (Sorenson-Webster 2017).
 PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
 
 
 def test_psi_12_is_composite():
     # Bases 2..37 alone call it prime; base 41 shows it composite.
     assert not is_prime(PSI_12)
     assert factorint(PSI_12) == {399165290221: 1, 798330580441: 1}
+
+
+def test_psi_13_is_composite():
+    # Bases 2..41 all call it prime; the strong Lucas test shows it composite.
+    assert not is_prime(PSI_13)
+    assert factorint(PSI_13) == {1287836182261: 1, 2575672364521: 1}
+
+
+def test_strong_lucas_pseudoprimes_are_caught_by_the_bases():
+    # The least strong Lucas pseudoprimes with Selfridge's parameters
+    # (OEIS A217255): the Lucas step passes them, Miller-Rabin does not.
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert _is_strong_lucas_probable_prime(n)
+        assert not is_prime(n)
 
 
 def test_is_prime_and_factorint_agree_with_sympy_near_psi_12_and_2_64():
@@ -27,3 +42,18 @@ def test_is_prime_and_factorint_agree_with_sympy_near_psi_12_and_2_64():
     for _ in range(6):
         n = rng.randrange(2**63, 2**65)
         assert factorint(n) == sympy.factorint(n), n
+
+
+def test_is_prime_agrees_with_sympy_at_and_above_psi_13():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1313)
+    near = [PSI_13 + d for d in range(-300, 301)]
+    spread = [rng.randrange(PSI_13, 2**128) for _ in range(300)]
+    # Products of two primes near the square root are the hard composites.
+    def prime_near(lo: int, hi: int) -> int:
+        return sympy.nextprime(rng.randrange(lo, hi))
+
+    semiprimes = [prime_near(2**40, 2**64) * prime_near(2**40, 2**64) for _ in range(40)]
+    squares = [prime_near(2**41, 2**64) ** 2 for _ in range(10)]
+    for n in near + spread + semiprimes + squares:
+        assert is_prime(n) == sympy.isprime(n), n

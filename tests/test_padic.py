@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from jshadow._integers import primes_up_to
 from jshadow.padic import (
     DEFAULT_PRECISION,
+    MAX_PRECISION,
     PadicError,
     PadicNumber,
     PrecisionError,
@@ -196,6 +197,19 @@ def test_teichmuller_is_a_root_of_unity():
             assert pow(w.unit_digits, p - 1, m) == 1
 
 
+@pytest.mark.parametrize("p", [3, 101])
+@pytest.mark.parametrize("precision", [1, 2, 3, 64, 1024])
+def test_teichmuller_defining_property(p, precision):
+    # The lift is the root of x**(p-1) = 1 congruent to a mod p, checked from
+    # that definition alone, for every residue and for a few lifts of residues.
+    m = p**precision
+    for a in [*range(1, p), -1, p + 1, 5 * p - 2, -(7 * p + 1)]:
+        x = teichmuller(a, p, precision)
+        assert x.valuation == 0 and x.precision == precision
+        assert x.unit_digits % p == a % p
+        assert pow(x.unit_digits, p - 1, m) == 1
+
+
 def test_teichmuller_rejects_bad_input():
     with pytest.raises(ZeroOperandError):
         teichmuller(10, 5, 8)
@@ -363,3 +377,47 @@ def test_geometric_series_witness_other_primes():
 def test_geometric_series_witness_rejects_bad_depth():
     with pytest.raises(ValueError):
         geometric_series_witness(3, 0)
+
+
+# -- canonical form of arithmetic results -----------------------------------
+
+
+def assert_canonical(x: PadicNumber, p: int) -> None:
+    assert isinstance(x, PadicNumber) and x.prime == p
+    if x.is_zero:
+        assert x.precision >= 1
+        return
+    assert 1 <= x.precision <= MAX_PRECISION
+    assert 1 <= x.unit_digits < p**x.precision and x.unit_digits % p
+    assert PadicNumber.from_unit(p, x.valuation, x.unit_digits, x.precision) == x
+
+
+@st.composite
+def padic_operands(draw, p):
+    precision = draw(st.integers(1, 41).map(lambda n: MAX_PRECISION if n == 41 else n))
+    if draw(st.integers(0, 9)) == 0:
+        return PadicNumber.zero(p, precision)
+    valuation = draw(st.integers(-4, 4))
+    # A seeded draw, because hypothesis prints the bound p**precision, which
+    # at MAX_PRECISION passes the interpreter's int-to-str limit.
+    unit = random.Random(draw(st.integers(0, 2**64))).randrange(1, p**precision)
+    return PadicNumber.from_unit(p, valuation, unit + (unit % p == 0), precision)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.sampled_from(PRIMES_100[:12]))
+def test_arithmetic_results_are_canonical(data, p):
+    # Results are built without from_unit's checks, so check their form here.
+    x = data.draw(padic_operands(p))
+    y = data.draw(padic_operands(p) | st.integers(-10**6, 10**6).filter(bool) | st.fractions(-50, 50).filter(bool))
+    exponent = data.draw(st.integers(-6, 6))
+    operations = (
+        lambda: x + y, lambda: y + x, lambda: x - y, lambda: y - x, lambda: x * y, lambda: y * x,
+        lambda: x / y, lambda: y / x, lambda: -x, lambda: x.inv(), lambda: x**exponent,
+    )
+    for operation in operations:
+        try:
+            result = operation()
+        except PadicError:  # division by a flagged zero, or a result below one digit
+            continue
+        assert_canonical(result, p)

@@ -185,6 +185,17 @@ def test_oracle_modulus_exponent_bound():
     assert hilbert_oracle(3, 3, v, modulus_exponent=9) == hilbert_symbol(3, 3, v)
 
 
+def test_oracle_on_high_powers_of_the_place():
+    # The oracle divides out p**2, which keeps each square class, so it still
+    # agrees with the closed form while its search modulus stops growing with v_p.
+    for p in (3, 17):
+        v = Place.finite(p)
+        for e in range(9):
+            for a in (2 * p**e, 3 * p**e, -(p**e), Fraction(5, p**e)):
+                for b in (5, p, -7 * p**3):
+                    assert hilbert_oracle(a, b, v) == hilbert_symbol(a, b, v), (a, b, p)
+
+
 def test_hilbert_bilinear_and_symmetric():
     rng = random.Random(23)
     pool = [n for n in range(-30, 31) if n]
