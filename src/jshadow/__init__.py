@@ -25,16 +25,12 @@ from .imj import (
     von_staudt_clausen_denominator,
 )
 from .jmaps import (
-    JValue,
-    ProductFormulaResult,
     adelic_norm_product,
     j_fp_pi0,
-    j_padic_pi2,
     j_real_pi0,
     j_tame_pi1,
     j_wild_pi0,
     j_wild_pi1,
-    product_formula_pi2,
 )
 from .padic import (
     DEFAULT_PRECISION,
@@ -71,14 +67,12 @@ __all__ = [
     "DEFAULT_PRECISION",
     "GroupOrderReport",
     "INFINITY",
-    "JValue",
     "K1SphereOrder",
     "MAX_PRECISION",
     "PadicError",
     "PadicNumber",
     "Place",
     "PrecisionError",
-    "ProductFormulaResult",
     "ReciprocityResult",
     "SymbolError",
     "ZeroOperandError",
@@ -93,7 +87,6 @@ __all__ = [
     "imj_order",
     "is_topological_generator",
     "j_fp_pi0",
-    "j_padic_pi2",
     "j_real_pi0",
     "j_tame_pi1",
     "j_wild_pi0",
@@ -105,7 +98,6 @@ __all__ = [
     "norm_identity_check",
     "padic_log",
     "padic_norm",
-    "product_formula_pi2",
     "rezk_log_pi0",
     "smallest_topological_generator",
     "surjectivity_check",

@@ -1,15 +1,19 @@
 """Command-line front end.
 
 One subcommand per verifiable statement, plus ``padic`` for ad hoc
-arithmetic and ``sweep`` for the named verification suites.  Each run
+arithmetic and ``sweep <name>``, the one way to run a named verification
+suite.  Its grid flags are the keywords of the registered sweep, written
+``--keyword=value`` (``--p-max=50``; a comma list such as ``--ells=3,5``
+where the default is a tuple); ``--seed`` goes only to the sweeps that
+take a seed, and ``sweep all`` runs every default grid.  Each run
 prints a report: human-readable text by default, or a canonical JSON
 object with ``--json`` (top-level keys: command, inputs, rows, verdict,
 provenance, version).  Reports contain no timestamps and are
 byte-for-byte reproducible for fixed inputs and seed.
 
 Exit codes: 0 for pass or informational output, 1 for a verification
-failure, 2 for a usage error (unknown subcommand, malformed rational,
-composite number where a prime is required).
+failure, 2 for a usage error (unknown subcommand or grid flag, malformed
+rational, composite number where a prime is required, empty sweep grid).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import __version__
-from ._integers import is_prime
+from ._integers import _PSI_13, is_prime
 from .imj import (
     bernoulli,
     imj_order,
@@ -165,7 +169,11 @@ def _cmd_reciprocity(args) -> dict:
     a = parse_nonzero_rational(args.a)
     b = parse_nonzero_rational(args.b)
     result = hilbert_reciprocity_check(a, b)
-    rows = [{"place": str(v), "symbol": s} for v, s in result.local_symbols]
+    rows = []
+    for v, s in result.local_symbols:
+        rows.append({"place": str(v), "symbol": s})
+        if v.is_finite and v.prime >= _PSI_13:  # no proof of primality from here on
+            rows[-1]["bpsw_probable_prime"] = True
     rows.append({"product": result.product, "omitted_places": "+1 (unit coefficients)"})
     return _report(
         "reciprocity",
@@ -177,10 +185,6 @@ def _cmd_reciprocity(args) -> dict:
 
 
 def _cmd_zolotarev(args) -> dict:
-    if args.p_max is not None:
-        return _sweep_report(SWEEPS["zolotarev"](p_max=args.p_max), "zolotarev")
-    if args.a is None or args.p is None:
-        raise UsageError("need either --p-max or both --a and --p")
     p = parse_prime(str(args.p))
     sign = zolotarev_sign(args.a, p)
     leg = legendre(args.a, p)
@@ -344,14 +348,12 @@ def _cmd_padic(args) -> dict:
             raise UsageError("teichmuller needs --residue")
         value = teichmuller(args.residue, p, n)
         inputs.update(residue=args.residue)
-    elif op == "valuation":
+    else:  # valuation, the last of the choices argparse allows
         if args.x is None:
             raise UsageError("valuation needs --x")
         x = parse_nonzero_rational(args.x)
         rows = [{"x": args.x, "valuation": vp(x, p), "norm": str(padic_norm(x, p))}]
         return _report("padic", inputs | {"x": args.x}, rows, "n/a", [])
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown op {op}")
     rows = [{"value": str(value)}]
     return _report("padic", inputs, rows, "n/a", [])
 
@@ -369,23 +371,35 @@ def _cmd_norm_product(args) -> dict:
     )
 
 
-def _cmd_imj_consistency(args) -> dict:
-    result = SWEEPS["imj-consistency"](ell_max=args.ell_max, k_max=args.k_max)
-    return _sweep_report(result, "imj-consistency")
-
-
-def _run_sweep(name: str, seed: int) -> SweepResult:
-    """Run the registered sweep ``name``, seeded exactly when it takes a seed."""
+def _run_sweep(name: str, seed: int, flags: list[str]) -> SweepResult:
+    """Run the registered sweep ``name`` on the grid its ``--keyword=value``
+    flags set (an int, or a comma list where the default is a tuple), seeded
+    exactly when it takes a seed."""
     fn = SWEEPS[name]
-    return fn(seed=seed) if "seed" in inspect.signature(fn).parameters else fn()
+    keywords = inspect.signature(fn).parameters
+    grid = {"seed": seed} if "seed" in keywords else {}
+    params = {"--" + k.replace("_", "-"): v for k, v in keywords.items() if k != "seed"}
+    for flag in flags:
+        key, eq, text = flag.partition("=")
+        if key not in params or not eq:
+            raise UsageError(f"unknown flag {flag!r}; sweep {name} takes {'=, '.join(params)}=")
+        is_list = isinstance(params[key].default, tuple)
+        try:
+            grid[params[key].name] = tuple(map(int, text.split(","))) if is_list else int(text)
+        except ValueError:
+            kind = "a comma list of integers" if is_list else "an integer"
+            raise UsageError(f"{key} takes {kind}, got {text!r}") from None
+    return fn(**grid)
 
 
 def _cmd_sweep(args) -> dict:
     if args.name != "all":
         if args.name not in SWEEPS:
             raise UsageError(f"unknown sweep {args.name!r}; known: {', '.join(sorted(SWEEPS))}, all")
-        return _sweep_report(_run_sweep(args.name, args.seed), "sweep")
-    results = [_run_sweep(name, args.seed) for name in SWEEPS]
+        return _sweep_report(_run_sweep(args.name, args.seed, args.grid), "sweep")
+    if args.grid:
+        raise UsageError(f"sweep all takes no grid flags, got {' '.join(args.grid)}")
+    results = [_run_sweep(name, args.seed, []) for name in SWEEPS]
     rows = [
         {"sweep": r.name, "checked": r.checked, "failures": r.failures, "verdict": r.verdict}
         for r in results
@@ -426,9 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_reciprocity)
 
     sp = sub.add_parser("zolotarev", help="permutation sign versus Legendre symbol")
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--p-max", type=int, dest="p_max")
+    sp.add_argument("--a", type=int, required=True)
+    sp.add_argument("--p", type=int, required=True)
     sp.set_defaults(handler=_cmd_zolotarev)
 
     sp = sub.add_parser("tame", help="tame symbol at p")
@@ -480,12 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", required=True)
     sp.set_defaults(handler=_cmd_norm_product)
 
-    sp = sub.add_parser("imj-consistency", help="image-of-J order grid check")
-    sp.add_argument("--ell-max", type=int, default=97, dest="ell_max")
-    sp.add_argument("--k-max", type=int, default=30, dest="k_max")
-    sp.set_defaults(handler=_cmd_imj_consistency)
-
-    sp = sub.add_parser("sweep", help="run a named verification suite")
+    sp = sub.add_parser("sweep", help="run a named verification suite; grid flags --keyword=value")
     sp.add_argument("name", help=f"one of: {', '.join(sorted(SWEEPS))}, all")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.set_defaults(handler=_cmd_sweep)
@@ -496,7 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, grid = parser.parse_known_args(argv)
+        args.grid = grid
+        if args.grid and args.handler is not _cmd_sweep:
+            parser.error(f"unrecognized arguments: {' '.join(args.grid)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

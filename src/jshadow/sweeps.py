@@ -12,8 +12,9 @@ Its body takes a fresh :class:`SweepResult` and then its parameters, each
 with a default, and counts every check with ``result.checked += 1`` and
 ``result.record_failure(...)``.  The decorator registers it in
 :data:`SWEEPS`, where ``jshadow sweep <name>`` and ``jshadow sweep all``
-find it, records the parameters used in ``params``, and rejects a grid on
-which nothing was checked.  A sweep with a randomized component has a
+find it (each keyword but ``seed`` is a ``--keyword=value`` grid flag of
+``sweep <name>``), records the parameters used in ``params``, and rejects
+a grid on which nothing was checked.  A sweep with a randomized component has a
 ``seed`` parameter defaulting to :data:`DEFAULT_SEED`; the CLI passes
 ``--seed`` to exactly those sweeps, and reports are byte-for-byte
 deterministic for a given seed.
@@ -119,9 +120,6 @@ STATEMENTS = {
         "For every nonzero rational x the product of |x| with all the p-adic "
         "norms of x equals 1."
     ),
-    "unit-comparison-factor": (
-        "1 - l**(k-1) is an l-adic unit for every k >= 2."
-    ),
 }
 
 
@@ -129,7 +127,6 @@ STATEMENTS = {
 class SweepResult:
     name: str
     statement_id: str
-    statement: str
     params: dict
     rows: list[dict] = field(default_factory=list)
     checked: int = 0
@@ -176,7 +173,7 @@ def _sweep(name: str, statement_id: str):
             bound.apply_defaults()
             values = bound.arguments
             params = {k: list(v) if isinstance(v, (tuple, list)) else v for k, v in values.items()}
-            result = SweepResult(name, statement_id, STATEMENTS[statement_id], params)
+            result = SweepResult(name, statement_id, params)
             body(result, **values)
             if not result.checked:
                 raise ValueError(f"sweep {name} checked nothing: empty grid {params}")

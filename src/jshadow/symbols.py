@@ -56,16 +56,6 @@ class Place:
     def infinity(cls) -> "Place":
         return cls(None)
 
-    @classmethod
-    def parse(cls, text: str) -> "Place":
-        if text in ("inf", "oo", "infinity"):
-            return cls.infinity()
-        try:
-            p = int(text)
-        except ValueError:
-            raise SymbolError(f"not a place: {text!r}") from None
-        return cls.finite(p)
-
     @property
     def is_finite(self) -> bool:
         return self.prime is not None

@@ -107,7 +107,7 @@ def test_zolotarev_single_and_sweep(capsys):
     code, report = run_json(capsys, ["zolotarev", "--a=3", "--p=5"])
     assert code == 0
     assert report["rows"][0]["permutation_sign"] == -1
-    code, report = run_json(capsys, ["zolotarev", "--p-max=50"])
+    code, report = run_json(capsys, ["sweep", "zolotarev", "--p-max=50"])
     assert code == 0
     assert report["verdict"] == "pass"
 
@@ -180,10 +180,57 @@ def test_padic_commands(capsys):
 
 
 def test_imj_consistency_command(capsys):
-    code, report = run_json(capsys, ["imj-consistency", "--ell-max=13", "--k-max=5"])
+    code, report = run_json(capsys, ["sweep", "imj-consistency", "--ell-max=13", "--k-max=5"])
     assert code == 0
     assert report["verdict"] == "pass"
     assert report["inputs"]["ell_max"] == 13
+
+
+def test_reciprocity_flags_places_past_the_proven_range(capsys):
+    # is_prime proves primality below psi_13 only; a larger place is a BPSW probable prime.
+    sympy = pytest.importorskip("sympy")
+    psi_13 = 3317044064679887385961981
+    below, above = sympy.prevprime(psi_13), sympy.nextprime(psi_13)
+    code, report = run_json(capsys, ["reciprocity", f"--a={above}", "--b=3"])
+    assert code == 0 and report["verdict"] == "pass"
+    assert report["rows"][:4] == [
+        {"place": "2", "symbol": -1},
+        {"place": "3", "symbol": -1},
+        {"place": str(above), "symbol": 1, "bpsw_probable_prime": True},
+        {"place": "inf", "symbol": 1},
+    ]
+    code, report = run_json(capsys, ["reciprocity", f"--a={below}", "--b=3"])
+    assert code == 0
+    assert not any("bpsw_probable_prime" in row for row in report["rows"])
+
+
+def test_sweep_grid_flags(capsys):
+    code, report = run_json(capsys, ["sweep", "rezk-log", "--ells=3,5", "--precision=16"])
+    assert code == 0 and report["verdict"] == "pass"
+    assert report["inputs"] == {"sweep": "rezk-log", "ells": [3, 5], "precision": 16}
+    # --seed goes only to the sweeps that take one, so here it changes nothing
+    assert run(["--json", "sweep", "zolotarev", "--p-max=50"]) == 0
+    unseeded = capsys.readouterr().out
+    assert run(["--json", "sweep", "zolotarev", "--seed=7", "--p-max=50"]) == 0
+    assert capsys.readouterr().out == unseeded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "zolotarev", "--bound=3"],  # a keyword of another sweep
+        ["sweep", "zolotarev", "--p_max=50"],
+        ["sweep", "zolotarev", "--p-max", "50"],  # not --keyword=value
+        ["sweep", "zolotarev", "--p-max=fifty"],
+        ["sweep", "rezk-log", "--ells=3,x"],
+        ["sweep", "all", "--bound=3"],
+    ],
+)
+def test_bad_grid_flags_exit_2(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_sweep_runs_named_suite(capsys):
@@ -204,12 +251,17 @@ def test_usage_errors_exit_2(capsys):
     assert run(["sweep", "no-such-suite"]) == 2
     assert run(["no-such-command"]) == 2
     assert run(["rezk-log", "--ell=3", "--x=3"]) == 2  # not a unit
+    assert run(["hilbert", "--a=2", "--b=5", "--place=5", "--bound=3"]) == 2  # grid flags are sweep's
     capsys.readouterr()
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["zolotarev", "--p-max=2"], ["imj-consistency", "--k-max=0"], ["imj-consistency", "--ell-max=2"]],
+    [
+        ["sweep", "zolotarev", "--p-max=2"],
+        ["sweep", "imj-consistency", "--k-max=0"],
+        ["sweep", "imj-consistency", "--ell-max=2"],
+    ],
 )
 def test_empty_sweep_grid_exits_2(capsys, argv):
     # an empty grid used to print "verdict: pass" with 0 checks and exit 0

@@ -9,15 +9,13 @@ from jshadow._integers import primes_up_to
 from jshadow.jmaps import (
     adelic_norm_product,
     j_fp_pi0,
-    j_padic_pi2,
     j_real_pi0,
     j_tame_pi1,
     j_wild_pi0,
     j_wild_pi1,
-    product_formula_pi2,
 )
 from jshadow.padic import ZeroOperandError, embed, vp
-from jshadow.symbols import INFINITY, Place, legendre
+from jshadow.symbols import INFINITY, Place, hilbert_reciprocity_check, hilbert_symbol, legendre
 
 
 def test_j_real_pi0_is_identity():
@@ -59,10 +57,10 @@ def test_j_wild_pi1_examples():
         j_wild_pi1(embed(7, 7, 20))
 
 
-def test_j_padic_pi2_delegates_to_hilbert():
-    assert j_padic_pi2(1, 17, INFINITY) == 1
-    assert j_padic_pi2(-1, -1, INFINITY) == -1
-    assert j_padic_pi2(2, 5, Place.finite(5)) == -1
+def test_pi2_value_is_the_hilbert_symbol():
+    assert hilbert_symbol(1, 17, INFINITY) == 1
+    assert hilbert_symbol(-1, -1, INFINITY) == -1
+    assert hilbert_symbol(2, 5, Place.finite(5)) == -1
 
 
 def test_multiplicativity_sweeps():
@@ -102,7 +100,7 @@ def test_tame_factors_through_degree_map():
 
 
 def test_product_formula_example_minus_one():
-    result = product_formula_pi2(-1, -1)
+    result = hilbert_reciprocity_check(-1, -1)
     assert {str(v) for v in result.contributing_places} == {"2", "inf"}
     assert result.product == 1
 
@@ -112,7 +110,7 @@ def test_product_formula_second_supplement():
     for p in primes_up_to(200):
         if p == 2 or p % 8 not in (1, 7):
             continue
-        result = product_formula_pi2(2, p)
+        result = hilbert_reciprocity_check(2, p)
         assert Place.finite(p) not in result.contributing_places
 
 
@@ -122,9 +120,9 @@ def test_product_formula_reproduces_quadratic_reciprocity():
         for r in odd_primes:
             if q == r:
                 continue
-            result = product_formula_pi2(q, r)
+            result = hilbert_reciprocity_check(q, r)
             assert result.product == 1
-            table = {str(v): s for v, s in result.reciprocity.local_symbols}
+            table = {str(v): s for v, s in result.local_symbols}
             # the pair of finite odd places carries legendre(r,q)*legendre(q,r)
             sign = table[str(q)] * table[str(r)]
             expected = -1 if ((q - 1) // 2) * ((r - 1) // 2) % 2 else 1
@@ -147,26 +145,3 @@ def test_adelic_norm_product_random_sample():
             rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**6)
         )
         assert adelic_norm_product(x) == 1
-
-
-# -- the tagged value record -------------------------------------------------
-
-
-def test_jvalue_variants():
-    from jshadow.jmaps import JValue
-
-    JValue("pi0", INFINITY, 3)
-    JValue("pi1", Place.finite(3), j_tame_pi1(Fraction(4, 3), 3))
-    JValue("pi1", Place.finite(7), embed(2, 7, 10))
-    JValue("pi2", Place.finite(5), j_padic_pi2(2, 5, Place.finite(5)))
-
-    with pytest.raises(TypeError):
-        JValue("pi0", INFINITY, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        JValue("pi1", Place.finite(3), Fraction(6))  # not a power of 3
-    with pytest.raises(ValueError):
-        JValue("pi1", Place.finite(3), embed(3, 3, 10))  # not a unit
-    with pytest.raises(ValueError):
-        JValue("pi2", Place.finite(3), 2)
-    with pytest.raises(ValueError):
-        JValue("pi7", Place.finite(3), 1)

@@ -3,12 +3,14 @@
 None of these runs a default grid; the acceptance suite does that.
 """
 
+import argparse
 import functools
+import json
 
 import pytest
 
 from jshadow import sweeps
-from jshadow.cli import run
+from jshadow.cli import build_parser, run
 from jshadow.sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, SweepResult
 
 # The params each sweep reports at its defaults, in signature order, with
@@ -52,8 +54,8 @@ class _Built(Exception):
 @pytest.mark.parametrize("name", DEFAULT_PARAMS)
 def test_default_params(monkeypatch, name):
     # Stop each sweep as it builds its result, before the grid runs.
-    def build(name, statement_id, statement, params):
-        assert statement == STATEMENTS[statement_id]
+    def build(name, statement_id, params):
+        assert statement_id in STATEMENTS
         raise _Built(name, params)
 
     monkeypatch.setattr(sweeps, "SweepResult", build)
@@ -101,7 +103,7 @@ def test_cli_seeds_exactly_the_sweeps_with_a_seed_parameter(monkeypatch, capsys)
         @functools.wraps(fn)
         def stub(*args, _name=name, **kwargs):
             calls.append((_name, args, kwargs))
-            return SweepResult(_name, "hilbert-reciprocity", "", {}, checked=1)
+            return SweepResult(_name, "hilbert-reciprocity", {}, checked=1)
 
         monkeypatch.setitem(SWEEPS, name, stub)
     assert run(["sweep", "all", "--seed=7"]) == 0
@@ -111,3 +113,36 @@ def test_cli_seeds_exactly_the_sweeps_with_a_seed_parameter(monkeypatch, capsys)
     seeded = {"reciprocity", "oracle-agreement", "low-degree-j"}
     expected = [(n, (), {"seed": 7} if n in seeded else {}) for n in DEFAULT_PARAMS]
     assert calls == expected + expected
+
+
+def test_statements_are_exactly_the_cited_ones(monkeypatch, capsys):
+    single_shots = {
+        "hilbert": ["--a=2", "--b=5", "--place=5"],
+        "reciprocity": ["--a=2", "--b=5"],
+        "zolotarev": ["--a=3", "--p=5"],
+        "tame": ["--a=3", "--b=5", "--p=3"],
+        "bernoulli": ["--n=12"],
+        "imj-order": ["--k=2"],
+        "k1-sphere": ["--ell=3", "--k=2"],
+        "kff": ["--n=3", "--q=2"],
+        "rezk-log": ["--ell=3", "--x=4"],
+        "padic": ["--p=3", "--op=valuation", "--x=9"],
+        "norm-product": ["--x=-6"],
+    }
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(single_shots) | {"sweep"}
+    cited = set()
+    for command, argv in single_shots.items():
+        run(["--json", command, *argv])
+        cited |= {p["statement_id"] for p in json.loads(capsys.readouterr().out)["provenance"]}
+
+    # Each sweep names its statement as it builds its result, before its grid runs.
+    def build(name, statement_id, params):
+        raise _Built(statement_id)
+
+    monkeypatch.setattr(sweeps, "SweepResult", build)
+    for fn in SWEEPS.values():
+        with pytest.raises(_Built) as built:
+            fn()
+        cited.add(built.value.args[0])
+    assert cited == set(STATEMENTS)

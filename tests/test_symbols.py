@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jshadow._integers import primes_up_to
+from jshadow.cli import UsageError, parse_place
 from jshadow.padic import vp
 from jshadow.symbols import (
     INFINITY,
@@ -43,12 +44,12 @@ def squares_mod(p: int) -> set[int]:
 
 
 def test_place_parse_and_order():
-    assert Place.parse("inf") == INFINITY
-    assert Place.parse("7") == Place.finite(7)
-    with pytest.raises(SymbolError):
-        Place.parse("6")
-    with pytest.raises(SymbolError):
-        Place.parse("x")
+    assert parse_place("inf") == INFINITY
+    assert parse_place("7") == Place.finite(7)
+    with pytest.raises(UsageError):
+        parse_place("6")
+    with pytest.raises(UsageError):
+        parse_place("x")
     places = [INFINITY, Place.finite(5), Place.finite(2)]
     assert [str(v) for v in sorted(places, key=Place.sort_key)] == ["2", "5", "inf"]
 
