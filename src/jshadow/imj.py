@@ -137,7 +137,7 @@ class K1SphereOrder:
 
     The group is Z_l/(u^k - 1) for a topological generator u; the report
     records which generator was used and the closed-form order
-    l**(1 + v_l(k)) when (l-1) | k, else 1, which must agree.
+    l**(1 + v_l(k)) when (l-1) | k, else 1, which should agree with it.
     """
 
     ell: int
@@ -166,13 +166,8 @@ def k1_sphere_order(ell: int, k: int, generator: int | None = None) -> K1SphereO
     elif not is_topological_generator(generator, ell):
         raise ValueError(f"{generator} does not topologically generate Z_{ell}^x")
     v = _vl_power_minus_one(generator, k, ell)
-    order = ell**v
     closed = ell ** (1 + vp_int(k, ell)) if abs(k) % (ell - 1) == 0 else 1
-    if order != closed:
-        raise ArithmeticError(
-            f"closed form disagrees with the computed order at (l={ell}, k={k})"
-        )
-    return K1SphereOrder(ell=ell, k=k, generator=generator, order=order, closed_form=closed)
+    return K1SphereOrder(ell=ell, k=k, generator=generator, order=ell**v, closed_form=closed)
 
 
 def k_finite_field(n: int, q: int) -> GroupOrderReport:
@@ -191,13 +186,12 @@ def k_finite_field(n: int, q: int) -> GroupOrderReport:
 
 
 def imj_consistency_check(ell: int, k: int) -> bool:
-    """Whether the l-part of the image-of-J order in stem 4k-1 equals the
-    order of pi_{4k-1} of the K(1)-local sphere (= pi_{2m-1}, m = 2k)."""
-    if ell == 2 or not is_prime(ell):
-        raise ValueError("l must be an odd prime")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return imj_order(k).part(ell) == k1_sphere_order(ell, 2 * k).order
+    """Whether the l-part of the image-of-J order in stem 4k-1 equals both
+    the order of pi_{4k-1} of the K(1)-local sphere (= pi_{2m-1}, m = 2k)
+    and that order's closed form."""
+    l_part = imj_order(k).part(ell)
+    sphere = k1_sphere_order(ell, 2 * k)
+    return l_part == sphere.order == sphere.closed_form
 
 
 def surjectivity_check(ell: int, p: int, k: int) -> bool:

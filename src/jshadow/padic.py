@@ -144,14 +144,6 @@ class PadicNumber:
             return self.precision
         return self._valuation + self.precision
 
-    def lifted_int(self) -> int:
-        """The canonical integer representative modulo p**abs_precision (valuation >= 0 only)."""
-        if self.is_zero:
-            return 0
-        if self._valuation < 0:
-            raise PadicError("no integer representative: negative valuation")
-        return self._unit_digits * self.prime**self._valuation
-
     # -- equality is structural (canonical form) ----------------------
 
     def __eq__(self, other: object) -> bool:

@@ -9,8 +9,10 @@ code path.
 
 A sweep is one function decorated with ``@_sweep(name, statement_id)``.
 Its body takes a fresh :class:`SweepResult` and then its parameters, each
-with a default, and counts every check with ``result.checked += 1`` and
-``result.record_failure(...)``.  The decorator registers it in
+with a default, and states only what it checks: ``result.check(ok,
+**what)`` counts every check and records a failure row, and ``with
+result.bucket(**row):`` appends ``row`` with the failures recorded inside
+the block.  The decorator registers it in
 :data:`SWEEPS`, where ``jshadow sweep <name>`` and ``jshadow sweep all``
 find it (each keyword but ``seed`` is a ``--keyword=value`` grid flag of
 ``sweep <name>``), records the parameters used in ``params``, and rejects
@@ -22,6 +24,7 @@ deterministic for a given seed.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import random
@@ -136,16 +139,22 @@ class SweepResult:
     def verdict(self) -> str:
         return "pass" if self.failures == 0 else "fail"
 
-    def record_failure(self, **what) -> None:
-        self.failures += 1
-        if self.failures <= _MAX_FAILURE_ROWS:
-            self.rows.append({"failure": True, **what})
-
     def check(self, ok: bool, **what) -> None:
-        """Count one check; hot per-check loops inline this instead."""
+        """Count one check.  A failed one adds a failure row, at most
+        ``_MAX_FAILURE_ROWS`` of them, with values other than ints as strings."""
         self.checked += 1
         if not ok:
-            self.record_failure(**what)
+            self.failures += 1
+            if self.failures <= _MAX_FAILURE_ROWS:
+                row = {k: v if isinstance(v, int) else str(v) for k, v in what.items()}
+                self.rows.append({"failure": True} | row)
+
+    @contextlib.contextmanager
+    def bucket(self, key: str = "failures", **row):
+        """Append ``row`` with ``key`` set to the failures recorded in the block."""
+        before = self.failures
+        yield
+        self.rows.append(row | {key: self.failures - before})
 
 
 SWEEPS: dict[str, object] = {}
@@ -196,26 +205,16 @@ def sweep_reciprocity(
     _at_least(1, bound=bound)
     _at_least(0, rational_samples=rational_samples)
     nonzero = [n for n in range(-bound, bound + 1) if n]
-    before = result.failures
-    for a in nonzero:
-        for b in nonzero:
-            result.checked += 1
-            if hilbert_reciprocity_check(a, b).product != 1:
-                result.record_failure(a=a, b=b)
-    result.rows.append(
-        {"kind": "integer-grid", "pairs": (2 * bound) ** 2, "failures": result.failures - before}
-    )
+    with result.bucket(kind="integer-grid", pairs=(2 * bound) ** 2):
+        for a in nonzero:
+            for b in nonzero:
+                result.check(hilbert_reciprocity_check(a, b).product == 1, a=a, b=b)
     rng = random.Random(seed)
-    before = result.failures
-    for _ in range(rational_samples):
-        a = Fraction(rng.choice(nonzero), rng.randint(1, bound))
-        b = Fraction(rng.choice(nonzero), rng.randint(1, bound))
-        result.checked += 1
-        if hilbert_reciprocity_check(a, b).product != 1:
-            result.record_failure(a=str(a), b=str(b))
-    result.rows.append(
-        {"kind": "rational-sample", "pairs": rational_samples, "failures": result.failures - before}
-    )
+    with result.bucket(kind="rational-sample", pairs=rational_samples):
+        for _ in range(rational_samples):
+            a = Fraction(rng.choice(nonzero), rng.randint(1, bound))
+            b = Fraction(rng.choice(nonzero), rng.randint(1, bound))
+            result.check(hilbert_reciprocity_check(a, b).product == 1, a=a, b=b)
 
 
 @_sweep("oracle-agreement", "hilbert-symbol-solvability")
@@ -229,32 +228,25 @@ def sweep_oracle_agreement(
     """Closed-form Hilbert symbol versus the solvability oracle, for every
     place p <= prime_max plus infinity and all integers |a|, |b| <= bound,
     plus a seeded sample of rational pairs."""
+    _at_least(2, prime_max=prime_max)  # the infinite place alone is no grid
     _at_least(1, coeff_bound=coeff_bound)
     _at_least(0, rational_samples=rational_samples)
     places = [Place.finite(p) for p in primes_up_to(prime_max)] + [INFINITY]
     nonzero = [n for n in range(-coeff_bound, coeff_bound + 1) if n]
     for place in places:
-        before = result.failures
-        for a in nonzero:
-            for b in nonzero:
-                result.checked += 1
-                if hilbert_symbol(a, b, place) != hilbert_oracle(a, b, place):
-                    result.record_failure(place=str(place), a=a, b=b)
-        result.rows.append(
-            {"place": str(place), "pairs": len(nonzero) ** 2, "mismatches": result.failures - before}
-        )
+        with result.bucket("mismatches", place=str(place), pairs=len(nonzero) ** 2):
+            for a in nonzero:
+                for b in nonzero:
+                    ok = hilbert_symbol(a, b, place) == hilbert_oracle(a, b, place)
+                    result.check(ok, place=place, a=a, b=b)
     rng = random.Random(seed)
-    before = result.failures
-    for _ in range(rational_samples):
-        a = Fraction(rng.choice(nonzero), rng.randint(1, coeff_bound))
-        b = Fraction(rng.choice(nonzero), rng.randint(1, coeff_bound))
-        place = rng.choice(places)
-        result.checked += 1
-        if hilbert_symbol(a, b, place) != hilbert_oracle(a, b, place):
-            result.record_failure(place=str(place), a=str(a), b=str(b))
-    result.rows.append(
-        {"place": "rational-sample", "pairs": rational_samples, "mismatches": result.failures - before}
-    )
+    with result.bucket("mismatches", place="rational-sample", pairs=rational_samples):
+        for _ in range(rational_samples):
+            a = Fraction(rng.choice(nonzero), rng.randint(1, coeff_bound))
+            b = Fraction(rng.choice(nonzero), rng.randint(1, coeff_bound))
+            place = rng.choice(places)
+            ok = hilbert_symbol(a, b, place) == hilbert_oracle(a, b, place)
+            result.check(ok, place=place, a=a, b=b)
 
 
 @_sweep("zolotarev", "zolotarev-lemma")
@@ -262,30 +254,21 @@ def sweep_zolotarev(result: SweepResult, p_max: int = 500) -> None:
     """Permutation sign of multiplication by a on Z/p equals the Legendre
     symbol, for every odd prime p <= p_max and every 1 <= a < p."""
     for p in primes_up_to(p_max)[1:]:  # odd primes
-        before = result.failures
-        for a in range(1, p):
-            result.checked += 1
-            if zolotarev_sign(a, p) != legendre(a, p):
-                result.record_failure(p=p, a=a)
-        result.rows.append({"p": p, "pairs": p - 1, "mismatches": result.failures - before})
+        with result.bucket("mismatches", p=p, pairs=p - 1):
+            for a in range(1, p):
+                result.check(zolotarev_sign(a, p) == legendre(a, p), p=p, a=a)
 
 
 @_sweep("imj-consistency", "image-of-j-order")
 def sweep_imj_consistency(result: SweepResult, ell_max: int = 97, k_max: int = 30) -> None:
     """The l-part of den(B_{2k}/4k) equals l**v_l(u^{2k} - 1) for the
-    canonical topological generator u, for every odd l <= ell_max and
-    1 <= k <= k_max; the closed form l**(1 + v_l(2k)) is checked inside
-    k1_sphere_order."""
+    canonical topological generator u, and its closed form l**(1 + v_l(2k))
+    when (l-1) | 2k (else 1), for every odd l <= ell_max and 1 <= k <= k_max."""
     for ell in primes_up_to(ell_max)[1:]:  # odd primes
         u = smallest_topological_generator(ell)
-        before = result.failures
-        for k in range(1, k_max + 1):
-            result.checked += 1
-            if not imj_consistency_check(ell, k):
-                result.record_failure(ell=ell, k=k)
-        result.rows.append(
-            {"ell": ell, "k_max": k_max, "generator": u, "failures": result.failures - before}
-        )
+        with result.bucket(ell=ell, k_max=k_max, generator=u):
+            for k in range(1, k_max + 1):
+                result.check(imj_consistency_check(ell, k), ell=ell, k=k)
 
 
 @_sweep("bernoulli", "von-staudt-clausen")
@@ -296,12 +279,10 @@ def sweep_bernoulli(result: SweepResult, n_max: int = 60) -> None:
     for n in range(2, n_max + 1, 2):
         den = bernoulli(n).denominator
         expected = von_staudt_clausen_denominator(n)
-        result.checked += 1
-        if den != expected:
-            result.record_failure(n=n, denominator=den, expected=expected)
+        result.check(den == expected, n=n, denominator=den, expected=expected)
         result.rows.append({"n": n, "denominator": den, "vsc_product": expected})
     b12 = bernoulli(12)
-    result.check(b12 == Fraction(-691, 2730), n=12, value=str(b12), expected="-691/2730")
+    result.check(b12 == Fraction(-691, 2730), n=12, value=b12, expected="-691/2730")
     result.rows.append({"n": 12, "value": str(b12), "expected": "-691/2730"})
 
 
@@ -317,11 +298,9 @@ def sweep_rezk_log(
         result.check(unit_ok, ell=ell, kind="1+l not a unit image")
         killed = 0
         for a in range(1, ell):
-            result.checked += 1
-            if rezk_log_pi0(teichmuller(a, ell, precision)).is_zero:
-                killed += 1
-            else:
-                result.record_failure(ell=ell, kind="teichmuller not killed", residue=a)
+            is_killed = rezk_log_pi0(teichmuller(a, ell, precision)).is_zero
+            result.check(is_killed, ell=ell, kind="teichmuller not killed", residue=a)
+            killed += is_killed
         result.rows.append(
             {
                 "ell": ell,
@@ -340,15 +319,12 @@ def sweep_surjectivity(
     p <= p_max with p != l, and 1 <= k <= k_max."""
     primes = primes_up_to(p_max)
     for ell in primes_up_to(ell_max)[1:]:  # odd primes
-        before = result.failures
-        for p in primes:
-            if p == ell:
-                continue
-            for k in range(1, k_max + 1):
-                result.checked += 1
-                if not surjectivity_check(ell, p, k):
-                    result.record_failure(ell=ell, p=p, k=k)
-        result.rows.append({"ell": ell, "failures": result.failures - before})
+        with result.bucket(ell=ell):
+            for p in primes:
+                if p == ell:
+                    continue
+                for k in range(1, k_max + 1):
+                    result.check(surjectivity_check(ell, p, k), ell=ell, p=p, k=k)
 
 
 @_sweep("norm-identity", "geometric-sum-identity")
@@ -359,13 +335,11 @@ def sweep_norm_identity(
     given precision, over the full (l, d, m) grid."""
     for ell in primes_up_to(ell_max)[1:]:  # odd primes
         u = smallest_topological_generator(ell)
-        before = result.failures
-        for d in range(1, d_max + 1):
-            for m in range(1, m_max + 1):
-                result.checked += 1
-                if not norm_identity_check(ell, u, d, m, precision):
-                    result.record_failure(ell=ell, d=d, m=m)
-        result.rows.append({"ell": ell, "generator": u, "failures": result.failures - before})
+        with result.bucket(ell=ell, generator=u):
+            for d in range(1, d_max + 1):
+                for m in range(1, m_max + 1):
+                    ok = norm_identity_check(ell, u, d, m, precision)
+                    result.check(ok, ell=ell, d=d, m=m)
 
 
 def _prime_powers_up_to(q_max: int) -> list[int]:
@@ -382,22 +356,16 @@ def _prime_powers_up_to(q_max: int) -> list[int]:
 def sweep_quillen(result: SweepResult, q_max: int = 49, i_max: int = 10) -> None:
     """|K_{2i-1}(F_q)| = q^i - 1 and K_{2i}(F_q) = 0 for prime powers
     q <= q_max and 1 <= i <= i_max, with every order prime to q."""
+    _at_least(1, i_max=i_max)  # the K_0 spot checks alone are no grid
     for q in _prime_powers_up_to(q_max):
-        before = result.failures
-        result.check(k_finite_field(0, q).order is None, q=q, degree=0)
-        for i in range(1, i_max + 1):
-            odd_report = k_finite_field(2 * i - 1, q)
-            even_report = k_finite_field(2 * i, q)
-            result.checked += 2
-            order_ok = odd_report.order == q**i - 1
-            factor_ok = prod(prime**exponent for prime, exponent in odd_report.factors)
-            if not order_ok or factor_ok != odd_report.order:
-                result.record_failure(q=q, degree=2 * i - 1)
-            if gcd(odd_report.order, q) != 1:
-                result.record_failure(q=q, degree=2 * i - 1, kind="order not prime to q")
-            if not even_report.is_trivial:
-                result.record_failure(q=q, degree=2 * i)
-        result.rows.append({"q": q, "i_max": i_max, "failures": result.failures - before})
+        with result.bucket(q=q, i_max=i_max):
+            result.check(k_finite_field(0, q).order is None, q=q, degree=0)
+            for i in range(1, i_max + 1):
+                odd = k_finite_field(2 * i - 1, q)
+                factored = prod(prime**exponent for prime, exponent in odd.factors)
+                ok = odd.order == q**i - 1 == factored and gcd(odd.order, q) == 1
+                result.check(ok, q=q, degree=2 * i - 1)
+                result.check(k_finite_field(2 * i, q).is_trivial, q=q, degree=2 * i)
 
 
 @_sweep("pi2-nontriviality", "local-symbol-nontriviality")
@@ -408,10 +376,8 @@ def sweep_pi2_nontriviality(result: SweepResult, p_max: int = 100) -> None:
         place = Place.finite(p)
         pairs = ((a, b) for b in [p] + pool for a in pool)
         witness = next(((a, b) for a, b in pairs if hilbert_symbol(a, b, place) == -1), None)
-        result.checked += 1
-        if witness is None:
-            result.record_failure(p=p)
-        else:
+        result.check(witness is not None, p=p)
+        if witness is not None:
             result.rows.append({"p": p, "a": witness[0], "b": witness[1]})
 
 
@@ -439,66 +405,50 @@ def sweep_low_degree_j(
     _at_least(1, precision=precision)
     _at_least(0, inversion_samples=inversion_samples, tame_samples=tame_samples)
     rng = random.Random(seed)
-    before = result.failures
-    for k in range(-100, 101):
-        result.checked += 2
-        if j_real_pi0(k) != k:
-            result.record_failure(check="real-pi0", k=k)
-        if j_wild_pi0(k) != -k:
-            result.record_failure(check="wild-pi0", k=k)
-    result.rows.append({"check": "pi0-tables", "samples": 402, "failures": result.failures - before})
+    with result.bucket(check="pi0-tables", samples=402):
+        for k in range(-100, 101):
+            result.check(j_real_pi0(k) == k, check="real-pi0", k=k)
+            result.check(j_wild_pi0(k) == -k, check="wild-pi0", k=k)
 
     primes = primes_up_to(50)
-    before = result.failures
-    for _ in range(inversion_samples):
-        p = rng.choice(primes)
-        digits = rng.randrange(1, p**precision)
-        while digits % p == 0:
+    with result.bucket(check="wild-pi1-inversion", samples=inversion_samples):
+        for _ in range(inversion_samples):
+            p = rng.choice(primes)
             digits = rng.randrange(1, p**precision)
-        x = PadicNumber.from_unit(p, 0, digits, precision)
-        result.checked += 1
-        if x * j_wild_pi1(x) != embed(1, p, precision):
-            result.record_failure(check="wild-pi1", p=p)
-    result.rows.append(
-        {"check": "wild-pi1-inversion", "samples": inversion_samples, "failures": result.failures - before}
-    )
+            while digits % p == 0:
+                digits = rng.randrange(1, p**precision)
+            x = PadicNumber.from_unit(p, 0, digits, precision)
+            result.check(x * j_wild_pi1(x) == embed(1, p, precision), check="wild-pi1", p=p)
 
-    before = result.failures
-    for _ in range(tame_samples):
-        p = rng.choice(primes)
-        num = rng.choice([-1, 1]) * rng.randint(1, 10**6)
-        den = rng.randint(1, 10**6)
-        x = Fraction(num, den)
-        # brute valuation: strip factors of p from numerator and denominator
-        v = 0
-        n = abs(x.numerator)
-        while n % p == 0:
-            n //= p
-            v += 1
-        d = x.denominator
-        while d % p == 0:
-            d //= p
-            v -= 1
-        expected = Fraction(p**v) if v >= 0 else Fraction(1, p ** (-v))
-        value = j_tame_pi1(x, p)
-        result.checked += 1
-        ok = value == expected
-        # factorization through the residue-field degree map
-        ok = ok and value == Fraction(j_fp_pi0(max(v, 0), p), j_fp_pi0(max(-v, 0), p))
-        # multiplicativity against a second sample
-        y = Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
-        ok = ok and j_tame_pi1(x * y, p) == value * j_tame_pi1(y, p)
-        if not ok:
-            result.record_failure(check="tame-pi1", p=p, x=str(x))
-    result.rows.append({"check": "tame-pi1", "samples": tame_samples, "failures": result.failures - before})
+    with result.bucket(check="tame-pi1", samples=tame_samples):
+        for _ in range(tame_samples):
+            p = rng.choice(primes)
+            num = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+            den = rng.randint(1, 10**6)
+            x = Fraction(num, den)
+            # brute valuation: strip factors of p from numerator and denominator
+            v = 0
+            n = abs(x.numerator)
+            while n % p == 0:
+                n //= p
+                v += 1
+            d = x.denominator
+            while d % p == 0:
+                d //= p
+                v -= 1
+            expected = Fraction(p**v) if v >= 0 else Fraction(1, p ** (-v))
+            value = j_tame_pi1(x, p)
+            ok = value == expected
+            # factorization through the residue-field degree map
+            ok = ok and value == Fraction(j_fp_pi0(max(v, 0), p), j_fp_pi0(max(-v, 0), p))
+            # multiplicativity against a second sample
+            y = Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
+            ok = ok and j_tame_pi1(x * y, p) == value * j_tame_pi1(y, p)
+            result.check(ok, check="tame-pi1", p=p, x=x)
 
-    before = result.failures
-    for _ in range(200):
-        num = rng.choice([-1, 1]) * rng.randint(1, 10**6)
-        den = rng.randint(1, 10**6)
-        result.checked += 1
-        if adelic_norm_product(Fraction(num, den)) != 1:
-            result.record_failure(check="norm-product", x=f"{num}/{den}")
-    result.rows.append(
-        {"check": "adelic-norm-product", "samples": 200, "failures": result.failures - before}
-    )
+    with result.bucket(check="adelic-norm-product", samples=200):
+        for _ in range(200):
+            num = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+            den = rng.randint(1, 10**6)
+            ok = adelic_norm_product(Fraction(num, den)) == 1
+            result.check(ok, check="norm-product", x=f"{num}/{den}")

@@ -60,9 +60,6 @@ class Place:
     def is_finite(self) -> bool:
         return self.prime is not None
 
-    def sort_key(self) -> tuple[int, int]:
-        return (1, 0) if self.prime is None else (0, self.prime)
-
     def __str__(self) -> str:
         return "inf" if self.prime is None else str(self.prime)
 

@@ -6,6 +6,7 @@ from decimal import Decimal
 
 import pytest
 
+from jshadow import imj
 from jshadow.cli import _emit, parse_place, parse_prime, parse_rational, run
 from jshadow.padic import DEFAULT_PRECISION
 
@@ -269,6 +270,49 @@ def test_empty_sweep_grid_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "checked nothing" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # each used to exit 1 with an OverflowError traceback
+        (["zolotarev", "--a=2", "--p=3317044064679887385962123"], "index-sized integer"),
+        (["sweep", "zolotarev", "--p-max=100000000000000000000000"], "index-sized integer"),
+        (["sweep", "quillen", "--q-max=100000000000000000000000"], "index-sized integer"),
+        # the library's own errors, no longer repeated by the CLI
+        (["bernoulli", "--n=-1"], "n must be >= 0"),
+        (["imj-order", "--k=0"], "k must be >= 1"),
+    ],
+)
+def test_arguments_the_library_rejects_exit_2(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def _off_by_one_valuation(monkeypatch):
+    valuation = imj._vl_power_minus_one
+    monkeypatch.setattr(imj, "_vl_power_minus_one", lambda u, k, ell: valuation(u, k, ell) + 1)
+
+
+def test_k1_sphere_closed_form_disagreement_is_a_failure(monkeypatch, capsys):
+    # k1_sphere_order used to raise ArithmeticError here, a traceback
+    _off_by_one_valuation(monkeypatch)
+    assert run(["k1-sphere", "--ell=3", "--k=2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "order=9  closed_form=3" in captured.out
+    assert captured.out.endswith("verdict: fail\n")
+
+
+def test_imj_consistency_sweep_records_closed_form_disagreements(monkeypatch, capsys):
+    _off_by_one_valuation(monkeypatch)
+    code, report = run_json(capsys, ["sweep", "imj-consistency", "--ell-max=7", "--k-max=3"])
+    assert code == 1 and report["verdict"] == "fail"
+    summary = report["rows"][-1]
+    assert summary["checked"] == 9 and summary["failures"] == 9
+    assert {"failure": True, "ell": 3, "k": 1} in report["rows"]
 
 
 def test_failing_report_exits_1(capsys):

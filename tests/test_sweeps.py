@@ -6,6 +6,8 @@ None of these runs a default grid; the acceptance suite does that.
 import argparse
 import functools
 import json
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -87,13 +89,73 @@ def test_params_record_the_arguments_used():
         ("bernoulli", {"n_max": -4}, "n_max must be >= 2, got -4"),
         ("bernoulli", {"n_max": 1}, "n_max must be >= 2, got 1"),
         ("geometric-series", {"depth": 0}, "depth must be >= 1"),
+        ("quillen", {"i_max": -3, "q_max": 4}, "i_max must be >= 1, got -3"),
+        ("quillen", {"i_max": 0}, "i_max must be >= 1, got 0"),
+        ("oracle-agreement", {"prime_max": 1}, "prime_max must be >= 2, got 1"),
     ],
 )
 def test_out_of_range_parameters_raise_value_error(name, params, message):
-    # These used to raise IndexError or a randrange error, or (bernoulli)
-    # pass on the B_12 spot check alone.
+    # These used to raise IndexError or a randrange error, or pass on spot
+    # checks alone: bernoulli on B_12, quillen on K_0, oracle-agreement on
+    # the infinite place.
     with pytest.raises(ValueError, match=message):
         SWEEPS[name](**params)
+
+
+# -- the failure path: kernels patched as jshadow.sweeps sees them ----------
+
+
+def test_a_failed_check_lands_in_its_bucket_and_one_row(monkeypatch):
+    legendre = sweeps.legendre
+
+    def flipped(a, p):
+        return -legendre(a, p) if (a, p) == (2, 7) else legendre(a, p)
+
+    monkeypatch.setattr(sweeps, "legendre", flipped)
+    result = SWEEPS["zolotarev"](p_max=13)
+    assert result.verdict == "fail" and result.failures == 1
+    assert result.checked == 2 + 4 + 6 + 10 + 12
+    assert [row for row in result.rows if "failure" in row] == [{"failure": True, "p": 7, "a": 2}]
+    buckets = {row["p"]: row["mismatches"] for row in result.rows if "mismatches" in row}
+    assert buckets == {3: 0, 5: 0, 7: 1, 11: 0, 13: 0}
+
+
+def test_failure_rows_hold_rationals_as_strings(monkeypatch):
+    # fail exactly the rational sample, whose arguments are Fractions
+    def check(a, b):
+        return SimpleNamespace(product=-1 if isinstance(a, Fraction) else 1)
+
+    monkeypatch.setattr(sweeps, "hilbert_reciprocity_check", check)
+    result = SWEEPS["reciprocity"](bound=2, rational_samples=3)
+    assert (result.checked, result.failures) == (16 + 3, 3)
+    failures = [row for row in result.rows if "failure" in row]
+    assert len(failures) == 3
+    for row in failures:
+        assert set(row) == {"failure", "a", "b"}
+        assert isinstance(row["a"], str) and isinstance(row["b"], str)
+        assert Fraction(row["a"]) and Fraction(row["b"])
+    buckets = {row["kind"]: row["failures"] for row in result.rows if "kind" in row}
+    assert buckets == {"integer-grid": 0, "rational-sample": 3}
+
+
+def test_failure_rows_stop_at_the_cap(monkeypatch):
+    monkeypatch.setattr(sweeps, "zolotarev_sign", lambda a, p: 0)
+    result = SWEEPS["zolotarev"](p_max=50)
+    odd_primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    assert result.failures == result.checked == sum(p - 1 for p in odd_primes)
+    assert len([row for row in result.rows if "failure" in row]) == sweeps._MAX_FAILURE_ROWS == 32
+    assert sum(row["mismatches"] for row in result.rows if "mismatches" in row) == result.failures
+
+
+def test_a_failing_sweep_exits_1_with_a_report(monkeypatch, capsys):
+    monkeypatch.setattr(sweeps, "zolotarev_sign", lambda a, p: 0)
+    assert run(["--json", "sweep", "zolotarev", "--p-max=50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["verdict"] == "fail"
+    summary = report["rows"][-1]
+    assert summary["summary"] and summary["failures"] == summary["checked"] > 0
 
 
 def test_cli_seeds_exactly_the_sweeps_with_a_seed_parameter(monkeypatch, capsys):

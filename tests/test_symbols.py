@@ -50,8 +50,6 @@ def test_place_parse_and_order():
         parse_place("6")
     with pytest.raises(UsageError):
         parse_place("x")
-    places = [INFINITY, Place.finite(5), Place.finite(2)]
-    assert [str(v) for v in sorted(places, key=Place.sort_key)] == ["2", "5", "inf"]
 
 
 # -- Legendre / Jacobi ----------------------------------------------------
