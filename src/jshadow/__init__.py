@@ -6,7 +6,8 @@ Hilbert/tame/Legendre symbols and their reciprocity, Zolotarev
 permutation signs, Bernoulli denominators and image-of-J group orders,
 Quillen K-groups of finite fields, K(1)-local sphere homotopy orders,
 and the degree-zero p-adic logarithm.  Every statement is backed by an
-independent brute-force oracle in the test suite.
+independent brute-force oracle in the test suite.  The public API is the
+names imported below.
 """
 
 __version__ = "0.1.0"
@@ -62,49 +63,3 @@ from .symbols import (
     tame_symbol,
     zolotarev_sign,
 )
-
-__all__ = [
-    "DEFAULT_PRECISION",
-    "GroupOrderReport",
-    "INFINITY",
-    "K1SphereOrder",
-    "MAX_PRECISION",
-    "PadicError",
-    "PadicNumber",
-    "Place",
-    "PrecisionError",
-    "ReciprocityResult",
-    "SymbolError",
-    "ZeroOperandError",
-    "adelic_norm_product",
-    "bernoulli",
-    "embed",
-    "geometric_series_witness",
-    "hilbert_oracle",
-    "hilbert_reciprocity_check",
-    "hilbert_symbol",
-    "imj_consistency_check",
-    "imj_order",
-    "is_topological_generator",
-    "j_fp_pi0",
-    "j_real_pi0",
-    "j_tame_pi1",
-    "j_wild_pi0",
-    "j_wild_pi1",
-    "jacobi",
-    "k1_sphere_order",
-    "k_finite_field",
-    "legendre",
-    "norm_identity_check",
-    "padic_log",
-    "padic_norm",
-    "rezk_log_pi0",
-    "smallest_topological_generator",
-    "surjectivity_check",
-    "tame_symbol",
-    "teichmuller",
-    "unit_factor_check",
-    "von_staudt_clausen_denominator",
-    "vp",
-    "zolotarev_sign",
-]

@@ -14,7 +14,7 @@ byte-for-byte reproducible for fixed inputs and seed.
 Exit codes: 0 for pass or informational output, 1 for a verification
 failure, 2 for a usage error (unknown subcommand or grid flag, malformed
 rational, composite number where a prime is required, empty sweep grid,
-an integer too large for the interpreter to index with).
+an integer too large for the interpreter to index with, named by its flag).
 """
 
 from __future__ import annotations
@@ -113,6 +113,13 @@ def _report(
     }
 
 
+def _marked(row: dict, p: int | None) -> dict:
+    """The row, marked when the prime p is a BPSW probable prime: at or above psi_13."""
+    if p is not None and p >= _PSI_13:
+        row["bpsw_probable_prime"] = True
+    return row
+
+
 def _prov(*statement_ids: str) -> list[dict]:
     return [{"statement_id": sid, "statement": STATEMENTS[sid]} for sid in statement_ids]
 
@@ -149,7 +156,7 @@ def _cmd_hilbert(args) -> dict:
     b = parse_nonzero_rational(args.b)
     place = parse_place(args.place)
     symbol = hilbert_symbol(a, b, place)
-    rows = [{"a": str(a), "b": str(b), "place": str(place), "symbol": symbol}]
+    rows = [_marked({"a": str(a), "b": str(b), "place": str(place), "symbol": symbol}, place.prime)]
     verdict = "n/a"
     if args.oracle:
         oracle = hilbert_oracle(a, b, place)
@@ -168,11 +175,7 @@ def _cmd_reciprocity(args) -> dict:
     a = parse_nonzero_rational(args.a)
     b = parse_nonzero_rational(args.b)
     result = hilbert_reciprocity_check(a, b)
-    rows = []
-    for v, s in result.local_symbols:
-        rows.append({"place": str(v), "symbol": s})
-        if v.is_finite and v.prime >= _PSI_13:  # no proof of primality from here on
-            rows[-1]["bpsw_probable_prime"] = True
+    rows = [_marked({"place": str(v), "symbol": s}, v.prime) for v, s in result.local_symbols]
     rows.append({"product": result.product, "omitted_places": "+1 (unit coefficients)"})
     return _report(
         "reciprocity",
@@ -202,7 +205,7 @@ def _cmd_tame(args) -> dict:
     b = parse_nonzero_rational(args.b)
     p = parse_prime(str(args.p))
     value = tame_symbol(a, b, p)
-    rows = [{"a": str(a), "b": str(b), "p": p, "tame_symbol": value}]
+    rows = [_marked({"a": str(a), "b": str(b), "p": p, "tame_symbol": value}, p)]
     verdict = "n/a"
     if p != 2:
         compatible = legendre(value, p) == hilbert_symbol(a, b, Place.finite(p))
@@ -248,16 +251,15 @@ def _cmd_imj_order(args) -> dict:
 def _cmd_k1_sphere(args) -> dict:
     ell = parse_prime(str(args.ell))
     result = k1_sphere_order(ell, args.k, args.generator)
-    rows = [
-        {
-            "ell": ell,
-            "k": args.k,
-            "degree": 2 * args.k - 1,
-            "generator": result.generator,
-            "order": result.order,
-            "closed_form": result.closed_form,
-        }
-    ]
+    row = {
+        "ell": ell,
+        "k": args.k,
+        "degree": 2 * args.k - 1,
+        "generator": result.generator,
+        "order": result.order,
+        "closed_form": result.closed_form,
+    }
+    rows = [_marked(row, ell)]
     return _report(
         "k1-sphere",
         {"ell": ell, "k": args.k, "generator": args.generator},
@@ -294,14 +296,13 @@ def _cmd_rezk_log(args) -> dict:
         raise UsageError("x must be a unit of Z_l")
     value = rezk_log_pi0(embed(x, ell, args.precision))
     in_zl = value.is_zero or value.valuation >= 0
-    rows = [
-        {
-            "ell": ell,
-            "x": str(x),
-            "value": str(value),
-            "valuation": "zero-to-precision" if value.is_zero else value.valuation,
-        }
-    ]
+    row = {
+        "ell": ell,
+        "x": str(x),
+        "value": str(value),
+        "valuation": "zero-to-precision" if value.is_zero else value.valuation,
+    }
+    rows = [_marked(row, ell)]
     return _report(
         "rezk-log",
         {"ell": ell, "x": str(x), "precision": args.precision},
@@ -347,9 +348,9 @@ def _cmd_padic(args) -> dict:
         if args.x is None:
             raise UsageError("valuation needs --x")
         x = parse_nonzero_rational(args.x)
-        rows = [{"x": args.x, "valuation": vp(x, p), "norm": str(padic_norm(x, p))}]
+        rows = [_marked({"x": args.x, "valuation": vp(x, p), "norm": str(padic_norm(x, p))}, p)]
         return _report("padic", inputs | {"x": args.x}, rows, "n/a", [])
-    rows = [{"value": str(value)}]
+    rows = [_marked({"value": str(value)}, p)]
     return _report("padic", inputs, rows, "n/a", [])
 
 
@@ -508,9 +509,21 @@ def run(argv: list[str] | None = None) -> int:
     try:
         report = args.handler(args)
     except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        flags = f"{_oversized_flags(args)}: " if isinstance(exc, OverflowError) else ""
+        print(f"error: {flags}{exc}", file=sys.stderr)
         return 2
     return _emit(report, args.json)
+
+
+def _oversized_flags(args) -> str:
+    """The flags given an integer too large for the interpreter to index with."""
+    given = [(k, str(v)) for k, v in vars(args).items()]
+    given += [flag[2:].partition("=")[::2] for flag in args.grid]
+    return ", ".join(
+        "--" + key.replace("_", "-")
+        for key, text in given
+        if any(v.lstrip("+-").isdecimal() and abs(int(v)) > sys.maxsize for v in text.split(","))
+    ) or "an argument"
 
 
 def main() -> None:

@@ -284,7 +284,7 @@ class PadicNumber:
     def inv(self) -> "PadicNumber":
         if self.is_zero:
             raise ZeroOperandError("cannot invert the zero element")
-        digits = pow(self._unit_digits, -1, self.prime**self.precision)
+        digits = _inverse_mod_power(self._unit_digits, self.prime, self.precision)
         return PadicNumber._make(self.prime, -self._valuation, digits, self.precision)
 
     def __truediv__(self, other: "PadicNumber | Rational") -> "PadicNumber":
@@ -322,10 +322,21 @@ def _digits(n: int) -> str:
         return str(Decimal(n))
 
 
+def _inverse_mod_power(u: int, p: int, n: int) -> int:
+    """u^-1 mod p**n for u prime to p.  Newton's iteration x -> x (2 - u x)
+    from x = u^-1 mod p doubles the digits known each step, at p = 2 too."""
+    x, k = pow(u, -1, p), 1
+    while k < n:
+        k = min(2 * k, n)
+        m = p**k
+        x = x * (2 - u % m * x) % m
+    return x
+
+
 def embed(x: Rational, prime: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
     """Embed a nonzero rational into Q_p, the unit part known mod p**precision.
 
-    The denominator is inverted modulo p**precision by extended gcd.
+    The denominator is inverted modulo p**precision by Newton's iteration.
     """
     _check_prime(prime)
     _check_precision(precision)
@@ -335,7 +346,10 @@ def embed(x: Rational, prime: int, precision: int = DEFAULT_PRECISION) -> "Padic
     vn = vp_int(x.numerator, prime)
     vd = vp_int(x.denominator, prime)
     m = prime**precision
-    digits = abs(x.numerator) // prime**vn * pow(x.denominator // prime**vd, -1, m) % m
+    unit, digits = x.denominator // prime**vd, abs(x.numerator) // prime**vn
+    if unit != 1:  # an int has nothing to invert
+        digits *= _inverse_mod_power(unit, prime, precision)
+    digits %= m
     if x < 0:
         digits = m - digits
     return PadicNumber._make(prime, vn - vd, digits, precision)

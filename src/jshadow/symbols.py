@@ -144,22 +144,51 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> Sign:
     return _hilbert_symbol_int(A, B, place.prime)
 
 
+def _symbol_at_two(alpha: int, u: int, beta: int, w: int) -> Sign:
+    """(A,B)_2 for A = 2^alpha u and B = 2^beta w with u, w odd: the parity
+    of eps(u)eps(w) + alpha omega(w) + beta omega(u), summed bitwise, where
+    eps(x) = (x-1)/2 = x >> 1 and omega(x) = (x^2-1)/8 = (x^2-1) >> 3."""
+    e = u >> 1 & w >> 1 ^ alpha & (w * w - 1) >> 3 ^ beta & (u * u - 1) >> 3
+    return -1 if e & 1 else 1
+
+
+def _symbol_at_odd_prime(alpha: int, u: int, beta: int, w: int, p: int, legendre_of) -> Sign:
+    """(A,B)_p for A = p^alpha u and B = p^beta w with u, w prime to the odd
+    prime p; ``legendre_of(x, p)`` gives the Legendre symbol (x|p)."""
+    sign = -1 if alpha & beta & p >> 1 & 1 else 1  # the parity of alpha beta (p-1)/2
+    if beta & 1:
+        sign *= legendre_of(u, p)
+    if alpha & 1:
+        sign *= legendre_of(w, p)
+    return sign
+
+
 def _hilbert_symbol_int(A: int, B: int, p: int) -> Sign:
     alpha, u = _split_unit(A, p)
     beta, w = _split_unit(B, p)
     if p == 2:
-        eps_u = (u - 1) // 2 % 2
-        eps_w = (w - 1) // 2 % 2
-        omega_u = (u * u - 1) // 8 % 2
-        omega_w = (w * w - 1) // 8 % 2
-        e = eps_u * eps_w + alpha * omega_w + beta * omega_u
-        return -1 if e % 2 else 1
-    sign = -1 if alpha * beta * ((p - 1) // 2) % 2 else 1
-    if beta % 2:
-        sign *= jacobi(u, p)
-    if alpha % 2:
-        sign *= jacobi(w, p)
-    return sign
+        return _symbol_at_two(alpha, u, beta, w)
+    return _symbol_at_odd_prime(alpha, u, beta, w, p, jacobi)
+
+
+def local_symbols(A: int, local_A: dict, B: int, local_B: dict, legendre_of):
+    """Yield (p, (A,B)_p) at p = 2, then at each odd prime dividing A or B in
+    increasing order, then (None, (A,B)_inf) for the infinite place.
+
+    ``local_A`` is the local data of the nonzero integer A: p -> (alpha, u)
+    with A = p^alpha u, u prime to p, for every prime p dividing A (a prime
+    missing from it has alpha = 0, u = A); likewise ``local_B``.
+    ``legendre_of(x, p)`` gives the Legendre symbol (x|p) at odd primes.
+    """
+    alpha, u = local_A.get(2, (0, A))
+    beta, w = local_B.get(2, (0, B))
+    yield 2, _symbol_at_two(alpha, u, beta, w)
+    for p in sorted(local_A | local_B):
+        if p != 2:
+            alpha, u = local_A.get(p, (0, A))
+            beta, w = local_B.get(p, (0, B))
+            yield p, _symbol_at_odd_prime(alpha, u, beta, w, p, legendre_of)
+    yield None, -1 if A < 0 and B < 0 else 1
 
 
 @lru_cache(maxsize=64)
@@ -244,17 +273,14 @@ def _search_primitive_solution(A: int, B: int, p: int, levels: int) -> bool:
     return False
 
 
-def hilbert_oracle(
-    a: Rational, b: Rational, place: Place, modulus_exponent: int | None = None
-) -> Sign:
+def hilbert_oracle(a: Rational, b: Rational, place: Place) -> Sign:
     """Decide (a,b)_v by direct solvability of z^2 = a x^2 + b y^2.
 
     At the infinite place this is sign inspection.  At a finite prime the
     equation is cleared to integer coefficients A, B, each divided by p^2
     while p^2 divides it (its square class, so solvability, stays), and
     searched modulo p**M with M = 2*v_p(4AB) + 3 (see module docstring for
-    why a primitive solution at that modulus certifies a Z_p point).  A
-    larger modulus exponent may be supplied; a smaller one is rejected.
+    why a primitive solution at that modulus certifies a Z_p point).
     """
     A = _cleared_int(a, "a")
     B = _cleared_int(b, "b")
@@ -265,31 +291,33 @@ def hilbert_oracle(
         A //= p * p
     while B % (p * p) == 0:
         B //= p * p
-    required = 2 * vp_int(4 * A * B, p) + 3
-    if modulus_exponent is None:
-        modulus_exponent = required
-    elif modulus_exponent < required:
-        raise SymbolError(
-            f"modulus exponent {modulus_exponent} is below the lifting bound {required}"
-        )
-    return 1 if _search_primitive_solution(A, B, p, modulus_exponent) else -1
+    levels = 2 * vp_int(4 * A * B, p) + 3
+    return 1 if _search_primitive_solution(A, B, p, levels) else -1
 
 
 def tame_symbol(a: Rational, b: Rational, p: int) -> int:
     """The tame symbol at p: (-1)^(v(a)v(b)) a^v(b) / b^v(a) reduced mod p.
 
-    Returns the least positive residue, a unit of Z/p.
+    With a = p^alpha u and b = p^beta w that is (-1)^(alpha beta) u^beta
+    w^(-alpha), computed mod p from the p-free parts of each numerator and
+    denominator.  Returns the least positive residue, a unit of Z/p.
     """
     if not is_prime(p):
         raise SymbolError(f"{p} is not prime")
-    a = Fraction(a)
-    b = Fraction(b)
+    a = a if isinstance(a, int) else Fraction(a)
+    b = b if isinstance(b, int) else Fraction(b)
     if a == 0 or b == 0:
         raise SymbolError("tame symbol inputs must be nonzero")
-    alpha = vp_int(a.numerator, p) - vp_int(a.denominator, p)
-    beta = vp_int(b.numerator, p) - vp_int(b.denominator, p)
-    r = Fraction(-1 if alpha * beta % 2 else 1) * a**beta / b**alpha
-    return r.numerator * pow(r.denominator, -1, p) % p
+    alpha, u = _unit_mod_p(a, p)
+    beta, w = _unit_mod_p(b, p)
+    sign = -1 if alpha * beta % 2 else 1
+    return sign * pow(u, beta, p) * pow(w, -alpha, p) % p
+
+
+def _unit_mod_p(x: Rational, p: int) -> tuple[int, int]:
+    """(v_p(x), u mod p) for nonzero x = p^v_p(x) u."""
+    (alpha, num), (delta, den) = _split_unit(x.numerator, p), _split_unit(x.denominator, p)
+    return alpha - delta, num * pow(den, -1, p) % p
 
 
 @dataclass(frozen=True)
@@ -312,10 +340,6 @@ class ReciprocityResult:
     def passes(self) -> bool:
         return self.product == 1
 
-    @property
-    def contributing_places(self) -> tuple[Place, ...]:
-        return tuple(v for v, s in self.local_symbols if s == -1)
-
 
 @lru_cache(maxsize=1024)
 def _place(p: int) -> Place:
@@ -327,18 +351,24 @@ def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     """Evaluate (a,b)_v on the finite support set and multiply.
 
     a and b are cleared to A = num*den and B = num*den once, and each
-    numerator and denominator (never a product) is factored once."""
+    numerator and denominator (never a product) is factored once; the
+    symbols come from :func:`local_symbols`."""
     a = Fraction(a)
     b = Fraction(b)
     if a == 0 or b == 0:
         raise SymbolError("inputs must be nonzero")
-    odd: set[int] = set()
-    for n in (a.numerator, a.denominator, b.numerator, b.denominator):
-        odd.update(factorint(abs(n)))
-    odd.discard(2)
-    A = a.numerator * a.denominator
-    B = b.numerator * b.denominator
-    symbols = [(_place(p), _hilbert_symbol_int(A, B, p)) for p in [2, *sorted(odd)]]
-    symbols.append((INFINITY, -1 if A < 0 and B < 0 else 1))
+    A, local_A = _factored_local_data(a)
+    B, local_B = _factored_local_data(b)
+    symbols = tuple(
+        (INFINITY if p is None else _place(p), s)
+        for p, s in local_symbols(A, local_A, B, local_B, jacobi)
+    )
     product = prod(s for _, s in symbols)
-    return ReciprocityResult(a=a, b=b, local_symbols=tuple(symbols), product=product)
+    return ReciprocityResult(a=a, b=b, local_symbols=symbols, product=product)
+
+
+def _factored_local_data(x: Fraction) -> tuple[int, dict]:
+    """(X, local data of X) for X = num*den, by factoring num and den."""
+    X = x.numerator * x.denominator
+    primes = factorint(abs(x.numerator)).keys() | factorint(x.denominator).keys()
+    return X, {p: _split_unit(X, p) for p in primes}

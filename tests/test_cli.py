@@ -205,6 +205,27 @@ def test_reciprocity_flags_places_past_the_proven_range(capsys):
     assert not any("bpsw_probable_prime" in row for row in report["rows"])
 
 
+@pytest.mark.parametrize(
+    "argv, row",
+    [
+        (["hilbert", "--a=2", "--b=3", "--place={p}"], 0),
+        (["tame", "--a=2", "--b=3", "--p={p}"], 0),
+        (["k1-sphere", "--ell={p}", "--k=1"], 0),
+        (["rezk-log", "--ell={p}", "--x=2", "--precision=4"], 0),
+        (["padic", "--p={p}", "--op=mul", "--x=2", "--y=3", "--precision=4"], 0),
+        (["padic", "--p={p}", "--op=valuation", "--x=6"], 0),
+    ],
+)
+def test_every_prime_argument_flags_primes_past_the_proven_range(capsys, argv, row):
+    sympy = pytest.importorskip("sympy")
+    psi_13 = 3317044064679887385961981
+    for p, marked in ((sympy.nextprime(psi_13), True), (sympy.prevprime(psi_13), False)):
+        code, report = run_json(capsys, [arg.format(p=p) for arg in argv])
+        assert code == 0 and report["verdict"] in ("pass", "n/a")
+        assert ("bpsw_probable_prime" in report["rows"][row]) == marked
+        assert sum("bpsw_probable_prime" in r for r in report["rows"]) == marked
+
+
 def test_sweep_grid_flags(capsys):
     code, report = run_json(capsys, ["sweep", "rezk-log", "--ells=3,5", "--precision=16"])
     assert code == 0 and report["verdict"] == "pass"
@@ -289,6 +310,23 @@ def test_arguments_the_library_rejects_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["zolotarev", "--a=2", "--p=3317044064679887385962123"], "--p"),
+        (["sweep", "zolotarev", "--p-max=100000000000000000000000"], "--p-max"),
+        (["sweep", "quillen", "--q-max=100000000000000000000000"], "--q-max"),
+        (["sweep", "reciprocity", "--bound=100000000000000000000000"], "--bound"),
+    ],
+)
+def test_an_overflowing_integer_names_its_flag(capsys, argv, flag):
+    # the error line used to carry Python's words only, with no parameter name
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: ") and captured.err.count("\n") == 1
 
 
 def _off_by_one_valuation(monkeypatch):

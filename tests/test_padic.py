@@ -84,6 +84,22 @@ def test_embed_rejects_zero_and_bad_precision():
         embed(1, 4, 5)
 
 
+@pytest.mark.parametrize("p", [2, 3, 37])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 4096])
+def test_newton_inversion_agrees_with_extended_gcd(p, n):
+    rng = random.Random(p * 10_000 + n)
+    m = p**n
+    for _ in range(3):
+        u = rng.randrange(1, m)
+        while u % p == 0:
+            u = rng.randrange(1, m)
+        expected = pow(u, -1, m)
+        assert PadicNumber.from_unit(p, 2, u, n).inv() == PadicNumber.from_unit(p, -2, expected, n)
+        d = rng.randrange(1, 10**6) * p + rng.randrange(1, p)  # a denominator prime to p
+        x = embed(Fraction(p**3, d), p, n)
+        assert (x.valuation, x.unit_digits) == (3, pow(d, -1, m))
+
+
 def test_from_unit_rejects_non_unit():
     with pytest.raises(PadicError):
         PadicNumber.from_unit(3, 0, 9, 4)

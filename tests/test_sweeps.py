@@ -5,15 +5,18 @@ None of these runs a default grid; the acceptance suite does that.
 
 import argparse
 import functools
+import itertools
 import json
+import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from jshadow import sweeps
+from jshadow._integers import primes_up_to
 from jshadow.cli import build_parser, run
 from jshadow.sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, SweepResult
+from jshadow.symbols import INFINITY, Place, hilbert_reciprocity_check, hilbert_symbol
 
 # The params each sweep reports at its defaults, in signature order, with
 # the sweeps in the order `sweep all` runs and reports them.
@@ -102,6 +105,34 @@ def test_out_of_range_parameters_raise_value_error(name, params, message):
         SWEEPS[name](**params)
 
 
+# -- the reciprocity sweep's sieve tables -----------------------------------
+
+
+def test_sieve_tables_agree_with_the_single_query():
+    # The sweep's local data and chi tables against factorint and the Jacobi
+    # ladder (hilbert_reciprocity_check), and each symbol against hilbert_symbol.
+    local, legendre_of = sweeps._sieve_tables(60)
+    places = {p: Place.finite(p) for p in primes_up_to(60)} | {None: INFINITY}
+    nonzero = [n for n in range(-60, 61) if n]
+    rng = random.Random(60)
+    rationals = [
+        tuple(Fraction(rng.choice(nonzero), rng.randint(1, 60)) for _ in range(2))
+        for _ in range(2000)
+    ]
+    cases = [(a, local[a], b, local[b]) for a in nonzero for b in nonzero]
+    cases += [
+        (*sweeps._cleared_local_data(local, a), *sweeps._cleared_local_data(local, b))
+        for a, b in rationals
+    ]
+    pairs = [(a, b) for a in nonzero for b in nonzero] + rationals
+    for (a, b), data in zip(pairs, cases):
+        table = list(sweeps.local_symbols(*data, legendre_of))
+        single = hilbert_reciprocity_check(a, b).local_symbols
+        assert table == [(v.prime, s) for v, s in single], (a, b)
+        for p, s in table:
+            assert s == hilbert_symbol(a, b, places[p]), (a, b, p)
+
+
 # -- the failure path: kernels patched as jshadow.sweeps sees them ----------
 
 
@@ -121,11 +152,14 @@ def test_a_failed_check_lands_in_its_bucket_and_one_row(monkeypatch):
 
 
 def test_failure_rows_hold_rationals_as_strings(monkeypatch):
-    # fail exactly the rational sample, whose arguments are Fractions
-    def check(a, b):
-        return SimpleNamespace(product=-1 if isinstance(a, Fraction) else 1)
+    # fail exactly the rational sample, whose arguments are Fractions; the
+    # 16 integer pairs of bound 2 come first
+    calls = itertools.count()
 
-    monkeypatch.setattr(sweeps, "hilbert_reciprocity_check", check)
+    def symbols(A, local_A, B, local_B, legendre_of):
+        return iter([(None, 1 if next(calls) < 16 else -1)])
+
+    monkeypatch.setattr(sweeps, "local_symbols", symbols)
     result = SWEEPS["reciprocity"](bound=2, rational_samples=3)
     assert (result.checked, result.failures) == (16 + 3, 3)
     failures = [row for row in result.rows if "failure" in row]
