@@ -22,7 +22,6 @@ from .imj import (
     k_finite_field,
     norm_identity_check,
     surjectivity_check,
-    unit_factor_check,
     von_staudt_clausen_denominator,
 )
 from .jmaps import (

@@ -2,14 +2,25 @@
 
 One subcommand per verifiable statement, plus ``padic`` for ad hoc
 arithmetic and ``sweep <name>``, the one way to run a named verification
-suite.  Its grid flags are the keywords of the registered sweep, written
-``--keyword=value`` (``--p-max=50``; a comma list such as ``--ells=3,5``
-where the default is a tuple); ``--seed`` goes only to the sweeps that
-take a seed, and ``sweep all`` runs every default grid.  Each run
-prints a report: human-readable text by default, or a canonical JSON
-object with ``--json`` (top-level keys: command, inputs, rows, verdict,
-provenance, version).  Reports contain no timestamps and are
-byte-for-byte reproducible for fixed inputs and seed.
+suite.  Each run prints a report: text by default, or a canonical JSON
+object with ``--json`` (keys: command, inputs, rows, verdict, provenance,
+version).  Reports hold no timestamps and are byte-for-byte reproducible.
+
+A single-shot command is one handler decorated with
+``@_command(name, statement_id, help)``.  Its parameters are its flags,
+``--name``, required when without a default.  Each annotation says how its
+flag is read: ``int`` as argparse's ``type=int``, ``str`` as text, ``bool``
+as a switch, a tuple of strings as choices, and ``Annotated[kind, parse,
+help]`` as ``kind`` passed through ``parse`` (``NonzeroRational``,
+``Prime``), whose ``UsageError`` is an ``error:`` line.  The handler
+returns its rows and verdict (``padic`` its inputs too); the registry
+records the arguments as ``inputs`` and the statement as provenance.  Only
+the parser of the command being run is built.
+
+``sweep <name>`` takes the sweep's keywords as grid flags ``--keyword=value``
+(a comma list where the default is a tuple), listed by ``sweep <name>
+--help``; ``--seed`` goes only to seeded sweeps; ``sweep all`` runs every
+default grid.
 
 Exit codes: 0 for pass or informational output, 1 for a verification
 failure, 2 for a usage error (unknown subcommand or grid flag, malformed
@@ -17,43 +28,28 @@ rational, composite number where a prime is required, empty sweep grid,
 an integer too large for the interpreter to index with, named by its flag).
 """
 
-from __future__ import annotations
-
 import argparse
 import inspect
 import json
+import operator
 import re
 import sys
+from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import partial
 from math import gcd
+from typing import Annotated, get_args, get_origin
 
 from . import __version__
 from ._integers import _PSI_13, is_prime
 from .imj import (
-    bernoulli,
-    imj_order,
-    k1_sphere_order,
-    k_finite_field,
-    von_staudt_clausen_denominator,
+    bernoulli, imj_order, k1_sphere_order, k_finite_field, von_staudt_clausen_denominator
 )
 from .jmaps import adelic_norm_product
-from .padic import (
-    DEFAULT_PRECISION,
-    embed,
-    padic_log,
-    padic_norm,
-    rezk_log_pi0,
-    teichmuller,
-    vp,
-)
+from .padic import DEFAULT_PRECISION, embed, padic_log, padic_norm, rezk_log_pi0, teichmuller, vp
 from .sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, SweepResult
 from .symbols import (
-    Place,
-    hilbert_oracle,
-    hilbert_reciprocity_check,
-    hilbert_symbol,
-    legendre,
-    tame_symbol,
+    Place, hilbert_oracle, hilbert_reciprocity_check, hilbert_symbol, legendre, tame_symbol,
     zolotarev_sign,
 )
 
@@ -80,7 +76,7 @@ def parse_nonzero_rational(text: str) -> Fraction:
     return value
 
 
-def parse_prime(text: str) -> int:
+def parse_prime(text: str | int) -> int:
     try:
         p = int(text)
     except ValueError:
@@ -96,21 +92,21 @@ def parse_place(text: str) -> Place:
     return Place.finite(parse_prime(text))
 
 
-def _report(
-    command: str,
-    inputs: dict,
-    rows: list[dict],
-    verdict: str,
-    provenance: list[dict],
-) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "rows": rows,
-        "verdict": verdict,
-        "provenance": provenance,
-        "version": __version__,
-    }
+def _parse_odd_prime(p: int) -> int:
+    if parse_prime(p) == 2:
+        raise UsageError("l must be an odd prime")
+    return p
+
+
+NonzeroRational = Annotated[str, parse_nonzero_rational]
+Prime = Annotated[int, parse_prime]
+OddPrime = Annotated[int, _parse_odd_prime]
+
+
+def _report(command: str, inputs: dict, rows: list, verdict: str, statement_ids: list) -> dict:
+    provenance = [{"statement_id": sid, "statement": STATEMENTS[sid]} for sid in statement_ids]
+    report = {"command": command, "inputs": inputs, "rows": rows, "verdict": verdict}
+    return report | {"provenance": provenance, "version": __version__}
 
 
 def _marked(row: dict, p: int | None) -> dict:
@@ -120,16 +116,12 @@ def _marked(row: dict, p: int | None) -> dict:
     return row
 
 
-def _prov(*statement_ids: str) -> list[dict]:
-    return [{"statement_id": sid, "statement": STATEMENTS[sid]} for sid in statement_ids]
-
-
 def _sweep_report(result: SweepResult, command: str) -> dict:
     rows = result.rows + [
         {"summary": True, "checked": result.checked, "failures": result.failures}
     ]
     inputs = result.params | {"sweep": result.name}
-    return _report(command, inputs, rows, result.verdict, _prov(result.statement_id))
+    return _report(command, inputs, rows, result.verdict, [result.statement_id])
 
 
 def _emit(report: dict, as_json: bool) -> int:
@@ -148,223 +140,183 @@ def _emit(report: dict, as_json: bool) -> int:
     return 0 if report["verdict"] in ("pass", "n/a") else 1
 
 
-# -- subcommand handlers -------------------------------------------------
+# -- the command registry ---------------------------------------------------
+
+# name -> (help, handler, build), in the order `jshadow --help` lists them.  build(subparser,
+# argv) adds the command's arguments and returns the function from them to the report.
+_COMMANDS: dict[str, tuple[str, Callable, Callable]] = {}
 
 
-def _cmd_hilbert(args) -> dict:
-    a = parse_nonzero_rational(args.a)
-    b = parse_nonzero_rational(args.b)
-    place = parse_place(args.place)
+def _command(name: str, statement_id: str | None, help: str):
+    """Register the handler as single-shot command ``name``, citing ``statement_id`` if any."""
+
+    def register(handler):
+        _COMMANDS[name] = help, handler, partial(_single_shot, name, statement_id, handler)
+        return handler
+
+    return register
+
+
+def _single_shot(name: str, statement_id: str | None, handler, sp, argv) -> Callable:
+    """Add the handler's flags to ``sp``; return the function from their values to the report."""
+    parsers = {}
+    for param in inspect.signature(handler).parameters.values():
+        note = param.annotation
+        kind, *meta = get_args(note) if get_origin(note) is Annotated else (note,)
+        required = param.default is param.empty
+        options = {"required": required, "default": None if required else param.default}
+        if kind is bool:
+            options["action"] = "store_true"
+        elif isinstance(kind, tuple):
+            options["choices"] = kind
+        elif int in (kind, *get_args(kind)):
+            options["type"] = int
+        options["help"] = next((m for m in meta if isinstance(m, str)), None)
+        sp.add_argument("--" + param.name.replace("_", "-"), **options)
+        parsers[param.name] = next((m for m in meta if callable(m)), lambda value: value)
+
+    def report(args) -> dict:
+        values = {key: parse(getattr(args, key)) for key, parse in parsers.items()}
+        rows, verdict, *inputs = handler(**values)
+        shown = {k: str(v) if isinstance(v, (Fraction, Place)) else v for k, v in values.items()}
+        statement_ids = [statement_id] if statement_id else []
+        return _report(name, inputs[0] if inputs else shown, rows, verdict, statement_ids)
+
+    return report
+
+
+# -- single-shot commands, each a handler returning its rows and verdict ---
+
+
+@_command("hilbert", "hilbert-symbol-solvability", "Hilbert symbol (a,b)_v")
+def _hilbert(
+    a: NonzeroRational,
+    b: NonzeroRational,
+    place: Annotated[str, parse_place, "a prime or 'inf'"],
+    oracle: Annotated[bool, "cross-check by solvability search"] = False,
+):
     symbol = hilbert_symbol(a, b, place)
-    rows = [_marked({"a": str(a), "b": str(b), "place": str(place), "symbol": symbol}, place.prime)]
-    verdict = "n/a"
-    if args.oracle:
-        oracle = hilbert_oracle(a, b, place)
-        rows[0]["oracle"] = oracle
-        verdict = "pass" if oracle == symbol else "fail"
-    return _report(
-        "hilbert",
-        {"a": str(a), "b": str(b), "place": str(place), "oracle": args.oracle},
-        rows,
-        verdict,
-        _prov("hilbert-symbol-solvability"),
-    )
+    row = _marked({"a": str(a), "b": str(b), "place": str(place), "symbol": symbol}, place.prime)
+    if not oracle:
+        return [row], "n/a"
+    row["oracle"] = hilbert_oracle(a, b, place)
+    return [row], "pass" if row["oracle"] == symbol else "fail"
 
 
-def _cmd_reciprocity(args) -> dict:
-    a = parse_nonzero_rational(args.a)
-    b = parse_nonzero_rational(args.b)
+@_command("reciprocity", "hilbert-reciprocity", "per-place Hilbert symbols and their product")
+def _reciprocity(a: NonzeroRational, b: NonzeroRational):
     result = hilbert_reciprocity_check(a, b)
     rows = [_marked({"place": str(v), "symbol": s}, v.prime) for v, s in result.local_symbols]
     rows.append({"product": result.product, "omitted_places": "+1 (unit coefficients)"})
-    return _report(
-        "reciprocity",
-        {"a": str(a), "b": str(b)},
-        rows,
-        "pass" if result.passes else "fail",
-        _prov("hilbert-reciprocity"),
-    )
+    return rows, "pass" if result.passes else "fail"
 
 
-def _cmd_zolotarev(args) -> dict:
-    p = parse_prime(str(args.p))
-    sign = zolotarev_sign(args.a, p)
-    leg = legendre(args.a, p)
-    rows = [{"a": args.a, "p": p, "permutation_sign": sign, "legendre": leg}]
-    return _report(
-        "zolotarev",
-        {"a": args.a, "p": p},
-        rows,
-        "pass" if sign == leg else "fail",
-        _prov("zolotarev-lemma"),
-    )
+@_command("zolotarev", "zolotarev-lemma", "permutation sign versus Legendre symbol")
+def _zolotarev(a: int, p: Prime):
+    sign, leg = zolotarev_sign(a, p), legendre(a, p)
+    rows = [{"a": a, "p": p, "permutation_sign": sign, "legendre": leg}]
+    return rows, "pass" if sign == leg else "fail"
 
 
-def _cmd_tame(args) -> dict:
-    a = parse_nonzero_rational(args.a)
-    b = parse_nonzero_rational(args.b)
-    p = parse_prime(str(args.p))
+@_command("tame", "tame-hilbert-compatibility", "tame symbol at p")
+def _tame(a: NonzeroRational, b: NonzeroRational, p: Prime):
     value = tame_symbol(a, b, p)
-    rows = [_marked({"a": str(a), "b": str(b), "p": p, "tame_symbol": value}, p)]
-    verdict = "n/a"
-    if p != 2:
-        compatible = legendre(value, p) == hilbert_symbol(a, b, Place.finite(p))
-        rows[0]["legendre_of_value"] = legendre(value, p)
-        verdict = "pass" if compatible else "fail"
-    return _report(
-        "tame",
-        {"a": str(a), "b": str(b), "p": p},
-        rows,
-        verdict,
-        _prov("tame-hilbert-compatibility"),
-    )
+    row = _marked({"a": str(a), "b": str(b), "p": p, "tame_symbol": value}, p)
+    if p == 2:
+        return [row], "n/a"
+    row["legendre_of_value"] = legendre(value, p)
+    compatible = row["legendre_of_value"] == hilbert_symbol(a, b, Place.finite(p))
+    return [row], "pass" if compatible else "fail"
 
 
-def _cmd_bernoulli(args) -> dict:
-    n = args.n
+@_command("bernoulli", "von-staudt-clausen", "exact Bernoulli number")
+def _bernoulli(n: int):
     value = bernoulli(n)
-    rows = [{"n": n, "value": str(value)}]
-    verdict = "n/a"
-    if n >= 2 and n % 2 == 0:
-        expected = von_staudt_clausen_denominator(n)
-        rows[0]["denominator"] = value.denominator
-        rows[0]["vsc_product"] = expected
-        verdict = "pass" if value.denominator == expected else "fail"
-    return _report("bernoulli", {"n": n}, rows, verdict, _prov("von-staudt-clausen"))
+    row = {"n": n, "value": str(value)}
+    if n < 2 or n % 2:
+        return [row], "n/a"
+    row["denominator"] = value.denominator
+    row["vsc_product"] = von_staudt_clausen_denominator(n)
+    return [row], "pass" if value.denominator == row["vsc_product"] else "fail"
 
 
-def _cmd_imj_order(args) -> dict:
-    report = imj_order(args.k)
+@_command("imj-order", "image-of-j-order", "image-of-J order in stem 4k-1")
+def _imj_order(k: int):
+    report = imj_order(k)
     odd = report.order >> (report.order & -report.order).bit_length() - 1
-    rows = [
-        {
-            "k": args.k,
-            "stem": 4 * args.k - 1,
-            "order": report.order,
-            "factorization": " * ".join(f"{p}^{e}" for p, e in report.factors) or "1",
-            "odd_part": odd,
-        }
-    ]
-    return _report("imj-order", {"k": args.k}, rows, "n/a", _prov("image-of-j-order"))
+    factorization = " * ".join(f"{p}^{e}" for p, e in report.factors) or "1"
+    row = {"k": k, "stem": 4 * k - 1, "order": report.order}
+    return [row | {"factorization": factorization, "odd_part": odd}], "n/a"
 
 
-def _cmd_k1_sphere(args) -> dict:
-    ell = parse_prime(str(args.ell))
-    result = k1_sphere_order(ell, args.k, args.generator)
-    row = {
-        "ell": ell,
-        "k": args.k,
-        "degree": 2 * args.k - 1,
-        "generator": result.generator,
-        "order": result.order,
-        "closed_form": result.closed_form,
-    }
-    rows = [_marked(row, ell)]
-    return _report(
-        "k1-sphere",
-        {"ell": ell, "k": args.k, "generator": args.generator},
-        rows,
-        "pass" if result.order == result.closed_form else "fail",
-        _prov("image-of-j-order"),
-    )
+@_command("k1-sphere", "image-of-j-order", "order of pi_{2k-1} of the K(1)-local sphere")
+def _k1_sphere(ell: Prime, k: int, generator: int | None = None):
+    result = k1_sphere_order(ell, k, generator)
+    row = {"ell": ell, "k": k, "degree": 2 * k - 1, "generator": result.generator}
+    row |= {"order": result.order, "closed_form": result.closed_form}
+    return [_marked(row, ell)], "pass" if result.order == result.closed_form else "fail"
 
 
-def _cmd_kff(args) -> dict:
-    report = k_finite_field(args.n, args.q)
-    rows = [
-        {
-            "n": args.n,
-            "q": args.q,
-            "group": report.describe(),
-            "order": report.order if report.order is not None else "infinite",
-        }
-    ]
-    verdict = "n/a"
-    if report.order is not None and args.n > 0:
-        verdict = "pass" if gcd(report.order, args.q) == 1 else "fail"
-    return _report(
-        "kff", {"n": args.n, "q": args.q}, rows, verdict, _prov("k-groups-finite-field")
-    )
+@_command("kff", "k-groups-finite-field", "Quillen K-group of a finite field")
+def _kff(n: int, q: int):
+    report = k_finite_field(n, q)
+    order = "infinite" if report.order is None else report.order
+    rows = [{"n": n, "q": q, "group": report.describe(), "order": order}]
+    if report.order is None or n <= 0:
+        return rows, "n/a"
+    return rows, "pass" if gcd(report.order, q) == 1 else "fail"
 
 
-def _cmd_rezk_log(args) -> dict:
-    ell = parse_prime(str(args.ell))
-    if ell == 2:
-        raise UsageError("l must be an odd prime")
-    x = parse_nonzero_rational(args.x)
+@_command("rezk-log", "degree-zero-logarithm", "degree-zero logarithm of a unit")
+def _rezk_log(ell: OddPrime, x: NonzeroRational, precision: int = DEFAULT_PRECISION):
     if vp(x, ell) != 0:
         raise UsageError("x must be a unit of Z_l")
-    value = rezk_log_pi0(embed(x, ell, args.precision))
-    in_zl = value.is_zero or value.valuation >= 0
-    row = {
-        "ell": ell,
-        "x": str(x),
-        "value": str(value),
-        "valuation": "zero-to-precision" if value.is_zero else value.valuation,
-    }
-    rows = [_marked(row, ell)]
-    return _report(
-        "rezk-log",
-        {"ell": ell, "x": str(x), "precision": args.precision},
-        rows,
-        "pass" if in_zl else "fail",
-        _prov("degree-zero-logarithm"),
-    )
+    value = rezk_log_pi0(embed(x, ell, precision))
+    valuation = "zero-to-precision" if value.is_zero else value.valuation
+    row = {"ell": ell, "x": str(x), "value": str(value), "valuation": valuation}
+    return [_marked(row, ell)], "pass" if value.is_zero or value.valuation >= 0 else "fail"
 
 
-def _cmd_padic(args) -> dict:
-    p = parse_prime(str(args.p))
-    n = args.precision
-    op = args.op
-    inputs = {"p": p, "op": op, "precision": n}
-    if op in ("add", "sub", "mul", "div"):
-        if args.x is None or args.y is None:
-            raise UsageError(f"{op} needs --x and --y")
-        x = embed(parse_nonzero_rational(args.x), p, n)
-        y = embed(parse_nonzero_rational(args.y), p, n)
-        value = {"add": x + y, "sub": x - y, "mul": x * y, "div": x / y}[op]
-        inputs.update(x=args.x, y=args.y)
-    elif op == "inv":
-        if args.x is None:
-            raise UsageError("inv needs --x")
-        value = embed(parse_nonzero_rational(args.x), p, n).inv()
-        inputs.update(x=args.x)
-    elif op == "pow":
-        if args.x is None or args.exponent is None:
-            raise UsageError("pow needs --x and --exponent")
-        value = embed(parse_nonzero_rational(args.x), p, n) ** args.exponent
-        inputs.update(x=args.x, exponent=args.exponent)
-    elif op == "log":
-        if args.x is None:
-            raise UsageError("log needs --x")
-        value = padic_log(embed(parse_nonzero_rational(args.x), p, n))
-        inputs.update(x=args.x)
-    elif op == "teichmuller":
-        if args.residue is None:
-            raise UsageError("teichmuller needs --residue")
-        value = teichmuller(args.residue, p, n)
-        inputs.update(residue=args.residue)
-    else:  # valuation, the last of the choices argparse allows
-        if args.x is None:
-            raise UsageError("valuation needs --x")
-        x = parse_nonzero_rational(args.x)
-        rows = [_marked({"x": args.x, "valuation": vp(x, p), "norm": str(padic_norm(x, p))}, p)]
-        return _report("padic", inputs | {"x": args.x}, rows, "n/a", [])
-    rows = [_marked({"value": str(value)}, p)]
-    return _report("padic", inputs, rows, "n/a", [])
+@_command("padic", None, "ad hoc p-adic arithmetic")
+def _padic(
+    p: Prime,
+    op: ("add", "sub", "mul", "div", "inv", "pow", "log", "teichmuller", "valuation"),
+    x: str | None = None,
+    y: str | None = None,
+    exponent: int | None = None,
+    residue: int | None = None,
+    precision: int = DEFAULT_PRECISION,
+):
+    """Returns the inputs as well: they echo only the operands ``op`` uses, as given."""
+    ops = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+    needs = {"pow": "x exponent", "teichmuller": "residue"}.get(op, "x y" if op in ops else "x")
+    given = {"x": x, "y": y, "exponent": exponent, "residue": residue}
+    operands = {key: given[key] for key in needs.split()}
+    if None in operands.values():
+        raise UsageError(f"{op} needs " + " and ".join(f"--{key}" for key in operands))
+    inputs = {"p": p, "op": op, "precision": precision} | operands
+    if op == "valuation":
+        value = parse_nonzero_rational(x)
+        row = {"x": x, "valuation": vp(value, p), "norm": str(padic_norm(value, p))}
+        return [_marked(row, p)], "n/a", inputs
+    if op == "teichmuller":
+        value = teichmuller(residue, p, precision)
+    elif op in ops:
+        u, w = (embed(parse_nonzero_rational(text), p, precision) for text in (x, y))
+        value = ops[op](u, w)
+    else:
+        u = embed(parse_nonzero_rational(x), p, precision)
+        value = u.inv() if op == "inv" else u**exponent if op == "pow" else padic_log(u)
+    return [_marked({"value": str(value)}, p)], "n/a", inputs
 
 
-def _cmd_norm_product(args) -> dict:
-    x = parse_nonzero_rational(args.x)
+@_command("norm-product", "adelic-norm-product", "product of all absolute values of x")
+def _norm_product(x: NonzeroRational):
     product = adelic_norm_product(x)
-    rows = [{"x": str(x), "product": str(product)}]
-    return _report(
-        "norm-product",
-        {"x": str(x)},
-        rows,
-        "pass" if product == 1 else "fail",
-        _prov("adelic-norm-product"),
-    )
+    return [{"x": str(x), "product": str(product)}], "pass" if product == 1 else "fail"
+
+
+# -- sweeps -----------------------------------------------------------------
 
 
 def _run_sweep(name: str, seed: int, flags: list[str]) -> SweepResult:
@@ -388,10 +340,10 @@ def _run_sweep(name: str, seed: int, flags: list[str]) -> SweepResult:
     return fn(**grid)
 
 
-def _cmd_sweep(args) -> dict:
+def _sweep(args) -> dict:
+    if args.name not in (*SWEEPS, "all"):
+        raise UsageError(f"unknown sweep {args.name!r}; known: {', '.join(sorted(SWEEPS))}, all")
     if args.name != "all":
-        if args.name not in SWEEPS:
-            raise UsageError(f"unknown sweep {args.name!r}; known: {', '.join(sorted(SWEEPS))}, all")
         return _sweep_report(_run_sweep(args.name, args.seed, args.grid), "sweep")
     if args.grid:
         raise UsageError(f"sweep all takes no grid flags, got {' '.join(args.grid)}")
@@ -403,16 +355,36 @@ def _cmd_sweep(args) -> dict:
     checked = sum(r.checked for r in results)
     failures = sum(r.failures for r in results)
     rows.append({"summary": True, "checked": checked, "failures": failures})
-    return _report(
-        "sweep",
-        {"sweep": "all", "seed": args.seed},
-        rows,
-        "pass" if failures == 0 else "fail",
-        _prov(*(r.statement_id for r in results)),
-    )
+    verdict = "pass" if failures == 0 else "fail"
+    statement_ids = [r.statement_id for r in results]
+    return _report("sweep", {"sweep": "all", "seed": args.seed}, rows, verdict, statement_ids)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _sweep_arguments(sp: argparse.ArgumentParser, argv) -> Callable:
+    """The sweep name and ``--seed``; the grid flags reach ``_run_sweep`` unparsed.
+    When argv names a sweep, the help lists its grid flags with their defaults."""
+    sp.add_argument("name", help=f"one of: {', '.join(sorted(SWEEPS))}, all")
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    after = argv[argv.index("sweep") + 1 :] if "sweep" in argv else []
+    name = next((arg for arg in after if not arg.startswith("-")), None)
+    if name in SWEEPS:
+        sp.formatter_class = argparse.RawDescriptionHelpFormatter
+        sp.epilog = f"grid flags of {name}, with their defaults:"
+        for key, param in inspect.signature(SWEEPS[name]).parameters.items():
+            value = param.default
+            if key != "seed":
+                value = ",".join(map(str, value)) if isinstance(value, tuple) else value
+                sp.epilog += f"\n  --{key.replace('_', '-')}={value}"
+    return _sweep
+
+
+_COMMANDS["sweep"] = (
+    "run a named verification suite; grid flags --keyword=value", _sweep, _sweep_arguments
+)
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of the command argv names first (after any ``--json``), else of every one."""
     parser = argparse.ArgumentParser(
         prog="jshadow",
         description=(
@@ -422,87 +394,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("hilbert", help="Hilbert symbol (a,b)_v")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.add_argument("--place", required=True, help="a prime or 'inf'")
-    sp.add_argument("--oracle", action="store_true", help="cross-check by solvability search")
-    sp.set_defaults(handler=_cmd_hilbert)
-
-    sp = sub.add_parser("reciprocity", help="per-place Hilbert symbols and their product")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.set_defaults(handler=_cmd_reciprocity)
-
-    sp = sub.add_parser("zolotarev", help="permutation sign versus Legendre symbol")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(handler=_cmd_zolotarev)
-
-    sp = sub.add_parser("tame", help="tame symbol at p")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(handler=_cmd_tame)
-
-    sp = sub.add_parser("bernoulli", help="exact Bernoulli number")
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_bernoulli)
-
-    sp = sub.add_parser("imj-order", help="image-of-J order in stem 4k-1")
-    sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(handler=_cmd_imj_order)
-
-    sp = sub.add_parser("k1-sphere", help="order of pi_{2k-1} of the K(1)-local sphere")
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--generator", type=int)
-    sp.set_defaults(handler=_cmd_k1_sphere)
-
-    sp = sub.add_parser("kff", help="Quillen K-group of a finite field")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.set_defaults(handler=_cmd_kff)
-
-    sp = sub.add_parser("rezk-log", help="degree-zero logarithm of a unit")
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    sp.set_defaults(handler=_cmd_rezk_log)
-
-    sp = sub.add_parser("padic", help="ad hoc p-adic arithmetic")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument(
-        "--op",
-        required=True,
-        choices=["add", "sub", "mul", "div", "inv", "pow", "log", "teichmuller", "valuation"],
-    )
-    sp.add_argument("--x")
-    sp.add_argument("--y")
-    sp.add_argument("--exponent", type=int)
-    sp.add_argument("--residue", type=int)
-    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    sp.set_defaults(handler=_cmd_padic)
-
-    sp = sub.add_parser("norm-product", help="product of all absolute values of x")
-    sp.add_argument("--x", required=True)
-    sp.set_defaults(handler=_cmd_norm_product)
-
-    sp = sub.add_parser("sweep", help="run a named verification suite; grid flags --keyword=value")
-    sp.add_argument("name", help=f"one of: {', '.join(sorted(SWEEPS))}, all")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.set_defaults(handler=_cmd_sweep)
-
+    chosen = next((arg for arg in argv if arg != "--json"), None)
+    for name, (summary, _, build) in _COMMANDS.items():
+        if chosen not in _COMMANDS or chosen == name:
+            sp = sub.add_parser(name, help=summary)
+            sp.set_defaults(handler=build(sp, argv))
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args, grid = parser.parse_known_args(argv)
         args.grid = grid
-        if args.grid and args.handler is not _cmd_sweep:
+        if args.grid and args.subcommand != "sweep":
             parser.error(f"unrecognized arguments: {' '.join(args.grid)}")
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -228,12 +228,3 @@ def norm_identity_check(ell: int, u: int, d: int, m: int, precision: int) -> boo
     diff = lhs - rhs
     return diff.is_zero and diff.abs_precision >= precision
 
-
-def unit_factor_check(ell: int, k: int) -> bool:
-    """Whether 1 - l**(k-1) is an l-adic unit (k >= 2): the comparison
-    factor between the two period identifications changes no image."""
-    if ell == 2 or not is_prime(ell):
-        raise ValueError("l must be an odd prime")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    return vp_int(1 - ell ** (k - 1), ell) == 0

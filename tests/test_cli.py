@@ -1,13 +1,27 @@
 """Tests for the command-line front end: reports, exit codes, determinism."""
 
+import argparse
+import hashlib
+import inspect
 import json
+import re
+import shlex
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from jshadow import imj
-from jshadow.cli import _emit, parse_place, parse_prime, parse_rational, run
+from jshadow.cli import (
+    _COMMANDS,
+    _emit,
+    build_parser,
+    parse_place,
+    parse_prime,
+    parse_rational,
+    run,
+)
 from jshadow.padic import DEFAULT_PRECISION
 
 REPORT_KEYS = {"command", "inputs", "rows", "verdict", "provenance", "version"}
@@ -261,6 +275,141 @@ def test_sweep_runs_named_suite(capsys):
     assert report["verdict"] == "pass"
     summary = report["rows"][-1]
     assert summary["failures"] == 0
+
+
+# sha256 of stdout, as text and with --json, for one argv of each single-shot
+# command, recorded from the hand-written handlers the command registry replaced.
+REPORT_SHA256 = [
+    (
+        ["hilbert", "--a=2", "--b=5", "--place=5", "--oracle"],
+        "84488a77d9f7bc2c334e005fcc789c1cf44167b063fb27cdf040ae648a570327",
+        "07e4886462a136def9df3f6e98f3dfd5e4b9b3b39e2683b63a0cb4d1e26b2034",
+    ),
+    (
+        ["reciprocity", "--a=-6/35", "--b=10"],
+        "b5868473db489ec2121e89eff97d85494af0492ce9fed654f5b47bee0edec331",
+        "193d11de98137d6d1b71de921699675f6933ef032f3af9a7275dbaef18d30dd3",
+    ),
+    (
+        ["zolotarev", "--a=3", "--p=5"],
+        "f40094c3894b86c7a662ced783a1d59e56f77a70d0ad722cca25574e95db13fd",
+        "8ba7086cba76bbfe136ea2b75e56e2455ccccac1a535b3b1f966f8b4f349931a",
+    ),
+    (
+        ["tame", "--a=12", "--b=-5", "--p=2"],
+        "c8a379a6ac2662f65d2213df59ad2db0d77c222c76baa885719409f61892ab23",
+        "310d5ba509288edbad305d3ec750401d138a93045f2a86305972b1d03be6b84b",
+    ),
+    (
+        ["bernoulli", "--n=12"],
+        "63e57ba74ea00b15d613522f989a3ff30dd540016742714247e9aa097df81675",
+        "f896c48fd6ded09893e5701eab272761a40b636b5a77801e973ded2bf0dd0e23",
+    ),
+    (
+        ["imj-order", "--k=3"],
+        "5b9fd14c294077d8de15927a903e82ce9ac72d681463bddbe7b05bfa2f99b420",
+        "1fb07318f0b860f01ffb32fe910404ec9b29f432dca63b595c3f2fca5e89bd14",
+    ),
+    (
+        ["k1-sphere", "--ell=5", "--k=4"],
+        "fb7a9c7094e55c860df04c42ea7dbc5ce79ab0c93838715275ca143d69af213c",
+        "27cdfceee450863d58aa905a586d5a8fd5e93a4b6bbaaaab9328b9824fb16648",
+    ),
+    (
+        ["kff", "--n=3", "--q=2"],
+        "efefaa01b0032c368d64430ac3fc5eedf6bffa637c9236cc64a7ab52a9c474ab",
+        "9093c23cdd516371f5b0f2d05419d84a5dc0624c4b6c8b2bd5a18ea491f6c80c",
+    ),
+    (
+        ["rezk-log", "--ell=7", "--x=8", "--precision=8"],
+        "4c08443392bdc21a4e82ba904e05ce127976ab094ba3f1045beb447e98571123",
+        "081c08971a66c74ed7a6d1b1803fb48eaca02b23ce86f0cd16dd34bcfa42e41f",
+    ),
+    (
+        ["padic", "--p=3", "--op=add", "--x=4/2", "--y=+3"],
+        "f647767da74c1f262345f61eb3a79d8315c9a75c6f9e8f116e97ec8da2115581",
+        "0e7a2ba6f23a184cabf829613d1f31152884771f066b6b14ed021e1f03fce119",
+    ),
+    (
+        ["padic", "--p=3", "--op=valuation", "--x=-18/5"],
+        "83b492e633a41db6e8ae5696e6ac4c3ff0ae1f2adc0d4dd3d87ed87a67e9eb98",
+        "a068490f8e4501d243cfa2c20caade2f9548739ce00cd10c2bd444a5e3ec0b19",
+    ),
+    (
+        ["norm-product", "--x=-6"],
+        "c2aa58a4582d66748f5fc6c1ac4f868d4104da0a9428890de2f2bcf2488a6b79",
+        "028394ff02ade70224fdd93241483987a73cef18d4f7c16d03824f1031ae9609",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text_sha256, json_sha256", REPORT_SHA256, ids=lambda v: v[0])
+def test_single_shot_reports_are_byte_identical(capsys, argv, text_sha256, json_sha256):
+    assert {argv[0] for argv, _, _ in REPORT_SHA256} == set(_COMMANDS) - {"sweep"}
+    for prefix, expected in (([], text_sha256), (["--json"], json_sha256)):
+        assert run(prefix + argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
+def test_readme_command_examples_run(capsys):
+    # `sweep all` is left out: the acceptance suite runs it sweep by sweep.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = [line for block in blocks for line in block.split("\n") if line.startswith("jshadow ")]
+    examples = [shlex.split(line, comments=True)[1:] for line in lines]
+    examples = [argv for argv in examples if argv[:2] != ["sweep", "all"]]
+    assert len(examples) >= len(_COMMANDS)
+    for argv in examples:
+        assert run(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("command: "), argv
+
+
+@pytest.mark.parametrize("name", [name for name in _COMMANDS if name != "sweep"])
+def test_every_command_answers_help(capsys, name):
+    _, handler, _ = _COMMANDS[name]
+    assert run([name, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: jshadow {name} ")
+    for param in inspect.signature(handler).parameters:
+        assert f"--{param.replace('_', '-')}" in out
+
+
+def test_sweep_help_lists_the_grid_flags_of_the_named_sweep(capsys):
+    assert run(["sweep", "--help"]) == 0
+    generic = capsys.readouterr().out
+    assert "--seed" in generic and "grid flags of" not in generic
+    assert run(["sweep", "zolotarev", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(generic) and "--p-max=500" in out
+    assert run(["--json", "sweep", "rezk-log", "--help"]) == 0
+    assert "--ells=3,5,7,11" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["--json", "hilbert", "--a=2"], {"hilbert"}),
+        (["sweep", "zolotarev"], {"sweep"}),
+        ([], set(_COMMANDS)),
+        (["no-such-command"], set(_COMMANDS)),
+        (["-h", "hilbert"], set(_COMMANDS)),  # the top-level help lists every command
+    ],
+)
+def test_only_the_named_command_is_built(argv, built):
+    parser = build_parser(argv)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == built
+
+
+def test_flags_take_prefixes_and_separate_values(capsys):
+    assert run(["hilbert", "--a=2", "--b=5", "--place=5"]) == 0
+    spelled_out = capsys.readouterr().out
+    assert run(["hilbert", "--a", "2", "--b", "5", "--pl=5"]) == 0
+    assert capsys.readouterr().out == spelled_out
+    # an int flag keeps argparse's own message, a prime one too
+    assert run(["zolotarev", "--a=3", "--p=abc"]) == 2
+    assert "argument --p: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 # -- exit codes ---------------------------------------------------------------

@@ -17,7 +17,6 @@ from jshadow.imj import (
     k_finite_field,
     norm_identity_check,
     surjectivity_check,
-    unit_factor_check,
     von_staudt_clausen_denominator,
 )
 from jshadow.padic import is_topological_generator, smallest_topological_generator
@@ -280,16 +279,6 @@ def test_norm_identity_examples():
     assert norm_identity_check(5, 2, 4, 2, 20)
     with pytest.raises(ValueError):
         norm_identity_check(5, 7, 2, 2, 20)  # 7 is not a generator mod 5
-
-
-def test_unit_factor_examples_and_sweep():
-    assert unit_factor_check(3, 2)
-    assert unit_factor_check(5, 3)
-    for ell in ODD_PRIMES_97:
-        for k in range(2, 51):
-            assert unit_factor_check(ell, k)
-    with pytest.raises(ValueError):
-        unit_factor_check(3, 1)
 
 
 def test_smallest_generator_recorded():
