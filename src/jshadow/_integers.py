@@ -1,4 +1,5 @@
-"""Shared integer utilities: primality, sieves, exact factorization.
+"""Shared integer utilities: primality, sieves, exact factorization, and
+the split n = p**alpha * u of an integer at a prime.
 
 Everything here is deterministic.  Miller-Rabin with the first thirteen
 prime bases is a proof of primality below psi_13 = 3317044064679887385961981
@@ -68,10 +69,10 @@ def _jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        e = (a & -a).bit_length() - 1  # 2**e exactly divides a
+        a >>= e
+        if e & 1 and n % 8 in (3, 5):
+            result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             result = -result
@@ -169,16 +170,21 @@ def factorint(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-def vp_int(n: int, p: int) -> int:
-    """Exponent of p in n (n != 0)."""
+def split_unit(n: int, p: int) -> tuple[int, int]:
+    """(alpha, u) with n = p**alpha * u and u prime to p, the sign kept in u.
+    The one place that divides a prime out of an integer."""
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
-    v = 0
-    n = abs(n)
+    alpha = 0
     while n % p == 0:
         n //= p
-        v += 1
-    return v
+        alpha += 1
+    return alpha, n
+
+
+def vp_int(n: int, p: int) -> int:
+    """Exponent of p in n (n != 0)."""
+    return split_unit(n, p)[0]
 
 
 def prime_power_base(q: int) -> tuple[int, int] | None:
@@ -191,12 +197,3 @@ def prime_power_base(q: int) -> tuple[int, int] | None:
     ((p, e),) = factors.items()
     return p, e
 
-
-def multiplicative_order_divides_check(u: int, ell: int) -> bool:
-    """True iff u mod ell generates the full multiplicative group mod ell."""
-    if u % ell == 0:
-        raise ValueError("u must be a unit mod ell")
-    for q in factorint(ell - 1):
-        if pow(u, (ell - 1) // q, ell) == 1:
-            return False
-    return True

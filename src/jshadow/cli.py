@@ -9,7 +9,7 @@ version).  Reports hold no timestamps and are byte-for-byte reproducible.
 A single-shot command is one handler decorated with
 ``@_command(name, statement_id, help)``.  Its parameters are its flags,
 ``--name``, required when without a default.  Each annotation says how its
-flag is read: ``int`` as argparse's ``type=int``, ``str`` as text, ``bool``
+flag is read: ``int`` by :func:`parse_int`, ``str`` as text, ``bool``
 as a switch, a tuple of strings as choices, and ``Annotated[kind, parse,
 help]`` as ``kind`` passed through ``parse`` (``NonzeroRational``,
 ``Prime``), whose ``UsageError`` is an ``error:`` line.  The handler
@@ -54,10 +54,20 @@ from .symbols import (
 )
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """A malformed argument: exit 2.  Raised by a flag's argparse type, it
+    reads ``argument --flag: <message>``; raised later, ``error: <message>``."""
+
+
+def parse_int(text: str) -> int:
+    """The grammar of every integer flag: [+-]digits, nothing else (no
+    spaces or underscores, which int() would take)."""
+    if not _INT_RE.fullmatch(text):
+        raise UsageError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -77,10 +87,7 @@ def parse_nonzero_rational(text: str) -> Fraction:
 
 
 def parse_prime(text: str | int) -> int:
-    try:
-        p = int(text)
-    except ValueError:
-        raise UsageError(f"not an integer: {text!r}") from None
+    p = text if isinstance(text, int) else parse_int(text)
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
     return p
@@ -170,7 +177,7 @@ def _single_shot(name: str, statement_id: str | None, handler, sp, argv) -> Call
         elif isinstance(kind, tuple):
             options["choices"] = kind
         elif int in (kind, *get_args(kind)):
-            options["type"] = int
+            options["type"] = parse_int
         options["help"] = next((m for m in meta if isinstance(m, str)), None)
         sp.add_argument("--" + param.name.replace("_", "-"), **options)
         parsers[param.name] = next((m for m in meta if callable(m)), lambda value: value)
@@ -333,7 +340,9 @@ def _run_sweep(name: str, seed: int, flags: list[str]) -> SweepResult:
             raise UsageError(f"unknown flag {flag!r}; sweep {name} takes {'=, '.join(params)}=")
         is_list = isinstance(params[key].default, tuple)
         try:
-            grid[params[key].name] = tuple(map(int, text.split(","))) if is_list else int(text)
+            grid[params[key].name] = (
+                tuple(map(parse_int, text.split(","))) if is_list else parse_int(text)
+            )
         except ValueError:
             kind = "a comma list of integers" if is_list else "an integer"
             raise UsageError(f"{key} takes {kind}, got {text!r}") from None
@@ -364,7 +373,7 @@ def _sweep_arguments(sp: argparse.ArgumentParser, argv) -> Callable:
     """The sweep name and ``--seed``; the grid flags reach ``_run_sweep`` unparsed.
     When argv names a sweep, the help lists its grid flags with their defaults."""
     sp.add_argument("name", help=f"one of: {', '.join(sorted(SWEEPS))}, all")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=parse_int, default=DEFAULT_SEED)
     after = argv[argv.index("sweep") + 1 :] if "sweep" in argv else []
     name = next((arg for arg in after if not arg.startswith("-")), None)
     if name in SWEEPS:
@@ -428,7 +437,7 @@ def _oversized_flags(args) -> str:
     return ", ".join(
         "--" + key.replace("_", "-")
         for key, text in given
-        if any(v.lstrip("+-").isdecimal() and abs(int(v)) > sys.maxsize for v in text.split(","))
+        if any(_INT_RE.fullmatch(v) and abs(int(v)) > sys.maxsize for v in text.split(","))
     ) or "an argument"
 
 

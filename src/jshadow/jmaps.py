@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from ._integers import factorint, is_prime, vp_int
+from ._integers import factorint, is_prime
 from .padic import PadicNumber, ZeroOperandError, vp
 
 Rational = Union[int, Fraction]
@@ -68,10 +68,8 @@ def adelic_norm_product(x: Rational) -> Fraction:
         raise ZeroOperandError("norm product of 0 is undefined")
     num, den = abs(x.numerator), x.denominator
     product_num, product_den = num, den  # |x|
-    for p in set(factorint(num)) | set(factorint(den)):
-        v = vp_int(num, p) - vp_int(den, p)
-        if v >= 0:
-            product_den *= p**v
-        else:
-            product_num *= p**-v
+    for p, e in factorint(num).items():  # v_p(x) = e: |x|_p = p**-e
+        product_den *= p**e
+    for p, e in factorint(den).items():  # v_p(x) = -e: |x|_p = p**e
+        product_num *= p**e
     return Fraction(product_num, product_den)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from ._integers import is_prime, multiplicative_order_divides_check, vp_int
+from ._integers import factorint, is_prime, split_unit, vp_int
 
 DEFAULT_PRECISION = 64
 MAX_PRECISION = 4096
@@ -179,17 +179,6 @@ class PadicNumber:
 
     # -- precision management -----------------------------------------
 
-    def reduce_precision(self, precision: int) -> "PadicNumber":
-        """Forget digits down to the given unit precision."""
-        _check_precision(precision)
-        if self.is_zero:
-            return PadicNumber.zero(self.prime, min(self.precision, precision))
-        if precision >= self.precision:
-            return self
-        return PadicNumber.from_unit(
-            self.prime, self._valuation, self._unit_digits % self.prime**precision, precision
-        )
-
     def _cap_abs(self, abs_precision: int) -> "PadicNumber":
         """Forget digits above absolute precision abs_precision."""
         if self.is_zero:
@@ -200,7 +189,7 @@ class PadicNumber:
         if n < 1:
             # Every tracked digit lies above the cap: only x = O(p^abs) remains.
             return PadicNumber.zero(self.prime, abs_precision)
-        return self.reduce_precision(n)
+        return PadicNumber._make(self.prime, self._valuation, self._unit_digits % self.prime**n, n)
 
     def _coerce(self, other: "PadicNumber | Rational") -> "PadicNumber":
         if isinstance(other, PadicNumber):
@@ -212,8 +201,7 @@ class PadicNumber:
                 raise ZeroOperandError("cannot coerce exact 0; use PadicNumber.zero")
             # An exact rational is known to unlimited precision; give it
             # enough digits that it never limits the result.
-            v = vp_int(other.numerator, self.prime) - vp_int(other.denominator, self.prime)
-            return embed(other, self.prime, max(1, self.abs_precision - v))
+            return embed(other, self.prime, max(1, self.abs_precision - vp(other, self.prime)))
         return NotImplemented  # type: ignore[return-value]
 
     # -- arithmetic -----------------------------------------------------
@@ -231,8 +219,6 @@ class PadicNumber:
         if other is NotImplemented:
             return NotImplemented
         p = self.prime
-        if self.is_zero and other.is_zero:
-            return PadicNumber.zero(p, min(self.precision, other.precision))
         if self.is_zero:
             return other._cap_abs(self.precision)
         if other.is_zero:
@@ -247,18 +233,15 @@ class PadicNumber:
         ) % m
         if s == 0:
             return PadicNumber.zero(p, a)
-        w = vp_int(s, p)
-        return PadicNumber._make(p, v + w, s // p**w, width - w)
+        w, unit = split_unit(s, p)
+        return PadicNumber._make(p, v + w, unit, width - w)
 
     __radd__ = __add__
 
     def __sub__(self, other: "PadicNumber | Rational") -> "PadicNumber":
-        if isinstance(other, (int, Fraction)) and other == 0:
-            return self
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.__add__(-other)
+        if isinstance(other, (PadicNumber, int, Fraction)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other: Rational) -> "PadicNumber":
         return (-self).__add__(other)
@@ -268,13 +251,10 @@ class PadicNumber:
         if other is NotImplemented:
             return NotImplemented
         p = self.prime
-        # O(p^A) * (p^v * unit) = O(p^(A+v)); O(p^A) * O(p^B) = O(p^(A+B)).
-        if self.is_zero and other.is_zero:
-            return PadicNumber.zero(p, self.precision + other.precision)
-        if self.is_zero:
-            return PadicNumber.zero(p, self.precision + other._valuation)
-        if other.is_zero:
-            return PadicNumber.zero(p, other.precision + self._valuation)
+        # O(p^A) * x = O(p^(A+v)), where v = v(x), or v = B for x = O(p^B).
+        if self.is_zero or other.is_zero:
+            low = (x.precision if x.is_zero else x._valuation for x in (self, other))
+            return PadicNumber.zero(p, sum(low))
         n = min(self.precision, other.precision)
         digits = self._unit_digits * other._unit_digits % p**n
         return PadicNumber._make(p, self._valuation + other._valuation, digits, n)
@@ -343,16 +323,10 @@ def embed(x: Rational, prime: int, precision: int = DEFAULT_PRECISION) -> "Padic
     x = x if isinstance(x, int) else Fraction(x)  # an int needs no Fraction round trip
     if x == 0:
         raise ZeroOperandError("cannot embed 0; use PadicNumber.zero")
-    vn = vp_int(x.numerator, prime)
-    vd = vp_int(x.denominator, prime)
-    m = prime**precision
-    unit, digits = x.denominator // prime**vd, abs(x.numerator) // prime**vn
+    (vn, digits), (vd, unit) = split_unit(x.numerator, prime), split_unit(x.denominator, prime)
     if unit != 1:  # an int has nothing to invert
         digits *= _inverse_mod_power(unit, prime, precision)
-    digits %= m
-    if x < 0:
-        digits = m - digits
-    return PadicNumber._make(prime, vn - vd, digits, precision)
+    return PadicNumber._make(prime, vn - vd, digits % prime**precision, precision)
 
 
 def teichmuller(a: int, prime: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -413,15 +387,14 @@ def padic_log(u: PadicNumber) -> "PadicNumber":
     power = 1
     for k in range(1, kmax + 1):
         power = power * t % mod
-        e = vp_int(k, p) if k % p == 0 else 0
-        reduced = power // p**e if e else power
-        term = reduced * pow(k // p**e, -1, mod) % mod
+        e, unit = split_unit(k, p)
+        term = power // p**e * pow(unit, -1, mod) % mod
         total = (total - term if k % 2 == 0 else total + term) % mod
     total %= p**target
     if total == 0:
         return PadicNumber.zero(p, target)
-    w = vp_int(total, p)
-    return PadicNumber.from_unit(p, w, total // p**w, target - w)
+    w, unit = split_unit(total, p)
+    return PadicNumber.from_unit(p, w, unit, target - w)
 
 
 def rezk_log_pi0(x: PadicNumber) -> "PadicNumber":
@@ -457,8 +430,8 @@ def is_topological_generator(u: int, ell: int) -> bool:
         raise PadicError("Z_2^x is not procyclic; l must be odd")
     if u % ell == 0:
         raise ZeroOperandError("u must be prime to l")
-    if not multiplicative_order_divides_check(u, ell):
-        return False
+    if any(pow(u, (ell - 1) // q, ell) == 1 for q in factorint(ell - 1)):
+        return False  # u does not generate (Z/l)^x
     return pow(u, ell - 1, ell * ell) != 1
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd, prod
 from operator import itemgetter
 
-from ._integers import _jacobi, primes_up_to
+from ._integers import _jacobi, primes_up_to, split_unit
 from .imj import (
     bernoulli,
     imj_consistency_check,
@@ -54,7 +54,7 @@ from .padic import (
 from .symbols import (
     INFINITY,
     Place,
-    _split_unit,
+    _cleared_local_data,
     hilbert_oracle,
     hilbert_symbol,
     legendre,
@@ -210,7 +210,7 @@ def _sieve_tables(bound: int):
     local = {1: {}, -1: {}}
     for n in range(2, bound + 1):  # n = p^alpha m with p = spf[n], from the data of m < n
         p = spf[n]
-        alpha, m = _split_unit(n, p)
+        alpha, m = split_unit(n, p)
         local[n] = {p: (alpha, m)} | {q: (beta, w * n // m) for q, (beta, w) in local[m].items()}
         local[-n] = {q: (beta, -w) for q, (beta, w) in local[n].items()}
     chi = {p: [_jacobi(r, p) for r in range(p)] for p in primes[1:]}
@@ -219,19 +219,6 @@ def _sieve_tables(bound: int):
         return chi[p][x % p]
 
     return local, legendre_of
-
-
-def _cleared_local_data(local: dict, x: Fraction) -> tuple[int, dict]:
-    """(X, local data of X) for X = num*den, merged from the sieve data of
-    the reduced numerator and denominator: a prime divides only one of
-    them, and its unit takes the other one's whole value."""
-    num, den = x.numerator, x.denominator
-    data = {}
-    for p, (alpha, u) in local[num].items():
-        data[p] = alpha, u * den
-    for p, (alpha, u) in local[den].items():
-        data[p] = alpha, num * u
-    return num * den, data
 
 
 @_sweep("reciprocity", "hilbert-reciprocity")

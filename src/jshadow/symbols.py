@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import prod
 from typing import Union
 
-from ._integers import _jacobi, factorint, is_prime, vp_int
+from ._integers import _jacobi, factorint, is_prime, split_unit, vp_int
 
 Rational = Union[int, Fraction]
 Sign = int  # always +1 or -1
@@ -118,15 +118,6 @@ def _cleared_int(x: Rational, what: str) -> int:
     return x
 
 
-def _split_unit(n: int, p: int) -> tuple[int, int]:
-    """n = p**alpha * u with u prime to p (n != 0); returns (alpha, u)."""
-    alpha = 0
-    while n % p == 0:
-        n //= p
-        alpha += 1
-    return alpha, n
-
-
 def hilbert_symbol(a: Rational, b: Rational, place: Place) -> Sign:
     """The Hilbert symbol (a,b)_v: +1 iff z^2 = a x^2 + b y^2 has a
     nontrivial solution over the completion at v.
@@ -141,7 +132,11 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> Sign:
     B = _cleared_int(b, "b")
     if not place.is_finite:
         return -1 if A < 0 and B < 0 else 1
-    return _hilbert_symbol_int(A, B, place.prime)
+    p = place.prime
+    (alpha, u), (beta, w) = split_unit(A, p), split_unit(B, p)
+    if p == 2:
+        return _symbol_at_two(alpha, u, beta, w)
+    return _symbol_at_odd_prime(alpha, u, beta, w, p, jacobi)
 
 
 def _symbol_at_two(alpha: int, u: int, beta: int, w: int) -> Sign:
@@ -161,14 +156,6 @@ def _symbol_at_odd_prime(alpha: int, u: int, beta: int, w: int, p: int, legendre
     if alpha & 1:
         sign *= legendre_of(w, p)
     return sign
-
-
-def _hilbert_symbol_int(A: int, B: int, p: int) -> Sign:
-    alpha, u = _split_unit(A, p)
-    beta, w = _split_unit(B, p)
-    if p == 2:
-        return _symbol_at_two(alpha, u, beta, w)
-    return _symbol_at_odd_prime(alpha, u, beta, w, p, jacobi)
 
 
 def local_symbols(A: int, local_A: dict, B: int, local_B: dict, legendre_of):
@@ -277,9 +264,9 @@ def hilbert_oracle(a: Rational, b: Rational, place: Place) -> Sign:
     """Decide (a,b)_v by direct solvability of z^2 = a x^2 + b y^2.
 
     At the infinite place this is sign inspection.  At a finite prime the
-    equation is cleared to integer coefficients A, B, each divided by p^2
-    while p^2 divides it (its square class, so solvability, stays), and
-    searched modulo p**M with M = 2*v_p(4AB) + 3 (see module docstring for
+    equation is cleared to integer coefficients A, B, and A = p^alpha u is
+    reduced to u p^(alpha mod 2), likewise B (the square class, so
+    solvability, stays), and searched modulo p**M with M = 2*v_p(4AB) + 3 (see module docstring for
     why a primitive solution at that modulus certifies a Z_p point).
     """
     A = _cleared_int(a, "a")
@@ -287,10 +274,8 @@ def hilbert_oracle(a: Rational, b: Rational, place: Place) -> Sign:
     if not place.is_finite:
         return -1 if A < 0 and B < 0 else 1
     p = place.prime
-    while A % (p * p) == 0:
-        A //= p * p
-    while B % (p * p) == 0:
-        B //= p * p
+    (alpha, u), (beta, w) = split_unit(A, p), split_unit(B, p)
+    A, B = u * p ** (alpha & 1), w * p ** (beta & 1)
     levels = 2 * vp_int(4 * A * B, p) + 3
     return 1 if _search_primitive_solution(A, B, p, levels) else -1
 
@@ -316,7 +301,7 @@ def tame_symbol(a: Rational, b: Rational, p: int) -> int:
 
 def _unit_mod_p(x: Rational, p: int) -> tuple[int, int]:
     """(v_p(x), u mod p) for nonzero x = p^v_p(x) u."""
-    (alpha, num), (delta, den) = _split_unit(x.numerator, p), _split_unit(x.denominator, p)
+    (alpha, num), (delta, den) = split_unit(x.numerator, p), split_unit(x.denominator, p)
     return alpha - delta, num * pow(den, -1, p) % p
 
 
@@ -351,14 +336,17 @@ def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     """Evaluate (a,b)_v on the finite support set and multiply.
 
     a and b are cleared to A = num*den and B = num*den once, and each
-    numerator and denominator (never a product) is factored once; the
-    symbols come from :func:`local_symbols`."""
+    numerator and denominator (never a product) is factored and split
+    once; :func:`_cleared_local_data` merges them, as in the reciprocity
+    sweep, and the symbols come from :func:`local_symbols`."""
     a = Fraction(a)
     b = Fraction(b)
     if a == 0 or b == 0:
         raise SymbolError("inputs must be nonzero")
-    A, local_A = _factored_local_data(a)
-    B, local_B = _factored_local_data(b)
+    parts = (a.numerator, a.denominator, b.numerator, b.denominator)
+    local = {n: {p: split_unit(n, p) for p in factorint(abs(n))} for n in parts}
+    A, local_A = _cleared_local_data(local, a)
+    B, local_B = _cleared_local_data(local, b)
     symbols = tuple(
         (INFINITY if p is None else _place(p), s)
         for p, s in local_symbols(A, local_A, B, local_B, jacobi)
@@ -367,8 +355,14 @@ def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     return ReciprocityResult(a=a, b=b, local_symbols=symbols, product=product)
 
 
-def _factored_local_data(x: Fraction) -> tuple[int, dict]:
-    """(X, local data of X) for X = num*den, by factoring num and den."""
-    X = x.numerator * x.denominator
-    primes = factorint(abs(x.numerator)).keys() | factorint(x.denominator).keys()
-    return X, {p: _split_unit(X, p) for p in primes}
+def _cleared_local_data(local: dict, x: Fraction) -> tuple[int, dict]:
+    """(X, local data of X) for X = num*den, merged from the local data
+    ``local[n]`` of the reduced numerator and denominator: a prime divides
+    only one of them, and its unit takes the other one's whole value."""
+    num, den = x.numerator, x.denominator
+    data = {}
+    for p, (alpha, u) in local[num].items():
+        data[p] = alpha, u * den
+    for p, (alpha, u) in local[den].items():
+        data[p] = alpha, num * u
+    return num * den, data

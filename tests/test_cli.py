@@ -17,6 +17,7 @@ from jshadow.cli import (
     _COMMANDS,
     _emit,
     build_parser,
+    parse_int,
     parse_place,
     parse_prime,
     parse_rational,
@@ -45,6 +46,10 @@ def test_rational_grammar():
 
 
 def test_prime_and_place_parsing():
+    assert parse_int("-12") == -12 and parse_int("+7") == 7
+    for bad in (" 7", "7 ", "1_009", "0x1f", "\u0663", "", "+-1"):
+        with pytest.raises(ValueError):
+            parse_int(bad)
     assert parse_prime("13") == 13
     with pytest.raises(ValueError):
         parse_prime("21")
@@ -410,6 +415,25 @@ def test_flags_take_prefixes_and_separate_values(capsys):
     # an int flag keeps argparse's own message, a prime one too
     assert run(["zolotarev", "--a=3", "--p=abc"]) == 2
     assert "argument --p: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--a=2", "--b=5", "--place=1_009"],
+        ["zolotarev", "--a=3", "--p= 1_009 "],
+        ["sweep", "zolotarev", "--p-max=1_000"],
+        ["sweep", "rezk-log", "--ells=3, 5"],
+        ["sweep", "reciprocity", "--seed=1_729"],
+        ["bernoulli", "--n=1_2"],
+    ],
+)
+def test_integer_flags_take_only_signed_digits(capsys, argv):
+    # int() reads each of these values; the grammar of every integer flag is [+-]digits.
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"invalid int value|takes (an integer|a comma list of integers)", captured.err)
 
 
 # -- exit codes ---------------------------------------------------------------

@@ -1,10 +1,20 @@
 """Tests for primality and factorization, with sympy as an out-of-tree oracle."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jshadow._integers import _is_strong_lucas_probable_prime, factorint, is_prime
+from jshadow._integers import (
+    _is_strong_lucas_probable_prime,
+    factorint,
+    is_prime,
+    primes_up_to,
+    split_unit,
+    vp_int,
+)
 
 # Least strong pseudoprimes to the prime bases 2..37 and 2..41 (Sorenson-Webster 2017).
 PSI_12 = 318665857834031151167461
@@ -57,3 +67,32 @@ def test_is_prime_agrees_with_sympy_at_and_above_psi_13():
     squares = [prime_near(2**41, 2**64) ** 2 for _ in range(10)]
     for n in near + spread + semiprimes + squares:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+# -- the split n = p**alpha * u -------------------------------------------------
+
+SPLIT_PRIMES = primes_up_to(100) + [2**64 + 13]  # and the least prime above 2**64
+
+
+def test_split_unit_examples():
+    assert split_unit(-12, 2) == (2, -3)  # the sign stays in the unit
+    assert split_unit(7, 3) == (0, 7)
+    assert split_unit(-1, 5) == (0, -1)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), p=st.sampled_from(SPLIT_PRIMES))
+def test_split_unit_recomposes_n(data, p):
+    # Any |n| <= 10**30, or m * p**k with |m| <= 10**6 and p**k <= 10**24,
+    # so that high valuations are drawn as well.
+    k_max = int(math.log(10**24, p))
+    n = data.draw(
+        st.integers(-(10**30), 10**30)
+        | st.builds(lambda m, k: m * p**k, st.integers(-(10**6), 10**6), st.integers(0, k_max))
+    )
+    with pytest.raises(ValueError):
+        split_unit(0, p)
+    if n:
+        alpha, u = split_unit(n, p)
+        assert p**alpha * u == n and u % p
+        assert vp_int(n, p) == alpha

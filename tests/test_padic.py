@@ -1,5 +1,6 @@
 """Tests for the p-adic arithmetic substrate."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -437,3 +438,66 @@ def test_arithmetic_results_are_canonical(data, p):
         except PadicError:  # division by a flagged zero, or a result below one digit
             continue
         assert_canonical(result, p)
+
+
+# -- results pinned byte for byte ---------------------------------------------
+
+
+def _pinned_results() -> list[str]:
+    """repr() of every arithmetic result on a seeded operand grid, an
+    exception by its type name, then embeddings, logs and Teichmuller lifts."""
+    rng = random.Random(20240613)
+    lines = []
+
+    def record(label, operation):
+        try:
+            lines.append(f"{label} = {operation()!r}")
+        except (PadicError, TypeError) as exc:
+            lines.append(f"{label} ! {type(exc).__name__}")
+
+    for p in (2, 3, 5, 7, 101):
+        for precision in [*range(1, 41), MAX_PRECISION]:
+            den = rng.randint(1, 99)
+            padics = [
+                embed(Fraction(rng.randint(-999, 999) or 1, den), p, precision),
+                embed(Fraction(-rng.randint(1, 99), p ** rng.randint(1, 3) * den), p, precision),
+                embed(p ** rng.randint(1, 4) * rng.choice([-1, 1]), p, rng.randint(1, precision)),
+                PadicNumber.zero(p, rng.randint(1, precision + 5)),
+            ]
+            scalars = [0, 1, -p, rng.randint(-(10**6), 10**6), Fraction(-(p**2), 3), Fraction(1, p)]
+            scalars.append(1.5)  # unsupported: TypeError
+            for i, x in enumerate(padics):
+                record(f"-x{i}", lambda: -x)
+                record(f"x{i}.inv()", x.inv)
+                for e in range(-2, 4):
+                    record(f"x{i}**{e}", lambda: x**e)
+                for j, y in enumerate(padics + scalars):
+                    record(f"x{i} + {y}", lambda: x + y)
+                    record(f"x{i} - {y}", lambda: x - y)
+                    record(f"x{i} * {y}", lambda: x * y)
+                    record(f"x{i} / {y}", lambda: x / y)
+                    if j >= len(padics):
+                        record(f"{y} + x{i}", lambda: y + x)
+                        record(f"{y} - x{i}", lambda: y - x)
+                        record(f"{y} * x{i}", lambda: y * x)
+                        record(f"{y} / x{i}", lambda: y / x)
+    for p in (3, 5, 7, 101):
+        for precision in (1, 2, 7, 40, 200):
+            record(f"embed(-7/{p}^2)", lambda: embed(Fraction(-7, 2 * p**2), p, precision))
+            record(f"log(1+{p})", lambda: padic_log(embed(1 + p, p, precision)))
+            record(f"log(1-{p}^2)", lambda: padic_log(embed(1 - p**2, p, precision)))
+            inverse = Fraction(1, 1 + 2 * p)
+            record(f"log(1/(1+{p}))", lambda: padic_log(embed(inverse, p, precision)))
+            record(f"teichmuller(2, {p})", lambda: teichmuller(2, p, precision))
+    return lines
+
+
+PINNED_RESULTS_SHA256 = "7148f9627091594f114ef73ea27efaff858e5d88c655cec9395319aa555336e6"
+
+
+def test_arithmetic_results_are_pinned():
+    # The digest was recorded from the code before valuations and unit parts
+    # were read from _integers.split_unit; any change to a value, precision
+    # or raised error type changes it.
+    text = "\n".join(_pinned_results()).encode()
+    assert hashlib.sha256(text).hexdigest() == PINNED_RESULTS_SHA256
