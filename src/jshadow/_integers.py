@@ -1,19 +1,28 @@
 """Shared integer utilities: primality, sieves, exact factorization, and
 the split n = p**alpha * u of an integer at a prime.
 
-Everything here is deterministic.  Miller-Rabin with the first thirteen
-prime bases is a proof of primality below psi_13 = 3317044064679887385961981
-(Sorenson-Webster 2017), so factorizations of numbers below psi_13 are
-certified.  At or above it a strong Lucas test follows the bases (BPSW),
-and a prime factor is a BPSW probable prime: none is known to be composite.
+Everything here is deterministic.  Miller-Rabin with the first k prime
+bases is a proof of primality below psi_k, the least strong pseudoprime to
+all of them (Jaeschke 1993; Jiang-Deng 2014; Sorenson-Webster 2017).  The
+first thirteen prove it below psi_13 = 3317044064679887385961981, so
+factorizations of numbers below psi_13 are certified.  At or above it a
+strong Lucas test follows the bases (BPSW), and a prime factor is a BPSW
+probable prime: none is known to be composite.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
-# Witnesses that prove primality below psi_13; 2..37 alone stop at psi_12 = 318665857834031151167461.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# psi_1 .. psi_12 (OEIS A014233): the first k bases prove primality below psi_k.
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461,
+)
 
 # Least strong pseudoprime to the bases 2..41: from here on the bases alone prove nothing.
 _PSI_13 = 3317044064679887385961981
@@ -39,9 +48,10 @@ _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
-    """Primality by Miller-Rabin with bases 2..41: deterministic for
-    n < psi_13.  At or above psi_13 a strong Lucas test follows, which
-    makes it BPSW: True there means a BPSW probable prime."""
+    """Primality by Miller-Rabin with the first k bases, the fewest that
+    prove it for n < psi_k, and all thirteen (2..41) from psi_12 on:
+    deterministic for n < psi_13.  At or above psi_13 a strong Lucas test
+    follows, which makes it BPSW: True there means a BPSW probable prime."""
     if n < 2:
         return False
     if n <= _SMALL_PRIME_LIMIT:
@@ -51,7 +61,7 @@ def is_prime(n: int) -> bool:
             return False
     s = ((n - 1) & (1 - n)).bit_length() - 1  # 2**s exactly divides n - 1
     d = (n - 1) >> s
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

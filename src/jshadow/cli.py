@@ -15,7 +15,7 @@ help]`` as ``kind`` passed through ``parse`` (``NonzeroRational``,
 ``Prime``), whose ``UsageError`` is an ``error:`` line.  The handler
 returns its rows and verdict (``padic`` its inputs too); the registry
 records the arguments as ``inputs`` and the statement as provenance.  Only
-the parser of the command being run is built.
+the parser of the command being run is built, once per process.
 
 ``sweep <name>`` takes the sweep's keywords as grid flags ``--keyword=value``
 (a comma list where the default is a tuple), listed by ``sweep <name>
@@ -36,7 +36,7 @@ import re
 import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import gcd
 from typing import Annotated, get_args, get_origin
 
@@ -53,7 +53,7 @@ from .symbols import (
     zolotarev_sign,
 )
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
@@ -71,7 +71,7 @@ def parse_int(text: str) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise UsageError(f"malformed rational {text!r}; expected [-]digits[/digits]")
     try:
         return Fraction(text)
@@ -150,7 +150,8 @@ def _emit(report: dict, as_json: bool) -> int:
 # -- the command registry ---------------------------------------------------
 
 # name -> (help, handler, build), in the order `jshadow --help` lists them.  build(subparser,
-# argv) adds the command's arguments and returns the function from them to the report.
+# sweep) adds the command's arguments and returns the function from them to the report; only
+# the sweep command reads the sweep name.
 _COMMANDS: dict[str, tuple[str, Callable, Callable]] = {}
 
 
@@ -164,7 +165,7 @@ def _command(name: str, statement_id: str | None, help: str):
     return register
 
 
-def _single_shot(name: str, statement_id: str | None, handler, sp, argv) -> Callable:
+def _single_shot(name: str, statement_id: str | None, handler, sp, sweep: str | None) -> Callable:
     """Add the handler's flags to ``sp``; return the function from their values to the report."""
     parsers = {}
     for param in inspect.signature(handler).parameters.values():
@@ -369,17 +370,15 @@ def _sweep(args) -> dict:
     return _report("sweep", {"sweep": "all", "seed": args.seed}, rows, verdict, statement_ids)
 
 
-def _sweep_arguments(sp: argparse.ArgumentParser, argv) -> Callable:
+def _sweep_arguments(sp: argparse.ArgumentParser, sweep: str | None) -> Callable:
     """The sweep name and ``--seed``; the grid flags reach ``_run_sweep`` unparsed.
-    When argv names a sweep, the help lists its grid flags with their defaults."""
+    For a registered ``sweep``, the help lists its grid flags with their defaults."""
     sp.add_argument("name", help=f"one of: {', '.join(sorted(SWEEPS))}, all")
     sp.add_argument("--seed", type=parse_int, default=DEFAULT_SEED)
-    after = argv[argv.index("sweep") + 1 :] if "sweep" in argv else []
-    name = next((arg for arg in after if not arg.startswith("-")), None)
-    if name in SWEEPS:
+    if sweep is not None:
         sp.formatter_class = argparse.RawDescriptionHelpFormatter
-        sp.epilog = f"grid flags of {name}, with their defaults:"
-        for key, param in inspect.signature(SWEEPS[name]).parameters.items():
+        sp.epilog = f"grid flags of {sweep}, with their defaults:"
+        for key, param in inspect.signature(SWEEPS[sweep]).parameters.items():
             value = param.default
             if key != "seed":
                 value = ",".join(map(str, value)) if isinstance(value, tuple) else value
@@ -393,7 +392,20 @@ _COMMANDS["sweep"] = (
 
 
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser of the command argv names first (after any ``--json``), else of every one."""
+    """The parser of the command argv names first (after any ``--json``), else of every one.
+    Each is built once per process and shared, so callers must not change it: it is keyed
+    by that command and, where the ``sweep`` subparser is built, by the sweep argv names,
+    whose grid flags its help lists."""
+    chosen = next((arg for arg in argv if arg != "--json"), None)
+    chosen = chosen if chosen in _COMMANDS else None
+    after = argv[argv.index("sweep") + 1 :] if chosen in ("sweep", None) and "sweep" in argv else []
+    sweep = next((arg for arg in after if not arg.startswith("-")), None)
+    return _parser(chosen, sweep if sweep in SWEEPS else None)
+
+
+@cache
+def _parser(chosen: str | None, sweep: str | None) -> argparse.ArgumentParser:
+    """The parser of command ``chosen``, or of every command when None."""
     parser = argparse.ArgumentParser(
         prog="jshadow",
         description=(
@@ -403,11 +415,10 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    chosen = next((arg for arg in argv if arg != "--json"), None)
     for name, (summary, _, build) in _COMMANDS.items():
-        if chosen not in _COMMANDS or chosen == name:
+        if chosen in (None, name):
             sp = sub.add_parser(name, help=summary)
-            sp.set_defaults(handler=build(sp, argv))
+            sp.set_defaults(handler=build(sp, sweep))
     return parser
 
 

@@ -200,8 +200,11 @@ class PadicNumber:
             if other == 0:
                 raise ZeroOperandError("cannot coerce exact 0; use PadicNumber.zero")
             # An exact rational is known to unlimited precision; give it
-            # enough digits that it never limits the result.
-            return embed(other, self.prime, max(1, self.abs_precision - vp(other, self.prime)))
+            # enough digits that it never limits the result.  The cap binds
+            # only when v(other) < v(self), where a sum needs more than
+            # MAX_PRECISION digits anyway and a product keeps self's.
+            digits = self.abs_precision - vp(other, self.prime)
+            return embed(other, self.prime, min(MAX_PRECISION, max(1, digits)))
         return NotImplemented  # type: ignore[return-value]
 
     # -- arithmetic -----------------------------------------------------

@@ -1,11 +1,15 @@
 """Tests for the command-line front end: reports, exit codes, determinism."""
 
 import argparse
+import ast
 import hashlib
+import importlib.util
 import inspect
+import itertools
 import json
 import re
 import shlex
+import sys
 import time
 from decimal import Decimal
 from pathlib import Path
@@ -90,6 +94,71 @@ def test_consecutive_runs_share_no_state(capsys):
     assert "precision = 5" in capsys.readouterr().out
     code, report = run_json(capsys, ["padic", "--p=3", "--op=valuation", "--x=9"])
     assert report["inputs"]["precision"] == DEFAULT_PRECISION
+
+
+# Default grids of 1-3 s each; cheaper argvs below build the same parsers.
+_SLOW_ARGVS = (
+    ["sweep", "all"],
+    ["sweep", "all", "--seed=7"],
+    ["sweep", "reciprocity"],
+    ["sweep", "zolotarev"],
+    ["sweep", "zolotarev", "--p-max=500"],
+)
+
+
+def _argvs_in_tests() -> list[list[str]]:
+    """Every literal argv in tests/, a list of strings that starts with a
+    command, ``-h`` or ``--json``, as written and after ``--json``, and the
+    README examples, but those in _SLOW_ARGVS."""
+    argvs = _readme_examples()
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.List) and node.elts:
+                argv = [getattr(item, "value", None) for item in node.elts]
+                if argv[0] in (*_COMMANDS, "-h", "--json") and all(isinstance(a, str) for a in argv):
+                    argvs += [argv, ["--json", *argv]]
+    return [argv for argv in argvs if [a for a in argv if a != "--json"] not in _SLOW_ARGVS]
+
+
+def _queries_mixed_argvs(monkeypatch, seed: int) -> list[list[str]]:
+    """The argvs of one ``queries-mixed`` benchmark pass, from perfbench's generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # where its dataclasses look
+    spec.loader.exec_module(workloads)
+    return [query["argv"] for query in workloads.generate("queries-mixed", seed)["queries"]]
+
+
+def test_reused_parsers_carry_no_state_between_runs(monkeypatch, capsys):
+    # Each command's parser is built once per process; running every argv
+    # again in reverse order must give the same exit code, stdout and stderr.
+    argvs = _argvs_in_tests() + _queries_mixed_argvs(monkeypatch, seed=1)
+    assert len(argvs) > 1100
+
+    def outputs(order):
+        seen = {}
+        for i in order:
+            code = run(list(argvs[i]))
+            captured = capsys.readouterr()
+            seen[i] = code, captured.out, captured.err
+        return seen
+
+    indices = range(len(argvs))
+    assert outputs(indices) == outputs(reversed(indices))
+
+
+def test_one_parser_per_command_and_named_sweep(capsys):
+    assert build_parser(["hilbert"]) is build_parser(["--json", "hilbert", "--a=2"])
+    assert build_parser(["sweep", "zolotarev"]) is not build_parser(["sweep", "reciprocity"])
+    # The parser of every command, built when argv names none, is one per sweep as well:
+    # `jshadow -x sweep zolotarev --help` reaches its sweep subparser.
+    grid_flags = (("zolotarev", "--p-max=", "--bound="), ("reciprocity", "--bound=", "--p-max="))
+    for _ in range(2):
+        for prefix, (name, own, other) in itertools.product(([], ["-x"]), grid_flags):
+            assert run([*prefix, "sweep", name, "--help"]) == 0
+            out = capsys.readouterr().out
+            assert f"grid flags of {name}," in out and own in out and other not in out
 
 
 def test_reports_are_deterministic(capsys):
@@ -356,13 +425,18 @@ def test_single_shot_reports_are_byte_identical(capsys, argv, text_sha256, json_
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
 
-def test_readme_command_examples_run(capsys):
-    # `sweep all` is left out: the acceptance suite runs it sweep by sweep.
+def _readme_examples() -> list[list[str]]:
+    """The argv of each ``jshadow`` line in the README's sh blocks, but ``sweep all``,
+    which the acceptance suite runs sweep by sweep."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
     lines = [line for block in blocks for line in block.split("\n") if line.startswith("jshadow ")]
     examples = [shlex.split(line, comments=True)[1:] for line in lines]
-    examples = [argv for argv in examples if argv[:2] != ["sweep", "all"]]
+    return [argv for argv in examples if argv[:2] != ["sweep", "all"]]
+
+
+def test_readme_command_examples_run(capsys):
+    examples = _readme_examples()
     assert len(examples) >= len(_COMMANDS)
     for argv in examples:
         assert run(argv) == 0, argv
@@ -434,6 +508,21 @@ def test_integer_flags_take_only_signed_digits(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(r"invalid int value|takes (an integer|a comma list of integers)", captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--a=\u0663", "--b=5", "--place=5"],  # an Arabic-Indic digit three
+        ["hilbert", "--a=3\n", "--b=5", "--place=5"],
+        ["norm-product", "--x=\u0663/\u0667"],
+    ],
+)
+def test_rational_flags_take_only_ascii_digits(capsys, argv):
+    # \d took any Unicode digit and $ a trailing newline, so each of these exited 0.
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed rational" in captured.err
 
 
 # -- exit codes ---------------------------------------------------------------

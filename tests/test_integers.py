@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jshadow._integers import (
+    _PSI,
+    _PSI_13,
     _is_strong_lucas_probable_prime,
     factorint,
     is_prime,
@@ -67,6 +69,38 @@ def test_is_prime_agrees_with_sympy_at_and_above_psi_13():
     squares = [prime_near(2**41, 2**64) ** 2 for _ in range(10)]
     for n in near + spread + semiprimes + squares:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+# -- the fewest Miller-Rabin bases ------------------------------------------------
+
+FIRST_PRIMES = primes_up_to(41)  # the thirteen bases
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes the strong test to base a: a^d = 1 or
+    a^(d 2^r) = -1 mod n for some r < s, where n - 1 = d 2^s with d odd."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+
+
+def test_each_psi_k_fools_its_first_k_bases():
+    # The table is tight: at psi_k the first k bases call a composite prime,
+    # so is_prime must use one more base from psi_k on.
+    sympy = pytest.importorskip("sympy")
+    assert len(_PSI) == 12 and list(_PSI) == sorted(_PSI) and _PSI_13 > _PSI[-1]
+    for k, psi in enumerate((*_PSI, _PSI_13), start=1):
+        assert not sympy.isprime(psi), psi
+        assert all(_strong_probable_prime(psi, a) for a in FIRST_PRIMES[:k]), psi
+        assert not is_prime(psi), psi
+
+
+def test_is_prime_agrees_with_sympy_around_each_psi_k():
+    sympy = pytest.importorskip("sympy")
+    for psi in sorted({*_PSI, _PSI_13}):
+        for n in range(psi - 2000, psi + 2001):
+            assert is_prime(n) == sympy.isprime(n), n
 
 
 # -- the split n = p**alpha * u -------------------------------------------------

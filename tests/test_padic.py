@@ -170,6 +170,25 @@ def test_scalar_coercion():
     assert x + 0 == x
 
 
+@pytest.mark.parametrize("p", [3, 7, 101])
+def test_scalar_operands_at_the_largest_precision(p):
+    # _coerce asked embed for abs_precision - v(r) digits, past MAX_PRECISION
+    # here, so x + 1 and x * 1 raised PrecisionError.
+    exact_x = Fraction(7 * p**2, 11)
+    x = embed(exact_x, p, MAX_PRECISION)
+    for r in (1, -p, 10**6 + 1, Fraction(1, p), Fraction(-(p**2), 13)):
+        results = (
+            (x + r, exact_x + r), (r + x, r + exact_x), (x - r, exact_x - r), (r - x, r - exact_x),
+            (x * r, exact_x * r), (r * x, r * exact_x), (x / r, exact_x / r), (r / x, r / exact_x),
+        )
+        for i, (got, exact) in enumerate(results):
+            assert got == embed(exact, p, got.precision), (p, r, i)
+            if i < 4:  # a sum is known to the lesser absolute precision of its terms
+                assert got.abs_precision == min(x.abs_precision, vp(r, p) + MAX_PRECISION)
+            elif i < 7:  # a product by r, v(r) <= v(x), to the relative precision of x
+                assert got.precision == MAX_PRECISION
+
+
 def test_roundtrip_against_exact_rationals():
     # arithmetic on embedded rationals = exact rational arithmetic mod p^prec
     rng = random.Random(20120531)
@@ -492,12 +511,14 @@ def _pinned_results() -> list[str]:
     return lines
 
 
-PINNED_RESULTS_SHA256 = "7148f9627091594f114ef73ea27efaff858e5d88c655cec9395319aa555336e6"
+PINNED_RESULTS_SHA256 = "d552c972f1dd0f27746bf3dd92a98bbe674ef3310de64dbaae7bd61520f1261d"
 
 
 def test_arithmetic_results_are_pinned():
     # The digest was recorded from the code before valuations and unit parts
-    # were read from _integers.split_unit; any change to a value, precision
-    # or raised error type changes it.
+    # were read from _integers.split_unit, and recorded again when a scalar
+    # operand stopped asking embed for more than MAX_PRECISION digits: then
+    # 90 lines, all "! PrecisionError" at MAX_PRECISION, became values.  Any
+    # change to a value, precision or raised error type changes it.
     text = "\n".join(_pinned_results()).encode()
     assert hashlib.sha256(text).hexdigest() == PINNED_RESULTS_SHA256
