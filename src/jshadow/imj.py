@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from ._integers import factorint, is_prime, prime_power_base, vp_int
@@ -54,6 +55,7 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_cache[n]
 
 
+@lru_cache(maxsize=1024, typed=True)
 def von_staudt_clausen_denominator(n: int) -> int:
     """The denominator of B_n for even n >= 2: the product of primes q
     with (q-1) | n, found among d + 1 for the divisors d of n.  An
@@ -107,8 +109,10 @@ class GroupOrderReport:
         return f"Z/{self.order}"
 
 
+@lru_cache(maxsize=1024, typed=True)
 def imj_order(k: int) -> GroupOrderReport:
-    """The order of the image of J in stable stem 4k-1: den(B_{2k}/4k)."""
+    """The order of the image of J in stable stem 4k-1: den(B_{2k}/4k).
+    Cached per k; the frozen report is shared."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return GroupOrderReport.finite((bernoulli(2 * k) / (4 * k)).denominator)

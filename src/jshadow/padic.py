@@ -106,7 +106,7 @@ class PadicNumber:
     def from_unit(cls, prime: int, valuation: int, unit_digits: int, precision: int) -> "PadicNumber":
         _check_prime(prime)
         _check_precision(precision)
-        unit_digits %= prime**precision
+        unit_digits %= _modulus(prime, precision)
         if unit_digits % prime == 0:
             raise PadicError("unit part must be coprime to the prime")
         return cls._make(prime, valuation, unit_digits, precision)
@@ -189,7 +189,7 @@ class PadicNumber:
         if n < 1:
             # Every tracked digit lies above the cap: only x = O(p^abs) remains.
             return PadicNumber.zero(self.prime, abs_precision)
-        return PadicNumber._make(self.prime, self._valuation, self._unit_digits % self.prime**n, n)
+        return PadicNumber._make(self.prime, self._valuation, self._unit_digits % _modulus(self.prime, n), n)
 
     def _coerce(self, other: "PadicNumber | Rational") -> "PadicNumber":
         if isinstance(other, PadicNumber):
@@ -200,11 +200,12 @@ class PadicNumber:
             if other == 0:
                 raise ZeroOperandError("cannot coerce exact 0; use PadicNumber.zero")
             # An exact rational is known to unlimited precision; give it
-            # enough digits that it never limits the result.  The cap binds
-            # only when v(other) < v(self), where a sum needs more than
-            # MAX_PRECISION digits anyway and a product keeps self's.
-            digits = self.abs_precision - vp(other, self.prime)
-            return embed(other, self.prime, min(MAX_PRECISION, max(1, digits)))
+            # enough digits that it never limits the result: self's own for
+            # a product, and self's absolute precision for a sum.  The cap
+            # binds only when v(other) < v(self), where a sum needs more
+            # than MAX_PRECISION digits anyway.
+            digits = max(self.precision, self.abs_precision - vp(other, self.prime))
+            return embed(other, self.prime, min(MAX_PRECISION, digits))
         return NotImplemented  # type: ignore[return-value]
 
     # -- arithmetic -----------------------------------------------------
@@ -212,7 +213,7 @@ class PadicNumber:
     def __neg__(self) -> "PadicNumber":
         if self.is_zero:
             return self
-        m = self.prime**self.precision
+        m = _modulus(self.prime, self.precision)
         return PadicNumber._make(self.prime, self._valuation, m - self._unit_digits, self.precision)
 
     def __add__(self, other: "PadicNumber | Rational") -> "PadicNumber":
@@ -229,10 +230,10 @@ class PadicNumber:
         a = min(self.abs_precision, other.abs_precision)
         v = min(self._valuation, other._valuation)
         width = a - v  # >= 1 because each unit precision is >= 1
-        m = p**width
+        m = _modulus(p, width)
         s = (
-            self._unit_digits * p ** (self._valuation - v)
-            + other._unit_digits * p ** (other._valuation - v)
+            self._unit_digits * _modulus(p, self._valuation - v)
+            + other._unit_digits * _modulus(p, other._valuation - v)
         ) % m
         if s == 0:
             return PadicNumber.zero(p, a)
@@ -259,7 +260,7 @@ class PadicNumber:
             low = (x.precision if x.is_zero else x._valuation for x in (self, other))
             return PadicNumber.zero(p, sum(low))
         n = min(self.precision, other.precision)
-        digits = self._unit_digits * other._unit_digits % p**n
+        digits = self._unit_digits * other._unit_digits % _modulus(p, n)
         return PadicNumber._make(p, self._valuation + other._valuation, digits, n)
 
     __rmul__ = __mul__
@@ -292,7 +293,7 @@ class PadicNumber:
             return PadicNumber._make(self.prime, 0, 1, self.precision)
         base = self if exponent > 0 else self.inv()
         e = abs(exponent)
-        digits = pow(base._unit_digits, e, base.prime**base.precision)
+        digits = pow(base._unit_digits, e, _modulus(base.prime, base.precision))
         return PadicNumber._make(base.prime, base._valuation * e, digits, base.precision)
 
 
@@ -305,13 +306,20 @@ def _digits(n: int) -> str:
         return str(Decimal(n))
 
 
+@lru_cache(maxsize=512)
+def _modulus(p: int, n: int) -> int:
+    """p**n, computed once per (p, n) while it stays among the 512 most
+    recent: the moduli of a computation repeat a few precisions."""
+    return p**n
+
+
 def _inverse_mod_power(u: int, p: int, n: int) -> int:
     """u^-1 mod p**n for u prime to p.  Newton's iteration x -> x (2 - u x)
     from x = u^-1 mod p doubles the digits known each step, at p = 2 too."""
     x, k = pow(u, -1, p), 1
     while k < n:
         k = min(2 * k, n)
-        m = p**k
+        m = _modulus(p, k)
         x = x * (2 - u % m * x) % m
     return x
 
@@ -329,7 +337,7 @@ def embed(x: Rational, prime: int, precision: int = DEFAULT_PRECISION) -> "Padic
     (vn, digits), (vd, unit) = split_unit(x.numerator, prime), split_unit(x.denominator, prime)
     if unit != 1:  # an int has nothing to invert
         digits *= _inverse_mod_power(unit, prime, precision)
-    return PadicNumber._make(prime, vn - vd, digits % prime**precision, precision)
+    return PadicNumber._make(prime, vn - vd, digits % _modulus(prime, precision), precision)
 
 
 def teichmuller(a: int, prime: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -347,7 +355,7 @@ def teichmuller(a: int, prime: int, precision: int = DEFAULT_PRECISION) -> "Padi
     x, n = a % prime, 1
     while n < precision:
         n = min(2 * n, precision)
-        m = prime**n
+        m = _modulus(prime, n)
         x = x * (prime - pow(x, prime - 1, m)) * pow(prime - 1, -1, m) % m
     return PadicNumber._make(prime, 0, x, precision)
 
@@ -377,7 +385,7 @@ def padic_log(u: PadicNumber) -> "PadicNumber":
         raise PadicError("log requires u = 1 mod p")
     target = u.abs_precision  # = unit precision, since valuation is 0
     t = u.unit_digits - 1
-    if t % p**target == 0:
+    if t % _modulus(p, target) == 0:
         return PadicNumber.zero(p, target)
     m = vp_int(t, p)
     # Last term index: first k with k*m - floor(log_p k) >= target.
@@ -385,15 +393,15 @@ def padic_log(u: PadicNumber) -> "PadicNumber":
     while kmax * m - _ilog(kmax, p) < target:
         kmax += 1
     guard = _ilog(kmax, p) + 1
-    mod = p ** (target + guard)
+    mod = _modulus(p, target + guard)
     total = 0
     power = 1
     for k in range(1, kmax + 1):
         power = power * t % mod
         e, unit = split_unit(k, p)
-        term = power // p**e * pow(unit, -1, mod) % mod
+        term = power // _modulus(p, e) * pow(unit, -1, mod) % mod
         total = (total - term if k % 2 == 0 else total + term) % mod
-    total %= p**target
+    total %= _modulus(p, target)
     if total == 0:
         return PadicNumber.zero(p, target)
     w, unit = split_unit(total, p)

@@ -1,6 +1,7 @@
 """Tests for Bernoulli machinery, group orders, and the consistency checks."""
 
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import isqrt
 
@@ -133,6 +134,20 @@ def test_imj_order_examples():
     assert imj_order(3).order == 504 and odd_part(504) == 63
     with pytest.raises(ValueError):
         imj_order(0)
+
+
+def test_cached_orders_equal_their_uncached_originals():
+    for k in range(1, 151):
+        assert imj_order(k) == imj_order.__wrapped__(k)
+    for n in range(2, 2001, 2):
+        assert von_staudt_clausen_denominator(n) == von_staudt_clausen_denominator.__wrapped__(n)
+    for cached in (imj_order, von_staudt_clausen_denominator):
+        assert cached.cache_info().maxsize is not None
+
+
+def test_a_cached_order_report_is_frozen():
+    with pytest.raises(FrozenInstanceError):
+        imj_order(3).order = 1
 
 
 def test_imj_order_factorization_multiplies_back():

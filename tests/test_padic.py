@@ -20,6 +20,7 @@ from jshadow.padic import (
     geometric_series_witness,
     is_topological_generator,
     padic_log,
+    _modulus,
     padic_norm,
     rezk_log_pi0,
     smallest_topological_generator,
@@ -187,6 +188,22 @@ def test_scalar_operands_at_the_largest_precision(p):
                 assert got.abs_precision == min(x.abs_precision, vp(r, p) + MAX_PRECISION)
             elif i < 7:  # a product by r, v(r) <= v(x), to the relative precision of x
                 assert got.precision == MAX_PRECISION
+
+
+def test_an_exact_scalar_costs_a_product_no_digits():
+    # _coerce gave an exact r only abs_precision - v(r) digits, fewer than
+    # x's own when v(r) > v(x): x * 27 had precision 7, and 1 / x had 4094
+    # where x.inv() has 4096.
+    assert embed(9, 3, 8) * 27 == embed(243, 3, 8)
+    x = embed(9, 3, MAX_PRECISION)
+    assert 1 / x == x.inv() == embed(Fraction(1, 9), 3, MAX_PRECISION)
+
+
+def test_cached_modulus_is_the_power():
+    for p in (2, 3, 101):
+        for n in (0, 1, 64, 4096):
+            assert _modulus(p, n) == _modulus.__wrapped__(p, n) == p**n
+    assert _modulus.cache_info().maxsize is not None
 
 
 def test_roundtrip_against_exact_rationals():
@@ -511,14 +528,17 @@ def _pinned_results() -> list[str]:
     return lines
 
 
-PINNED_RESULTS_SHA256 = "d552c972f1dd0f27746bf3dd92a98bbe674ef3310de64dbaae7bd61520f1261d"
+PINNED_RESULTS_SHA256 = "fadce04d9caac9bb6e229f9eb70d949f42f54ddef63aa47c21584864c8753f3a"
 
 
 def test_arithmetic_results_are_pinned():
     # The digest was recorded from the code before valuations and unit parts
     # were read from _integers.split_unit, and recorded again when a scalar
     # operand stopped asking embed for more than MAX_PRECISION digits: then
-    # 90 lines, all "! PrecisionError" at MAX_PRECISION, became values.  Any
-    # change to a value, precision or raised error type changes it.
+    # 90 lines, all "! PrecisionError" at MAX_PRECISION, became values; and
+    # again when an exact scalar stopped costing a product or quotient digits:
+    # then 5692 lines gained precision, each with the same valuation and
+    # the same digits as far as they were known.  Any change to a value,
+    # precision or raised error type changes it.
     text = "\n".join(_pinned_results()).encode()
     assert hashlib.sha256(text).hexdigest() == PINNED_RESULTS_SHA256
