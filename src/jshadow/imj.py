@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from ._integers import factorint, is_prime, prime_power_base, vp_int
@@ -74,22 +74,25 @@ class GroupOrderReport:
 
     ``order`` is None for the infinite cyclic group; otherwise the
     factorization multiplies back to the order (order 1 has an empty
-    factorization).
+    factorization).  It is computed on first use and kept, so a report
+    whose factors nobody reads never factors its order.
     """
 
     order: int | None
-    factors: tuple[tuple[int, int], ...]
 
     @classmethod
     def finite(cls, order: int) -> "GroupOrderReport":
         if order < 1:
             raise ValueError("order must be >= 1")
-        factors = tuple(factorint(order).items()) if order > 1 else ()
-        return cls(order=order, factors=factors)
+        return cls(order=order)
 
     @classmethod
     def infinite_cyclic(cls) -> "GroupOrderReport":
-        return cls(order=None, factors=())
+        return cls(order=None)
+
+    @cached_property
+    def factors(self) -> tuple[tuple[int, int], ...]:
+        return tuple(factorint(self.order).items()) if self.order not in (None, 1) else ()
 
     @property
     def is_trivial(self) -> bool:
@@ -149,10 +152,6 @@ class K1SphereOrder:
     generator: int
     order: int
     closed_form: int
-
-    @property
-    def factors(self) -> tuple[tuple[int, int], ...]:
-        return tuple(factorint(self.order).items()) if self.order > 1 else ()
 
 
 def k1_sphere_order(ell: int, k: int, generator: int | None = None) -> K1SphereOrder:

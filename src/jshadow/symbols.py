@@ -86,25 +86,30 @@ def legendre(a: int, p: int) -> int:
 
 
 def zolotarev_sign(a: int, p: int) -> Sign:
-    """The sign of the permutation x -> a*x of Z/p, by cycle decomposition."""
+    """The sign of the permutation x -> a*x of Z/p, by cycle decomposition.
+
+    A permutation of n points with c cycles has sign (-1)^(n - c).  The walk
+    visits each of the n = p - 1 nonzero residues once, counting cycles; a
+    cycle closes when it returns to its start, and the next start is the
+    first unvisited residue, found by ``bytearray.find``.
+    """
     _check_odd_prime(p)
     a %= p
     if a == 0:
         raise SymbolError("a must be prime to p")
     visited = bytearray(p)
-    sign = 1
-    for start in range(1, p):  # 0 is a fixed point
-        if visited[start]:
-            continue
-        length = 0
-        j = start
-        while not visited[j]:
+    visited[0] = 1  # 0 is a fixed point
+    cycles = 0
+    start = 1
+    while start > 0:  # find returns -1 once every residue is visited
+        cycles += 1
+        visited[start] = 1
+        j = a * start % p
+        while j != start:
             visited[j] = 1
             j = a * j % p
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+        start = visited.find(0, start)
+    return -1 if (p - 1 - cycles) % 2 else 1
 
 
 def _cleared_int(x: Rational, what: str) -> int:

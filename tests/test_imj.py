@@ -1,5 +1,6 @@
 """Tests for Bernoulli machinery, group orders, and the consistency checks."""
 
+import json
 import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -7,7 +8,9 @@ from math import isqrt
 
 import pytest
 
-from jshadow._integers import primes_up_to, vp_int
+from jshadow import imj
+from jshadow._integers import factorint, primes_up_to, vp_int
+from jshadow.cli import run
 from jshadow.imj import (
     GroupOrderReport,
     _vl_power_minus_one,
@@ -172,6 +175,38 @@ def test_group_order_report_helpers():
     assert report.describe() == "Z/24"
     assert GroupOrderReport.infinite_cyclic().describe() == "Z"
     assert GroupOrderReport.finite(1).describe() == "0"
+
+
+def test_a_report_factors_its_order_on_first_use_and_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorint(n)
+
+    monkeypatch.setattr(imj, "factorint", counting)
+    report = GroupOrderReport.finite(24)
+    assert calls == []
+    assert report.part(2) == 8 and report.part(3) == 3
+    assert report.factors == ((2, 3), (3, 1))
+    assert calls == [24]
+    assert GroupOrderReport.finite(1).factors == GroupOrderReport.infinite_cyclic().factors == ()
+    assert calls == [24]
+
+
+@pytest.mark.parametrize("n, q", [(2001, 3), (9999, 7)])
+def test_kff_reports_never_factor_the_order(monkeypatch, capsys, n, q):
+    # the orders 3^1001 - 1 and 7^5000 - 1 once hung in Pollard-Brent
+    def refuse(m):
+        raise AssertionError(f"factorint({m}) called")
+
+    monkeypatch.setattr(imj, "factorint", refuse)
+    assert run(["--json", "kff", f"--n={n}", f"--q={q}"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "pass"
+    assert report["rows"] == [
+        {"n": n, "q": q, "group": f"Z/{q ** ((n + 1) // 2) - 1}", "order": q ** ((n + 1) // 2) - 1}
+    ]
 
 
 # -- K(1)-local sphere orders ----------------------------------------------

@@ -120,9 +120,11 @@ def test_zolotarev_examples():
 
 
 def test_zolotarev_against_inversion_count():
-    for p in (3, 5, 7, 13, 17):
+    for p in primes_up_to(60)[1:]:  # odd primes
         for a in range(1, p):
-            assert zolotarev_sign(a, p) == brute_permutation_sign(a, p)
+            sign = brute_permutation_sign(a, p)
+            assert zolotarev_sign(a, p) == sign, (a, p)
+            assert zolotarev_sign(a + 3 * p, p) == zolotarev_sign(a - 2 * p, p) == sign, (a, p)
 
 
 def test_zolotarev_equals_legendre_small():
@@ -134,6 +136,14 @@ def test_zolotarev_equals_legendre_small():
 def test_zolotarev_rejects_multiples_of_p():
     with pytest.raises(SymbolError):
         zolotarev_sign(10, 5)
+    with pytest.raises(SymbolError, match="prime to p"):
+        zolotarev_sign(-21, 7)
+
+
+@pytest.mark.parametrize("p", [2, 1, 9, 15, 91])
+def test_zolotarev_rejects_p_not_an_odd_prime(p):
+    with pytest.raises(SymbolError, match="not an odd prime"):
+        zolotarev_sign(1, p)
 
 
 # -- Hilbert symbol -------------------------------------------------------
