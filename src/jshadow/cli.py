@@ -9,21 +9,22 @@ version).  Reports hold no timestamps and are byte-for-byte reproducible.
 A single-shot command is one handler decorated with
 ``@_command(name, statement_id, help)``.  Its parameters are its flags,
 ``--name``, required when without a default.  Each annotation says how its
-flag is read: ``int`` by :func:`parse_int`, ``str`` as text, ``bool``
-as a switch, a tuple of strings as choices, and ``Annotated[kind, parse,
-help]`` as ``kind`` passed through ``parse`` (``NonzeroRational``,
-``Prime``), whose ``UsageError`` is an ``error:`` line.  The handler
-returns its rows and verdict (``padic`` its inputs too); the registry
-records the arguments as ``inputs`` and the statement as provenance.  Only
-the parser of the command being run is built, once per process.
+flag is read: ``int`` by :func:`parse_int`, ``tuple[int, ...]`` as a comma
+list of them, ``str`` as text, ``bool`` as a switch, a tuple of strings as
+choices, and ``Annotated[kind, parse, help]`` as ``kind`` passed through
+``parse`` (``NonzeroRational``, ``Prime``), whose ``UsageError`` is an
+``error:`` line.  The handler returns its rows and verdict (``padic`` its
+inputs too); the registry records the arguments as ``inputs`` and the
+statement as provenance.  Only the parser of the command being run is
+built, once per process.
 
-``sweep <name>`` takes the sweep's keywords as grid flags ``--keyword=value``
-(a comma list where the default is a tuple), listed by ``sweep <name>
---help``; ``--seed`` goes only to seeded sweeps; ``sweep all`` runs every
-default grid.
+``sweep <name>`` reads its flags the same way, from the signature of the
+sweep's function: one subparser per sweep, whose ``--help`` lists each
+keyword with its default.  Every one takes ``--seed``, which goes only to
+seeded sweeps; ``sweep all`` runs every default grid.
 
 Exit codes: 0 for pass or informational output, 1 for a verification
-failure, 2 for a usage error (unknown subcommand or grid flag, malformed
+failure, 2 for a usage error (unknown subcommand, sweep or flag, malformed
 rational, composite number where a prime is required, empty sweep grid,
 an integer too large for the interpreter to index with, named by its flag).
 """
@@ -149,9 +150,8 @@ def _emit(report: dict, as_json: bool) -> int:
 
 # -- the command registry ---------------------------------------------------
 
-# name -> (help, handler, build), in the order `jshadow --help` lists them.  build(subparser,
-# sweep) adds the command's arguments and returns the function from them to the report; only
-# the sweep command reads the sweep name.
+# name -> (help, handler, build), in the order `jshadow --help` lists them.  build(subparser)
+# adds the command's arguments and returns the function from them to the report.
 _COMMANDS: dict[str, tuple[str, Callable, Callable]] = {}
 
 
@@ -165,10 +165,11 @@ def _command(name: str, statement_id: str | None, help: str):
     return register
 
 
-def _single_shot(name: str, statement_id: str | None, handler, sp, sweep: str | None) -> Callable:
-    """Add the handler's flags to ``sp``; return the function from their values to the report."""
+def _flags(sp: argparse.ArgumentParser, signature: inspect.Signature) -> dict[str, Callable]:
+    """Add a flag to ``sp`` per parameter of ``signature``; return, by parameter name, the
+    function from the flag's value to the argument."""
     parsers = {}
-    for param in inspect.signature(handler).parameters.values():
+    for param in signature.parameters.values():
         note = param.annotation
         kind, *meta = get_args(note) if get_origin(note) is Annotated else (note,)
         required = param.default is param.empty
@@ -177,11 +178,23 @@ def _single_shot(name: str, statement_id: str | None, handler, sp, sweep: str | 
             options["action"] = "store_true"
         elif isinstance(kind, tuple):
             options["choices"] = kind
+        elif get_origin(kind) is tuple:  # a comma list; argparse reads a str default as given
+            options["type"] = lambda text: tuple(map(parse_int, text.split(",")))
+            options["default"] = ",".join(map(str, param.default))
         elif int in (kind, *get_args(kind)):
             options["type"] = parse_int
-        options["help"] = next((m for m in meta if isinstance(m, str)), None)
+        notes = [m for m in meta if isinstance(m, str)]
+        if options["default"] is not None and kind is not bool:
+            notes.append("default: %(default)s")
+        options["help"] = "; ".join(notes) or None
         sp.add_argument("--" + param.name.replace("_", "-"), **options)
         parsers[param.name] = next((m for m in meta if callable(m)), lambda value: value)
+    return parsers
+
+
+def _single_shot(name: str, statement_id: str | None, handler, sp) -> Callable:
+    """Add the handler's flags to ``sp``; return the function from their values to the report."""
+    parsers = _flags(sp, inspect.signature(handler))
 
     def report(args) -> dict:
         values = {key: parse(getattr(args, key)) for key, parse in parsers.items()}
@@ -327,37 +340,16 @@ def _norm_product(x: NonzeroRational):
 # -- sweeps -----------------------------------------------------------------
 
 
-def _run_sweep(name: str, seed: int, flags: list[str]) -> SweepResult:
-    """Run the registered sweep ``name`` on the grid its ``--keyword=value``
-    flags set (an int, or a comma list where the default is a tuple), seeded
-    exactly when it takes a seed."""
-    fn = SWEEPS[name]
-    keywords = inspect.signature(fn).parameters
-    grid = {"seed": seed} if "seed" in keywords else {}
-    params = {"--" + k.replace("_", "-"): v for k, v in keywords.items() if k != "seed"}
-    for flag in flags:
-        key, eq, text = flag.partition("=")
-        if key not in params or not eq:
-            raise UsageError(f"unknown flag {flag!r}; sweep {name} takes {'=, '.join(params)}=")
-        is_list = isinstance(params[key].default, tuple)
-        try:
-            grid[params[key].name] = (
-                tuple(map(parse_int, text.split(","))) if is_list else parse_int(text)
-            )
-        except ValueError:
-            kind = "a comma list of integers" if is_list else "an integer"
-            raise UsageError(f"{key} takes {kind}, got {text!r}") from None
-    return fn(**grid)
+def _run_sweep(name: str, args) -> SweepResult:
+    """Run the registered sweep ``name`` on the values ``args`` holds of its keywords."""
+    fn, given = SWEEPS[name], vars(args)
+    return fn(**{key: given[key] for key in inspect.signature(fn).parameters if key in given})
 
 
 def _sweep(args) -> dict:
-    if args.name not in (*SWEEPS, "all"):
-        raise UsageError(f"unknown sweep {args.name!r}; known: {', '.join(sorted(SWEEPS))}, all")
     if args.name != "all":
-        return _sweep_report(_run_sweep(args.name, args.seed, args.grid), "sweep")
-    if args.grid:
-        raise UsageError(f"sweep all takes no grid flags, got {' '.join(args.grid)}")
-    results = [_run_sweep(name, args.seed, []) for name in SWEEPS]
+        return _sweep_report(_run_sweep(args.name, args), "sweep")
+    results = [_run_sweep(name, args) for name in SWEEPS]
     rows = [
         {"sweep": r.name, "checked": r.checked, "failures": r.failures, "verdict": r.verdict}
         for r in results
@@ -370,41 +362,36 @@ def _sweep(args) -> dict:
     return _report("sweep", {"sweep": "all", "seed": args.seed}, rows, verdict, statement_ids)
 
 
-def _sweep_arguments(sp: argparse.ArgumentParser, sweep: str | None) -> Callable:
-    """The sweep name and ``--seed``; the grid flags reach ``_run_sweep`` unparsed.
-    For a registered ``sweep``, the help lists its grid flags with their defaults."""
-    sp.add_argument("name", help=f"one of: {', '.join(sorted(SWEEPS))}, all")
-    sp.add_argument("--seed", type=parse_int, default=DEFAULT_SEED)
-    if sweep is not None:
-        sp.formatter_class = argparse.RawDescriptionHelpFormatter
-        sp.epilog = f"grid flags of {sweep}, with their defaults:"
-        for key, param in inspect.signature(SWEEPS[sweep]).parameters.items():
-            value = param.default
-            if key != "seed":
-                value = ",".join(map(str, value)) if isinstance(value, tuple) else value
-                sp.epilog += f"\n  --{key.replace('_', '-')}={value}"
+def _sweep_arguments(sp: argparse.ArgumentParser) -> Callable:
+    """One subparser per sweep, whose flags are its keywords, and one for ``all``.  Each
+    takes ``--seed``, which reaches only the sweeps with a ``seed`` keyword."""
+    names = sp.add_subparsers(
+        dest="name", required=True, metavar="name", help=f"one of: {', '.join(sorted(SWEEPS))}, all"
+    )
+    for name in (*SWEEPS, "all"):
+        grid = names.add_parser(name)
+        keywords = _flags(grid, inspect.signature(SWEEPS[name])) if name in SWEEPS else {}
+        if "seed" not in keywords:
+            grid.add_argument(
+                "--seed", type=parse_int, default=DEFAULT_SEED, help="default: %(default)s"
+            )
     return _sweep
 
 
 _COMMANDS["sweep"] = (
-    "run a named verification suite; grid flags --keyword=value", _sweep, _sweep_arguments
+    "run a named verification suite; its keywords are its flags", _sweep, _sweep_arguments
 )
 
 
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     """The parser of the command argv names first (after any ``--json``), else of every one.
-    Each is built once per process and shared, so callers must not change it: it is keyed
-    by that command and, where the ``sweep`` subparser is built, by the sweep argv names,
-    whose grid flags its help lists."""
+    Each is built once per process and shared, so callers must not change it."""
     chosen = next((arg for arg in argv if arg != "--json"), None)
-    chosen = chosen if chosen in _COMMANDS else None
-    after = argv[argv.index("sweep") + 1 :] if chosen in ("sweep", None) and "sweep" in argv else []
-    sweep = next((arg for arg in after if not arg.startswith("-")), None)
-    return _parser(chosen, sweep if sweep in SWEEPS else None)
+    return _parser(chosen if chosen in _COMMANDS else None)
 
 
 @cache
-def _parser(chosen: str | None, sweep: str | None) -> argparse.ArgumentParser:
+def _parser(chosen: str | None) -> argparse.ArgumentParser:
     """The parser of command ``chosen``, or of every command when None."""
     parser = argparse.ArgumentParser(
         prog="jshadow",
@@ -418,18 +405,14 @@ def _parser(chosen: str | None, sweep: str | None) -> argparse.ArgumentParser:
     for name, (summary, _, build) in _COMMANDS.items():
         if chosen in (None, name):
             sp = sub.add_parser(name, help=summary)
-            sp.set_defaults(handler=build(sp, sweep))
+            sp.set_defaults(handler=build(sp))
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
     try:
-        args, grid = parser.parse_known_args(argv)
-        args.grid = grid
-        if args.grid and args.subcommand != "sweep":
-            parser.error(f"unrecognized arguments: {' '.join(args.grid)}")
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -443,12 +426,11 @@ def run(argv: list[str] | None = None) -> int:
 
 def _oversized_flags(args) -> str:
     """The flags given an integer too large for the interpreter to index with."""
-    given = [(k, str(v)) for k, v in vars(args).items()]
-    given += [flag[2:].partition("=")[::2] for flag in args.grid]
+    given = {key: v if isinstance(v, tuple) else (v,) for key, v in vars(args).items()}
     return ", ".join(
         "--" + key.replace("_", "-")
-        for key, text in given
-        if any(_INT_RE.fullmatch(v) and abs(int(v)) > sys.maxsize for v in text.split(","))
+        for key, values in given.items()
+        if any(isinstance(v, int) and abs(v) > sys.maxsize for v in values)
     ) or "an argument"
 
 

@@ -73,8 +73,7 @@ def vp(x: Rational, p: int) -> int:
 
 def padic_norm(x: Rational, p: int) -> Fraction:
     """The p-adic norm p**(-vp(x)), exactly, as a rational."""
-    v = vp(x, p)
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
+    return Fraction(p) ** -vp(x, p)
 
 
 class PadicNumber:
@@ -146,21 +145,18 @@ class PadicNumber:
 
     # -- equality is structural (canonical form) ----------------------
 
+    def _key(self) -> tuple:
+        """Every slot: a flagged zero has no valuation or unit digits, so it equals
+        exactly the zeros of its prime and precision."""
+        return self.prime, self._valuation, self._unit_digits, self.precision
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PadicNumber):
             return NotImplemented
-        if self.prime != other.prime:
-            return False
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero and self.precision == other.precision
-        return (
-            self._valuation == other._valuation
-            and self._unit_digits == other._unit_digits
-            and self.precision == other.precision
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.prime, self._valuation, self._unit_digits, self.precision))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -14,8 +14,8 @@ with a default, and states only what it checks: ``result.check(ok,
 result.bucket(**row):`` appends ``row`` with the failures recorded inside
 the block.  The decorator registers it in
 :data:`SWEEPS`, where ``jshadow sweep <name>`` and ``jshadow sweep all``
-find it (each keyword but ``seed`` is a ``--keyword=value`` grid flag of
-``sweep <name>``), records the parameters used in ``params``, and rejects
+find it (each keyword is a flag of ``sweep <name>``, read by its
+annotation), records the parameters used in ``params``, and rejects
 a grid on which nothing was checked.  A sweep with a randomized component has a
 ``seed`` parameter defaulting to :data:`DEFAULT_SEED`; the CLI passes
 ``--seed`` to exactly those sweeps, and reports are byte-for-byte
@@ -175,7 +175,7 @@ def _sweep(name: str, statement_id: str):
     included, tuples as lists) and raises ``ValueError`` on an empty grid."""
 
     def register(body):
-        signature = inspect.signature(body)
+        signature = inspect.signature(body, eval_str=True)  # types, as the CLI reads them
         signature = signature.replace(parameters=list(signature.parameters.values())[1:])
 
         @functools.wraps(body)

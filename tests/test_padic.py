@@ -113,6 +113,15 @@ def test_canonical_equality():
     assert embed(10, 5, 4) != embed(10, 7, 4)
     assert PadicNumber.zero(5, 4) == PadicNumber.zero(5, 4)
     assert PadicNumber.zero(5, 4) != embed(10, 5, 4)
+    # equality is that of the hashed form, which repr spells out; flagged zeros included
+    zeros = [PadicNumber.zero(5, 4), PadicNumber.zero(5, 3), PadicNumber.zero(7, 4)]
+    values = zeros + [embed(x, p, n) for x in (10, 2, 1) for p in (5, 7) for n in (3, 4)]
+    values.append(PadicNumber.zero(5, 4))
+    for x in values:
+        for y in values:
+            assert (x == y) == (repr(x) == repr(y))
+            assert x != y or hash(x) == hash(y)
+    assert len(set(values)) == len(values) - 1
 
 
 # -- arithmetic ---------------------------------------------------------

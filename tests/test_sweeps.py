@@ -207,8 +207,8 @@ def test_cli_seeds_exactly_the_sweeps_with_a_seed_parameter(monkeypatch, capsys)
         assert run(["sweep", name, "--seed=7"]) == 0
     capsys.readouterr()
     seeded = {"reciprocity", "oracle-agreement", "low-degree-j"}
-    expected = [(n, (), {"seed": 7} if n in seeded else {}) for n in DEFAULT_PARAMS]
-    assert calls == expected + expected
+    expected = [(n, 7 if n in seeded else None) for n in DEFAULT_PARAMS]
+    assert [(n, kwargs.get("seed")) for n, _, kwargs in calls] == expected + expected
 
 
 def test_statements_are_exactly_the_cited_ones(monkeypatch, capsys):
