@@ -1,9 +1,9 @@
 """Exact p-adic arithmetic with explicit precision tracking.
 
-A nonzero element is stored as ``p**valuation * unit`` where the unit
-part is an integer in ``[1, p**precision)`` coprime to ``p``, known
-modulo ``p**precision``.  The valuation of a nonzero element is exact;
-the absolute precision is ``valuation + precision``.
+Every element is stored as ``p**valuation * unit`` where the unit part
+is known modulo ``p**precision``; the absolute precision is
+``valuation + precision``.  A nonzero element has an exact valuation and
+a unit part in ``[1, p**precision)`` coprime to ``p``.
 
 Precision propagation follows the usual interval model:
 
@@ -13,9 +13,11 @@ Precision propagation follows the usual interval model:
 * a sum that cancels below the tracked precision yields the flagged
   zero element ``O(p**A)`` rather than a fabricated nonzero value.
 
-The flagged zero carries only a prime and an absolute precision; reading
-its valuation or unit part raises.  Operations that need a genuine unit
-(inversion, logarithms, symbols) reject it.
+The flagged zero ``O(p**A)`` is the degenerate case: valuation ``A``, no
+unit digits and precision 0, so the general formulas of negation, sum,
+product and power give its results.  Reading its valuation or unit part
+raises.  Operations that need a genuine unit (inversion, logarithms,
+symbols) reject it.
 
 The logarithm and Teichmuller machinery is restricted to odd primes:
 ``Z_2^x`` is not procyclic and the 2-adic log needs valuation >= 2, so
@@ -24,6 +26,7 @@ none of the identities verified here apply at 2.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -76,24 +79,25 @@ def padic_norm(x: Rational, p: int) -> Fraction:
     return Fraction(p) ** -vp(x, p)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class PadicNumber:
     """An element of Q_p known to finite precision.
 
-    Instances are immutable (and hashable).  Use :func:`embed`,
-    :func:`teichmuller`, or the classmethods :meth:`from_unit` /
-    :meth:`zero` to construct values.
+    Instances are immutable; equality and hashing come from the four
+    fields, which are canonical.  Use :func:`embed`, :func:`teichmuller`,
+    or the classmethods :meth:`from_unit` / :meth:`zero` to construct values.
     """
 
-    __slots__ = ("prime", "_valuation", "_unit_digits", "precision")
+    prime: int
+    _valuation: int
+    _unit_digits: int
+    precision: int
 
     def __init__(self) -> None:
         raise TypeError("use PadicNumber.from_unit, PadicNumber.zero, or embed()")
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PadicNumber is immutable")
-
     @classmethod
-    def _make(cls, prime: int, valuation: int | None, unit_digits: int | None, precision: int) -> "PadicNumber":
+    def _make(cls, prime: int, valuation: int, unit_digits: int, precision: int) -> "PadicNumber":
         self = object.__new__(cls)
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "_valuation", valuation)
@@ -116,51 +120,34 @@ class PadicNumber:
         _check_prime(prime)
         if abs_precision < 1:
             raise PrecisionError("zero must be known modulo at least one digit")
-        return cls._make(prime, None, None, abs_precision)
+        return cls._make(prime, abs_precision, 0, 0)
 
     # -- inspection ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self._valuation is None
+        return self._unit_digits == 0
 
     @property
     def valuation(self) -> int:
-        if self._valuation is None:
+        if self.is_zero:
             raise ZeroOperandError("the zero element has no valuation")
         return self._valuation
 
     @property
     def unit_digits(self) -> int:
-        if self._unit_digits is None:
+        if self.is_zero:
             raise ZeroOperandError("the zero element has no unit part")
         return self._unit_digits
 
     @property
     def abs_precision(self) -> int:
         """The element is known modulo prime**abs_precision."""
-        if self.is_zero:
-            return self.precision
         return self._valuation + self.precision
-
-    # -- equality is structural (canonical form) ----------------------
-
-    def _key(self) -> tuple:
-        """Every slot: a flagged zero has no valuation or unit digits, so it equals
-        exactly the zeros of its prime and precision."""
-        return self.prime, self._valuation, self._unit_digits, self.precision
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PadicNumber):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         if self.is_zero:
-            return f"PadicNumber.zero({self.prime}, {self.precision})"
+            return f"PadicNumber.zero({self.prime}, {self._valuation})"
         return (
             f"PadicNumber.from_unit({self.prime}, {self._valuation}, "
             f"{_digits(self._unit_digits)}, {self.precision})"
@@ -169,23 +156,11 @@ class PadicNumber:
     def __str__(self) -> str:
         p = self.prime
         if self.is_zero:
-            return f"O({p}^{self.precision})"
+            return f"O({p}^{self._valuation})"
         head = f"{p}^{self._valuation} * " if self._valuation else ""
         return f"{head}{_digits(self._unit_digits)} + O({p}^{self.abs_precision})"
 
-    # -- precision management -----------------------------------------
-
-    def _cap_abs(self, abs_precision: int) -> "PadicNumber":
-        """Forget digits above absolute precision abs_precision."""
-        if self.is_zero:
-            return PadicNumber.zero(self.prime, min(self.precision, abs_precision))
-        if abs_precision >= self.abs_precision:
-            return self
-        n = abs_precision - self._valuation
-        if n < 1:
-            # Every tracked digit lies above the cap: only x = O(p^abs) remains.
-            return PadicNumber.zero(self.prime, abs_precision)
-        return PadicNumber._make(self.prime, self._valuation, self._unit_digits % _modulus(self.prime, n), n)
+    # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other: "PadicNumber | Rational") -> "PadicNumber":
         if isinstance(other, PadicNumber):
@@ -197,20 +172,16 @@ class PadicNumber:
                 raise ZeroOperandError("cannot coerce exact 0; use PadicNumber.zero")
             # An exact rational is known to unlimited precision; give it
             # enough digits that it never limits the result: self's own for
-            # a product, and self's absolute precision for a sum.  The cap
-            # binds only when v(other) < v(self), where a sum needs more
-            # than MAX_PRECISION digits anyway.
-            digits = max(self.precision, self.abs_precision - vp(other, self.prime))
+            # a product, self's absolute precision for a sum, and at least
+            # one.  The cap binds only when v(other) < v(self), where a sum
+            # needs more than MAX_PRECISION digits anyway.
+            digits = max(self.precision, self.abs_precision - vp(other, self.prime), 1)
             return embed(other, self.prime, min(MAX_PRECISION, digits))
         return NotImplemented  # type: ignore[return-value]
 
-    # -- arithmetic -----------------------------------------------------
-
     def __neg__(self) -> "PadicNumber":
-        if self.is_zero:
-            return self
         m = _modulus(self.prime, self.precision)
-        return PadicNumber._make(self.prime, self._valuation, m - self._unit_digits, self.precision)
+        return PadicNumber._make(self.prime, self._valuation, -self._unit_digits % m, self.precision)
 
     def __add__(self, other: "PadicNumber | Rational") -> "PadicNumber":
         if isinstance(other, (int, Fraction)) and other == 0:
@@ -219,17 +190,14 @@ class PadicNumber:
         if other is NotImplemented:
             return NotImplemented
         p = self.prime
-        if self.is_zero:
-            return other._cap_abs(self.precision)
-        if other.is_zero:
-            return self._cap_abs(other.precision)
         a = min(self.abs_precision, other.abs_precision)
         v = min(self._valuation, other._valuation)
-        width = a - v  # >= 1 because each unit precision is >= 1
+        width = a - v  # 0 when a flagged zero's O(p^A) swallows every digit
         m = _modulus(p, width)
+        # A gap of width or more vanishes mod m: capping it builds no p^A for a zero.
         s = (
-            self._unit_digits * _modulus(p, self._valuation - v)
-            + other._unit_digits * _modulus(p, other._valuation - v)
+            self._unit_digits * _modulus(p, min(self._valuation - v, width))
+            + other._unit_digits * _modulus(p, min(other._valuation - v, width))
         ) % m
         if s == 0:
             return PadicNumber.zero(p, a)
@@ -251,13 +219,13 @@ class PadicNumber:
         if other is NotImplemented:
             return NotImplemented
         p = self.prime
-        # O(p^A) * x = O(p^(A+v)), where v = v(x), or v = B for x = O(p^B).
-        if self.is_zero or other.is_zero:
-            low = (x.precision if x.is_zero else x._valuation for x in (self, other))
-            return PadicNumber.zero(p, sum(low))
+        # A zero factor (precision 0) gives O(p^v), v = A + v(x), which needs v >= 1.
         n = min(self.precision, other.precision)
         digits = self._unit_digits * other._unit_digits % _modulus(p, n)
-        return PadicNumber._make(p, self._valuation + other._valuation, digits, n)
+        v = self._valuation + other._valuation
+        if not digits and v < 1:
+            raise PrecisionError("zero must be known modulo at least one digit")
+        return PadicNumber._make(p, v, digits, n)
 
     __rmul__ = __mul__
 
@@ -271,8 +239,6 @@ class PadicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero:
-            raise ZeroOperandError("division by the zero element")
         return self.__mul__(other.inv())
 
     def __rtruediv__(self, other: Rational) -> "PadicNumber":
@@ -281,10 +247,8 @@ class PadicNumber:
     def __pow__(self, exponent: int) -> "PadicNumber":
         if not isinstance(exponent, int):
             return NotImplemented
-        if self.is_zero:
-            if exponent <= 0:
-                raise ZeroOperandError("zero element cannot be raised to a nonpositive power")
-            return PadicNumber.zero(self.prime, exponent * self.precision)
+        if exponent <= 0 and self.is_zero:
+            raise ZeroOperandError("zero element cannot be raised to a nonpositive power")
         if exponent == 0:
             return PadicNumber._make(self.prime, 0, 1, self.precision)
         base = self if exponent > 0 else self.inv()
@@ -417,13 +381,11 @@ def rezk_log_pi0(x: PadicNumber) -> "PadicNumber":
         raise ZeroOperandError("argument must be a unit")
     if x.valuation != 0:
         raise PadicError("argument must be a unit of Z_l")
-    y = x ** (ell - 1)
-    lg = padic_log(y)
-    if lg.is_zero:
-        if lg.precision < 2:
-            raise PrecisionError("not enough digits to divide by the prime")
-        return PadicNumber.zero(ell, lg.precision - 1)
-    return PadicNumber.from_unit(ell, lg.valuation - 1, lg.unit_digits, lg.precision)
+    lg = padic_log(x ** (ell - 1))
+    # A nonzero log has valuation >= 1 and a digit, so only a zero can fall short.
+    if lg.abs_precision < 2:
+        raise PrecisionError("not enough digits to divide by the prime")
+    return PadicNumber._make(ell, lg._valuation - 1, lg._unit_digits, lg.precision)
 
 
 def is_topological_generator(u: int, ell: int) -> bool:

@@ -9,11 +9,15 @@ from unittest import mock
 
 import pytest
 
-from jshadow import symbols
+from jshadow import padic, symbols
+from jshadow.padic import PadicNumber
 from jshadow.sweeps import SWEEPS
 
 _walk = symbols.zolotarev_sign
 _jacobi = symbols._jacobi
+_teichmuller = padic.teichmuller
+_mul = PadicNumber.__mul__
+_pow = PadicNumber.__pow__
 
 
 def _one_cycle_too_many(a: int, p: int) -> int:
@@ -26,13 +30,47 @@ def _minus_one_flipped_at_7_mod_8(a: int, n: int) -> int:
     return -value if n % 8 == 7 and a % n == n - 1 else value
 
 
+def _teichmuller_to_half_its_digits(a: int, prime: int, precision: int = 64) -> PadicNumber:
+    lift = _teichmuller(a, prime, max(1, precision // 2))
+    return PadicNumber._make(prime, 0, lift.unit_digits, precision)
+
+
+def _rezk_log_without_dividing_by_l(x: PadicNumber) -> PadicNumber:
+    return padic.padic_log(x ** (x.prime - 1))
+
+
+def _top_digit_of_a_product_shifted(self: PadicNumber, other) -> PadicNumber:
+    product = _mul(self, other)
+    if product.is_zero:
+        return product
+    p, n = product.prime, product.precision
+    return PadicNumber._make(p, product.valuation, (product.unit_digits + p ** (n - 1)) % p**n, n)
+
+
+def _top_digit_of_a_power_lost(self: PadicNumber, exponent: int) -> PadicNumber:
+    power = _pow(self, exponent)
+    if power.is_zero or power.precision < 2:
+        return power
+    p, n = power.prime, power.precision
+    return PadicNumber._make(p, power.valuation, power.unit_digits % p ** (n - 1), n)
+
+
 # (sweep, grid, patched name, fault, failures it records).  The zolotarev
 # sweep at p_max=50 catches both of its faults: the walk fault fails every
 # check, and the flipped (-1|p) fails a = p - 1 at p = 7, 23, 31 and 47.
+# rezk-log and norm-identity run at their default grids (26 and 480
+# checks).  A half-digit Teichmuller lift is still killed only at a = 1,
+# whose lift is exactly 1; the undivided log leaves 1+l at valuation 1, one
+# failure per l.  A wrong top digit of every product, or of every power,
+# breaks the geometric-sum identity at 436 and 34 grid points.
 ZOLOTAREV_GRID = {"p_max": 50}
 FAULTS = [
     ("zolotarev", ZOLOTAREV_GRID, "jshadow.sweeps.zolotarev_sign", _one_cycle_too_many, 312),
     ("zolotarev", ZOLOTAREV_GRID, "jshadow.symbols._jacobi", _minus_one_flipped_at_7_mod_8, 4),
+    ("rezk-log", {}, "jshadow.sweeps.teichmuller", _teichmuller_to_half_its_digits, 18),
+    ("rezk-log", {}, "jshadow.sweeps.rezk_log_pi0", _rezk_log_without_dividing_by_l, 4),
+    ("norm-identity", {}, "jshadow.padic.PadicNumber.__mul__", _top_digit_of_a_product_shifted, 436),
+    ("norm-identity", {}, "jshadow.padic.PadicNumber.__pow__", _top_digit_of_a_power_lost, 34),
 ]
 
 
@@ -46,7 +84,7 @@ def test_the_sweep_records_the_fault(sweep, grid, target, fault, failures):
     assert result.failures == failures
 
 
-@pytest.mark.parametrize("sweep, grid", [("zolotarev", ZOLOTAREV_GRID)])
+@pytest.mark.parametrize("sweep, grid", [("zolotarev", ZOLOTAREV_GRID), ("rezk-log", {}), ("norm-identity", {})])
 def test_the_unpatched_sweep_passes(sweep, grid):
     result = SWEEPS[sweep](**grid)
     assert result.verdict == "pass" and result.failures == 0

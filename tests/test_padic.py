@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -162,9 +163,36 @@ def test_zero_propagation():
     z = PadicNumber.zero(5, 4)
     x = embed(25, 5, 6)
     assert (z * x).is_zero and (z * x).abs_precision == 6  # 4 + v(x)
-    assert (z + x) == x._cap_abs(4)
+    assert (z + x) == embed(25, 5, 2)  # x known to absolute precision 4
     with pytest.raises(ZeroOperandError):
         x / z
+
+
+def test_zero_is_valuation_a_with_no_digits_and_fields_are_frozen():
+    z = PadicNumber.zero(5, 4)
+    x = embed(7, 5, 6)
+    assert z.precision == 0 and z.abs_precision == 4
+    assert -z == z
+    assert z**3 == PadicNumber.zero(5, 12)
+    for operation in (lambda: z**0, z.inv, lambda: x / z):
+        with pytest.raises(ZeroOperandError):
+            operation()
+    with pytest.raises(PrecisionError):  # O(5) * 5^-2 would be O(5^-1)
+        PadicNumber.zero(5, 1) * embed(Fraction(1, 25), 5, 4)
+    for field in ("prime", "_valuation", "_unit_digits", "precision"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, 1)
+    with pytest.raises(TypeError):
+        PadicNumber()
+
+
+def test_a_far_off_zero_costs_a_sum_no_large_power():
+    # The zero's valuation 10**6 enters the valuation gap of the sum; a term
+    # whose gap reaches the width vanishes, so no p**gap is built for it.
+    exponents = []
+    with mock.patch("jshadow.padic._modulus", side_effect=lambda p, n: exponents.append(n) or p**n):
+        assert PadicNumber.zero(3, 10**6) + embed(1, 3, 4) == embed(1, 3, 4)
+    assert max(exponents) <= 4
 
 
 def test_mixed_prime_rejected():
@@ -174,7 +202,7 @@ def test_mixed_prime_rejected():
 
 def test_scalar_coercion():
     x = embed(10, 3, 8)
-    assert x - 1 == embed(9, 3, 8)._cap_abs(8)
+    assert x - 1 == embed(9, 3, 6)  # 9 = 3^2 * 1, known to absolute precision 8
     assert x * 2 == embed(20, 3, 8)
     assert (2 * x).unit_digits == embed(20, 3, 8).unit_digits
     assert x + 0 == x
@@ -447,7 +475,7 @@ def test_geometric_series_witness_rejects_bad_depth():
 def assert_canonical(x: PadicNumber, p: int) -> None:
     assert isinstance(x, PadicNumber) and x.prime == p
     if x.is_zero:
-        assert x.precision >= 1
+        assert x.abs_precision >= 1 and x.precision == 0
         return
     assert 1 <= x.precision <= MAX_PRECISION
     assert 1 <= x.unit_digits < p**x.precision and x.unit_digits % p
