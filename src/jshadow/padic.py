@@ -199,9 +199,9 @@ class PadicNumber:
             self._unit_digits * _modulus(p, min(self._valuation - v, width))
             + other._unit_digits * _modulus(p, min(other._valuation - v, width))
         ) % m
-        if s == 0:
-            return PadicNumber.zero(p, a)
-        w, unit = split_unit(s, p)
+        if s == 0 and a < 1:
+            raise PrecisionError("zero must be known modulo at least one digit")
+        w, unit = split_unit(s, p) if s else (width, 0)  # a zero is O(p^a)
         return PadicNumber._make(p, v + w, unit, width - w)
 
     __radd__ = __add__
@@ -346,7 +346,7 @@ def padic_log(u: PadicNumber) -> "PadicNumber":
     target = u.abs_precision  # = unit precision, since valuation is 0
     t = u.unit_digits - 1
     if t % _modulus(p, target) == 0:
-        return PadicNumber.zero(p, target)
+        return PadicNumber._make(p, target, 0, 0)
     m = vp_int(t, p)
     # Last term index: first k with k*m - floor(log_p k) >= target.
     kmax = 1
@@ -362,10 +362,8 @@ def padic_log(u: PadicNumber) -> "PadicNumber":
         term = power // _modulus(p, e) * pow(unit, -1, mod) % mod
         total = (total - term if k % 2 == 0 else total + term) % mod
     total %= _modulus(p, target)
-    if total == 0:
-        return PadicNumber.zero(p, target)
-    w, unit = split_unit(total, p)
-    return PadicNumber.from_unit(p, w, unit, target - w)
+    w, unit = split_unit(total, p) if total else (target, 0)  # a zero is O(p^target)
+    return PadicNumber._make(p, w, unit, target - w)
 
 
 def rezk_log_pi0(x: PadicNumber) -> "PadicNumber":

@@ -17,7 +17,12 @@ Conventions:
   coordinate, so some partial derivative of f = z^2 - a x^2 - b y^2 has
   valuation m <= t := v_p(4ab); then v_p(f) >= 2t + 3 > 2m lets Newton's
   iteration lift the solution to Z_p.  Conversely a Z_p-solution scales
-  to a primitive one and reduces mod p^M.
+  to a primitive one and reduces mod p^M.  Scaling by the inverse of the
+  first unit coordinate makes it 1, and that is x or y (x = y = 0 mod p
+  forces p | z), so two charts, linear in p, suffice: z^2 = a + b y^2, and
+  z^2 = b + a x^2 with p | x.  If a = pu and b = pw, every node is
+  degenerate, but p | z and z = pz' gives (wy)^2 = -uw x^2 + pw z'^2,
+  primitive both ways: (-uw, pw) is searched, so M <= 5 (M <= 9 at p = 2).
 """
 
 from __future__ import annotations
@@ -183,6 +188,9 @@ def local_symbols(A: int, local_A: dict, B: int, local_B: dict, legendre_of):
     yield None, -1 if A < 0 and B < 0 else 1
 
 
+ORACLE_PRIME_CAP = 2**17  # the oracle's table of square roots mod p holds p entries
+
+
 @lru_cache(maxsize=64)
 def _sqrt_table(p: int) -> dict[int, tuple[int, ...]]:
     """s -> all z in [0, p) with z^2 = s mod p."""
@@ -193,96 +201,58 @@ def _sqrt_table(p: int) -> dict[int, tuple[int, ...]]:
     return table
 
 
-def _search_primitive_solution(A: int, B: int, p: int, levels: int) -> bool:
-    """Exhaustive search for a primitive solution of z^2 = A x^2 + B y^2
-    modulo p**levels, walking the tree of solutions mod p, p^2, ...
+def _search_primitive_solution(C: int, D: int, p: int, levels: int, ts) -> bool:
+    """Whether z^2 = C + D t^2 has a solution mod p**levels with t mod p in
+    ``ts``, by a depth-first walk with lazy generators over the solutions
+    mod p, p^2, ...  A node (t, z) at level j has the children (dt, dz)
+    with c + g_t dt + g_z dz = 0 mod p, c = (z^2 - C - D t^2) / p^j,
+    g_t = -2Dt, g_z = 2z: dz is solved when g_z is a unit, free when
+    g_z = 0 mod p and the residual is 0, and absent otherwise."""
+    roots = _sqrt_table(p)
 
-    A node at level j is a triple mod p^j satisfying the congruence; its
-    children at level j+1 are found by solving the linearized congruence
-    c + fx*da + fy*db + fz*dc = 0 mod p in the next digits (da, db, dc).
-    Primitivity = the level-1 projection is not (0,0,0).  The walk is
-    depth-first with lazy child generators, so one full-depth solution is
-    found quickly when the conic is solvable, and the tree (which Hensel
-    lifting keeps shallow) is exhausted when it is not.
-    """
-    sqrt_table = _sqrt_table(p)
-    A %= p**levels
-    B %= p**levels
-
-    def children(x: int, y: int, z: int, j: int):
+    def children(t: int, z: int, j: int):
         pj = p**j
-        c = (z * z - A * x * x - B * y * y) // pj % p
-        fx = -2 * A * x % p
-        fy = -2 * B * y % p
-        fz = 2 * z % p
-        if fx == 0 and fy == 0 and fz == 0:
-            if c:
-                return
-            for da in range(p):
-                for db in range(p):
-                    for dc in range(p):
-                        yield x + da * pj, y + db * pj, z + dc * pj
-        elif fz:
-            inv = pow(fz, -1, p)
-            for da in range(p):
-                for db in range(p):
-                    dc = (-c - da * fx - db * fy) * inv % p
-                    yield x + da * pj, y + db * pj, z + dc * pj
-        elif fy:
-            inv = pow(fy, -1, p)
-            for da in range(p):
-                for dc in range(p):
-                    db = (-c - da * fx - dc * fz) * inv % p
-                    yield x + da * pj, y + db * pj, z + dc * pj
-        else:
-            inv = pow(fx, -1, p)
-            for db in range(p):
-                for dc in range(p):
-                    da = (-c - db * fy - dc * fz) * inv % p
-                    yield x + da * pj, y + db * pj, z + dc * pj
+        c, g_t, g_z = (z * z - C - D * t * t) // pj, -2 * D * t % p, 2 * z % p
+        inverse = pow(g_z, -1, p) if g_z else 0
+        for dt in range(p):
+            r = (c + g_t * dt) % p
+            for dz in (-r * inverse % p,) if g_z else range(p) if r == 0 else ():
+                yield t + dt * pj, z + dz * pj
 
-    def deep_lift(x: int, y: int, z: int) -> bool:
-        if levels == 1:
+    stack = [((t, z) for t in ts for z in roots.get((C + D * t * t) % p, ()))]
+    while stack:  # stack[j-1] yields the nodes at level j
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif len(stack) == levels:
             return True
-        stack = [children(x, y, z, 1)]  # stack[j-1] yields nodes at level j+1
-        while stack:
-            node = next(stack[-1], None)
-            if node is None:
-                stack.pop()
-            elif len(stack) + 1 == levels:
-                return True
-            else:
-                stack.append(children(*node, len(stack) + 1))
-        return False
-
-    for x in range(p):
-        ax2 = A * x * x
-        for y in range(p):
-            s = (ax2 + B * y * y) % p
-            for z in sqrt_table.get(s, ()):
-                if (x or y or z) and deep_lift(x, y, z):
-                    return True
+        else:
+            stack.append(children(*node, len(stack)))
     return False
 
 
 def hilbert_oracle(a: Rational, b: Rational, place: Place) -> Sign:
     """Decide (a,b)_v by direct solvability of z^2 = a x^2 + b y^2.
 
-    At the infinite place this is sign inspection.  At a finite prime the
-    equation is cleared to integer coefficients A, B, and A = p^alpha u is
-    reduced to u p^(alpha mod 2), likewise B (the square class, so
-    solvability, stays), and searched modulo p**M with M = 2*v_p(4AB) + 3 (see module docstring for
-    why a primitive solution at that modulus certifies a Z_p point).
+    At the infinite place this is sign inspection.  At a finite prime
+    p <= ORACLE_PRIME_CAP (a larger one raises SymbolError) the equation is
+    cleared to integers A = p^alpha u and B = p^beta w, reduced to their
+    square classes u p^(alpha mod 2) and w p^(beta mod 2), (pu, pw) descends
+    to (-uw, pw), and both charts are searched modulo p**M with
+    M = 2*v_p(4AB) + 3 (see the module docstring for why that suffices).
     """
     A = _cleared_int(a, "a")
     B = _cleared_int(b, "b")
     if not place.is_finite:
         return -1 if A < 0 and B < 0 else 1
     p = place.prime
+    if p > ORACLE_PRIME_CAP:
+        raise SymbolError(f"the oracle searches primes up to {ORACLE_PRIME_CAP}, got {p}")
     (alpha, u), (beta, w) = split_unit(A, p), split_unit(B, p)
-    A, B = u * p ** (alpha & 1), w * p ** (beta & 1)
+    A, B = (-u * w, p * w) if alpha & beta & 1 else (u * p ** (alpha & 1), w * p ** (beta & 1))
     levels = 2 * vp_int(4 * A * B, p) + 3
-    return 1 if _search_primitive_solution(A, B, p, levels) else -1
+    found = _search_primitive_solution(A, B, p, levels, range(p))
+    return 1 if found or _search_primitive_solution(B, A, p, levels, (0,)) else -1
 
 
 def tame_symbol(a: Rational, b: Rational, p: int) -> int:

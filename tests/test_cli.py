@@ -180,6 +180,22 @@ def test_hilbert_oracle_on_a_high_power_of_the_place(capsys):
     assert row["oracle"] == row["symbol"] == -1
 
 
+def test_hilbert_oracle_at_a_large_prime(capsys):
+    # killed by a 10 s timeout while the oracle searched the whole box mod p
+    code, report = run_json(capsys, ["hilbert", "--a=100003", "--b=2", "--place=100003", "--oracle"])
+    assert code == 0 and report["verdict"] == "pass"
+    row = report["rows"][0]
+    assert row["oracle"] == row["symbol"] == -1
+
+
+def test_hilbert_oracle_past_its_prime_cap_exits_2(capsys):
+    argv = ["hilbert", "--a=2", "--b=3", "--place=131101"]
+    assert run(argv + ["--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "131101" in captured.err
+    assert run(argv) == 0
+
+
 def test_hilbert_informational_verdict(capsys):
     code, report = run_json(capsys, ["hilbert", "--a=2", "--b=5", "--place=5"])
     assert code == 0

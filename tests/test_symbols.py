@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jshadow import symbols
 from jshadow._integers import primes_up_to
 from jshadow.cli import UsageError, parse_place
 from jshadow.padic import vp
@@ -201,6 +203,28 @@ def test_oracle_on_high_powers_of_the_place():
             for a in (2 * p**e, 3 * p**e, -(p**e), Fraction(5, p**e)):
                 for b in (5, p, -7 * p**3):
                     assert hilbert_oracle(a, b, v) == hilbert_symbol(a, b, v), (a, b, p)
+
+
+def test_oracle_decides_every_square_class_at_a_large_prime():
+    # The two-chart walk is linear in p; the box search it replaced took
+    # hours on a symbol of -1 at this p.  (2p, p) takes the descent step.
+    p = 100003
+    v = Place.finite(p)
+    n = next(k for k in range(2, p) if euler_criterion(k, p) == -1)
+    classes = (1, n, p, n * p)
+    for a in classes:
+        for b in classes:
+            assert hilbert_oracle(a, b, v) == hilbert_symbol(a, b, v), (a, b)
+    assert hilbert_oracle(2 * p, p, v) == hilbert_symbol(2 * p, p, v)
+
+
+def test_oracle_refuses_primes_past_its_cap():
+    p = 131101  # the least prime above 2**17
+    assert p > symbols.ORACLE_PRIME_CAP
+    with mock.patch("jshadow.symbols._sqrt_table", side_effect=AssertionError("table built")):
+        with pytest.raises(SymbolError, match=f"{symbols.ORACLE_PRIME_CAP}, got {p}"):
+            hilbert_oracle(2, 3, Place.finite(p))
+    assert hilbert_symbol(2, 3, Place.finite(p)) == 1
 
 
 def test_hilbert_bilinear_and_symmetric():
