@@ -16,7 +16,10 @@ choices, and ``Annotated[kind, parse, help]`` as ``kind`` passed through
 ``error:`` line.  The handler returns its rows and verdict (``padic`` its
 inputs too); the registry records the arguments as ``inputs`` and the
 statement as provenance.  Only the parser of the command being run is
-built, once per process.
+built, once per process.  An argv of the exact form ``[--json] <command>
+--flag=value ... --switch`` is read straight from that parser's flags
+(:func:`_exact_args`); argparse parses every other argv and ``sweep``, so
+help, usage and error messages are its own.
 
 ``sweep <name>`` reads its flags the same way, from the signature of the
 sweep's function: one subparser per sweep, whose ``--help`` lists each
@@ -409,10 +412,46 @@ def _parser(chosen: str | None) -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _flag_table(name: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.Action], dict]:
+    """Single-shot command ``name``'s subparser, the flags ``_flags`` gave it by option string,
+    and the values its parse starts from: each flag's default and the handler."""
+    sp = _parser(name)._actions[-1].choices[name]  # its subparsers action is added last
+    flags = {option: a for a in sp._actions if a.dest != "help" for option in a.option_strings}
+    start = {a.dest: a.default for a in flags.values()}
+    return sp, flags, start | {"handler": sp.get_default("handler")}
+
+
+def _exact_args(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``parse_args`` makes of an argv of the exact form; None for a prefix, a
+    separate value, a flag given twice, a switch given a value, a value its flag refuses, a
+    required flag missing, or any other argv."""
+    as_json = argv[:1] == ["--json"]
+    name, *given = (argv[1:] if as_json else argv) or [None]
+    if name == "sweep" or name not in _COMMANDS:
+        return None
+    sp, flags, start = _flag_table(name)
+    values = {}
+    for arg in given:
+        option, eq, text = arg.partition("=")
+        flag = flags.get(option)
+        # each flag at most once, a switch bare, a value after "=" (argparse reads "--" as none)
+        if flag is None or flag.dest in values or (flag.nargs == 0) == bool(eq) or text == "--":
+            return None
+        try:  # the flag's own type and choices, as argparse applies them
+            values[flag.dest] = flag.const if flag.nargs == 0 else sp._get_value(flag, text)
+            sp._check_value(flag, values[flag.dest])
+        except argparse.ArgumentError:
+            return None
+    complete = all(a.dest in values for a in flags.values() if a.required)
+    return argparse.Namespace(json=as_json, subcommand=name, **start | values) if complete else None
+
+
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _exact_args(argv) or parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -55,6 +55,7 @@ from .symbols import (
     INFINITY,
     Place,
     _cleared_local_data,
+    _oracle_prime,
     hilbert_oracle,
     hilbert_symbol,
     legendre,
@@ -265,7 +266,8 @@ def sweep_oracle_agreement(
     _at_least(2, prime_max=prime_max)  # the infinite place alone is no grid
     _at_least(1, coeff_bound=coeff_bound)
     _at_least(0, rational_samples=rational_samples)
-    places = [Place.finite(p) for p in primes_up_to(prime_max)] + [INFINITY]
+    # a prime past the oracle's cap refuses the grid before its first check
+    places = [Place.finite(_oracle_prime(p)) for p in primes_up_to(prime_max)] + [INFINITY]
     nonzero = [n for n in range(-coeff_bound, coeff_bound + 1) if n]
     for place in places:
         with result.bucket("mismatches", place=str(place), pairs=len(nonzero) ** 2):

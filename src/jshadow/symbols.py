@@ -191,6 +191,13 @@ def local_symbols(A: int, local_A: dict, B: int, local_B: dict, legendre_of):
 ORACLE_PRIME_CAP = 2**17  # the oracle's table of square roots mod p holds p entries
 
 
+def _oracle_prime(p: int) -> int:
+    """p, if the oracle searches at it; else SymbolError, before any table is built."""
+    if p > ORACLE_PRIME_CAP:
+        raise SymbolError(f"the oracle searches primes up to {ORACLE_PRIME_CAP}, got {p}")
+    return p
+
+
 @lru_cache(maxsize=64)
 def _sqrt_table(p: int) -> dict[int, tuple[int, ...]]:
     """s -> all z in [0, p) with z^2 = s mod p."""
@@ -245,9 +252,7 @@ def hilbert_oracle(a: Rational, b: Rational, place: Place) -> Sign:
     B = _cleared_int(b, "b")
     if not place.is_finite:
         return -1 if A < 0 and B < 0 else 1
-    p = place.prime
-    if p > ORACLE_PRIME_CAP:
-        raise SymbolError(f"the oracle searches primes up to {ORACLE_PRIME_CAP}, got {p}")
+    p = _oracle_prime(place.prime)
     (alpha, u), (beta, w) = split_unit(A, p), split_unit(B, p)
     A, B = (-u * w, p * w) if alpha & beta & 1 else (u * p ** (alpha & 1), w * p ** (beta & 1))
     levels = 2 * vp_int(4 * A * B, p) + 3

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from jshadow import imj
+from jshadow import imj, sweeps, symbols
 from jshadow.cli import (
     _COMMANDS,
     _emit,
+    _exact_args,
     build_parser,
     parse_int,
     parse_place,
@@ -194,6 +195,24 @@ def test_hilbert_oracle_past_its_prime_cap_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and "131101" in captured.err
     assert run(argv) == 0
+
+
+def test_oracle_agreement_refuses_a_grid_past_the_oracle_cap_before_its_first_check(monkeypatch, capsys):
+    # the grid used to run every prime below the cap first: 2 min 40 s before this error
+    def search(a, b, place):
+        raise AssertionError(f"the oracle searched at {place} before the grid was refused")
+
+    monkeypatch.setattr(sweeps, "hilbert_oracle", search)
+    grid = ["--coeff-bound=1", "--rational-samples=0"]
+    assert run(["sweep", "oracle-agreement", "--prime-max=200000", *grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the oracle searches primes up to 131072, got 131101\n"
+    # no prime lies between the cap and 131101, so a grid to 131100 runs (the closed form
+    # stands in for the search here): 4 pairs at each of its 12,251 primes and at infinity
+    monkeypatch.setattr(sweeps, "hilbert_oracle", symbols.hilbert_symbol)
+    code, report = run_json(capsys, ["sweep", "oracle-agreement", "--prime-max=131100", *grid])
+    assert code == 0 and report["rows"][-1]["checked"] == 4 * (12251 + 1)
 
 
 def test_hilbert_informational_verdict(capsys):
@@ -586,6 +605,66 @@ def test_flags_take_prefixes_and_separate_values(capsys):
     # an int flag keeps argparse's own message, a prime one too
     assert run(["zolotarev", "--a=3", "--p=abc"]) == 2
     assert "argument --p: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+# run() reads an argv of the exact form from the command's flag table and
+# hands every other argv to argparse.  These two are of the exact form ...
+_EXACT_EDGE_ARGVS = [
+    ["padic", "--p=3", "--op=inv", "--x="],  # an empty value
+    ["hilbert", "--a=1=2", "--b=5", "--place=5"],  # a value holding "="
+]
+# ... and these are not.
+_FALLBACK_ARGVS = [
+    ["hilbert", "--a=2", "--b=5", "--pl=5"],  # a prefix
+    ["hilbert", "--a", "2", "--b=5", "--place=5"],  # a separate value
+    ["hilbert", "--a=2", "--a=3", "--b=5", "--place=5"],  # a repeated flag
+    ["hilbert", "--a=2", "--b=5", "--place=5", "--oracle=1"],  # a switch given a value
+    ["-h"],
+    ["hilbert", "-h"],
+    ["hilbert", "--json", "--a=2", "--b=5", "--place=5"],  # --json after the command
+    ["--json", "--json", "hilbert", "--a=2", "--b=5", "--place=5"],
+    ["hilbert", "--a=2", "--b=5", "--place=5", "--bound=3"],  # an unknown flag
+    ["padic", "--p=3", "--op=frobnicate", "--x=2"],  # a bad choice
+    ["zolotarev", "--a=3", "--p=abc"],  # a bad int
+    ["zolotarev", "--a=3"],  # a missing required flag
+    ["sweep", "zolotarev", "--p-max=11"],
+]
+
+
+def test_exact_args_agree_with_argparse(monkeypatch, capsys):
+    queries = [argv for seed in (1, 2) for argv in _queries_mixed_argvs(monkeypatch, seed)]
+    corpus = _argvs_in_tests() + [list(argv) for argv in _SLOW_ARGVS] + _EXACT_EDGE_ARGVS
+    # argparse reads the value "--" as no value at all, so it is left to argparse; run()
+    # still fails on it, so it is not one literal list, which other tests would run
+    corpus += _FALLBACK_ARGVS + [["hilbert", "--b=5", "--place=5"] + ["--a=--"]]
+    for argv in corpus + queries + [argv[1:] for argv in queries]:
+        args = _exact_args(argv)
+        assert args is None or vars(args) == vars(build_parser(argv).parse_args(argv)), argv
+    # every query of the benchmark argparse accepts is of the exact form
+    for argv in queries:
+        if _exact_args(argv) is None:
+            with pytest.raises(SystemExit):
+                build_parser(argv).parse_args(argv)
+    capsys.readouterr()
+
+
+def test_only_argvs_of_other_forms_reach_argparse(monkeypatch, capsys):
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def counting(parser, *args, **kwargs):
+        calls.append(args)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting)
+    examples = [argv for argv in _readme_examples() if argv[0] != "sweep"]
+    assert {argv[0] for argv in examples} == set(_COMMANDS) - {"sweep"}
+    for argv in examples + _EXACT_EDGE_ARGVS:
+        assert run(argv) in (0, 2) and calls == [], argv
+    for argv in _FALLBACK_ARGVS:
+        assert run(argv) in (0, 2) and len(calls) == 1, argv
+        calls.clear()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

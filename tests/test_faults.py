@@ -78,13 +78,21 @@ def _top_digit_of_a_power_lost(self: PadicNumber, exponent: int) -> PadicNumber:
 # breaks the geometric-sum identity at 436 and 34 grid points.  The
 # oracle-agreement rows patch the closed forms where hilbert_symbol looks
 # them up, at a grid of 2,900 checks (365 and 629 failures at the default).
+# The reciprocity rows patch the same closed forms, which local_symbols
+# calls, at a grid of 1,800 checks.  Its Legendre symbols come from chi
+# tables that the sweep fills through jshadow.sweeps._jacobi, so the flipped
+# (-1|p) is patched there: patched at jshadow.symbols._jacobi it records 0.
 ZOLOTAREV_GRID = {"p_max": 50}
 ORACLE_GRID = {"prime_max": 13, "coeff_bound": 10, "rational_samples": 100}
+RECIPROCITY_GRID = {"bound": 20, "rational_samples": 200}
 FAULTS = [
     ("zolotarev", ZOLOTAREV_GRID, "jshadow.sweeps.zolotarev_sign", _one_cycle_too_many, 312),
     ("zolotarev", ZOLOTAREV_GRID, "jshadow.symbols._jacobi", _minus_one_flipped_at_7_mod_8, 4),
     ("oracle-agreement", ORACLE_GRID, "jshadow.symbols._symbol_at_odd_prime", _odd_symbol_without_its_sign, 22),
     ("oracle-agreement", ORACLE_GRID, "jshadow.symbols._symbol_at_two", _symbol_at_two_without_beta_omega_u, 68),
+    ("reciprocity", RECIPROCITY_GRID, "jshadow.symbols._symbol_at_odd_prime", _odd_symbol_without_its_sign, 122),
+    ("reciprocity", RECIPROCITY_GRID, "jshadow.symbols._symbol_at_two", _symbol_at_two_without_beta_omega_u, 269),
+    ("reciprocity", RECIPROCITY_GRID, "jshadow.sweeps._jacobi", _minus_one_flipped_at_7_mod_8, 62),
     ("rezk-log", {}, "jshadow.sweeps.teichmuller", _teichmuller_to_half_its_digits, 18),
     ("rezk-log", {}, "jshadow.sweeps.rezk_log_pi0", _rezk_log_without_dividing_by_l, 4),
     ("norm-identity", {}, "jshadow.padic.PadicNumber.__mul__", _top_digit_of_a_product_shifted, 436),
@@ -104,7 +112,13 @@ def test_the_sweep_records_the_fault(sweep, grid, target, fault, failures):
 
 @pytest.mark.parametrize(
     "sweep, grid",
-    [("zolotarev", ZOLOTAREV_GRID), ("rezk-log", {}), ("norm-identity", {}), ("oracle-agreement", ORACLE_GRID)],
+    [
+        ("zolotarev", ZOLOTAREV_GRID),
+        ("rezk-log", {}),
+        ("norm-identity", {}),
+        ("oracle-agreement", ORACLE_GRID),
+        ("reciprocity", RECIPROCITY_GRID),
+    ],
 )
 def test_the_unpatched_sweep_passes(sweep, grid):
     result = SWEEPS[sweep](**grid)
