@@ -6,6 +6,7 @@ the completion at v, else -1.  Multiplying over all places always gives
 """
 
 from jshadow import (
+    INFINITY,
     Place,
     hilbert_oracle,
     hilbert_reciprocity_check,
@@ -14,13 +15,13 @@ from jshadow import (
 )
 
 # The symbol has a closed form at each place...
-print("(2, 5)_5  =", hilbert_symbol(2, 5, Place.finite(5)))    # -1: 2 is not a square mod 5
-print("(-1,-1)_R =", hilbert_symbol(-1, -1, Place.infinity()))  # -1: sums of squares are positive
+print("(2, 5)_5  =", hilbert_symbol(2, 5, Place(5)))      # -1: 2 is not a square mod 5
+print("(-1,-1)_R =", hilbert_symbol(-1, -1, INFINITY))  # -1: sums of squares are positive
 
 # ...and an oracle that ignores the closed form entirely: it searches for
 # solutions of the conic modulo a power of p high enough that Hensel's
 # lemma promotes them to honest p-adic points.
-print("oracle agrees:", hilbert_oracle(2, 5, Place.finite(5)) == -1)
+print("oracle agrees:", hilbert_oracle(2, 5, Place(5)) == -1)
 
 # The reciprocity report lists every place that can possibly contribute;
 # all omitted places have unit coefficients and symbol +1.

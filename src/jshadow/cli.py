@@ -29,7 +29,8 @@ seeded sweeps; ``sweep all`` runs every default grid.
 Exit codes: 0 for pass or informational output, 1 for a verification
 failure, 2 for a usage error (unknown subcommand, sweep or flag, malformed
 rational, composite number where a prime is required, empty sweep grid,
-an integer too large for the interpreter to index with, named by its flag).
+an integer too large for the interpreter to index with or the value ``--``,
+each named by its flag).
 """
 
 import argparse
@@ -53,8 +54,8 @@ from .jmaps import adelic_norm_product
 from .padic import DEFAULT_PRECISION, embed, padic_log, padic_norm, rezk_log_pi0, teichmuller, vp
 from .sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, SweepResult
 from .symbols import (
-    Place, hilbert_oracle, hilbert_reciprocity_check, hilbert_symbol, legendre, tame_symbol,
-    zolotarev_sign,
+    INFINITY, Place, hilbert_oracle, hilbert_reciprocity_check, hilbert_symbol, legendre,
+    tame_symbol, zolotarev_sign,
 )
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -99,8 +100,8 @@ def parse_prime(text: str | int) -> int:
 
 def parse_place(text: str) -> Place:
     if text in ("inf", "oo", "infinity"):
-        return Place.infinity()
-    return Place.finite(parse_prime(text))
+        return INFINITY
+    return Place(parse_prime(text))
 
 
 def _parse_odd_prime(p: int) -> int:
@@ -249,7 +250,7 @@ def _tame(a: NonzeroRational, b: NonzeroRational, p: Prime):
     if p == 2:
         return [row], "n/a"
     row["legendre_of_value"] = legendre(value, p)
-    compatible = row["legendre_of_value"] == hilbert_symbol(a, b, Place.finite(p))
+    compatible = row["legendre_of_value"] == hilbert_symbol(a, b, Place(p))
     return [row], "pass" if compatible else "fail"
 
 
@@ -455,22 +456,28 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if [] in vars(args).values():  # --flag=--: argparse strips the "--" and stores []
+            empty = _flags_given(args, lambda value: value == [])
+            raise UsageError(f"{empty}: expected one argument")
         report = args.handler(args)
     except (ValueError, OverflowError) as exc:
-        flags = f"{_oversized_flags(args)}: " if isinstance(exc, OverflowError) else ""
-        print(f"error: {flags}{exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OverflowError):
+            message = f"{_flags_given(args, _oversized) or 'an argument'}: {message}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
     return _emit(report, args.json)
 
 
-def _oversized_flags(args) -> str:
-    """The flags given an integer too large for the interpreter to index with."""
-    given = {key: v if isinstance(v, tuple) else (v,) for key, v in vars(args).items()}
-    return ", ".join(
-        "--" + key.replace("_", "-")
-        for key, values in given.items()
-        if any(isinstance(v, int) and abs(v) > sys.maxsize for v in values)
-    ) or "an argument"
+def _oversized(value) -> bool:
+    """Whether the value holds an integer too large for the interpreter to index with."""
+    values = value if isinstance(value, tuple) else (value,)
+    return any(isinstance(v, int) and abs(v) > sys.maxsize for v in values)
+
+
+def _flags_given(args, test: Callable) -> str:
+    """The flags, comma-separated, whose values in ``args`` pass ``test``."""
+    return ", ".join("--" + key.replace("_", "-") for key, v in vars(args).items() if test(v))
 
 
 def main() -> None:

@@ -8,8 +8,7 @@ statements tying them together:
 * the l-part of den(B_{2k}/4k) equals l**v_l(u^{2k} - 1);
 * v_l(p^k - 1) >= v_l(u^k - 1) for every prime p != l, so the K-theory
   of residue fields has enough room to surject onto the local sphere;
-* (u^d)^m - 1 = (u^m - 1)(1 + u^m + ... + (u^m)^(d-1)) in Z_l;
-* 1 - l^(k-1) is an l-adic unit for k >= 2.
+* (u^d)^m - 1 = (u^m - 1)(1 + u^m + ... + (u^m)^(d-1)) in Z_l.
 
 All arithmetic is exact rational or certified-precision p-adic; no
 floating point.  The denominator den(B_{2k}/4k) is the classically
@@ -72,23 +71,17 @@ def von_staudt_clausen_denominator(n: int) -> int:
 class GroupOrderReport:
     """An abelian group order: exact natural number plus factorization.
 
-    ``order`` is None for the infinite cyclic group; otherwise the
-    factorization multiplies back to the order (order 1 has an empty
-    factorization).  It is computed on first use and kept, so a report
+    ``order`` is None for the infinite cyclic group, else at least 1 (a
+    smaller one raises ValueError); the factorization multiplies back to
+    the order (order 1 has an empty factorization).  It is computed on first use and kept, so a report
     whose factors nobody reads never factors its order.
     """
 
     order: int | None
 
-    @classmethod
-    def finite(cls, order: int) -> "GroupOrderReport":
-        if order < 1:
+    def __post_init__(self) -> None:
+        if self.order is not None and self.order < 1:
             raise ValueError("order must be >= 1")
-        return cls(order=order)
-
-    @classmethod
-    def infinite_cyclic(cls) -> "GroupOrderReport":
-        return cls(order=None)
 
     @cached_property
     def factors(self) -> tuple[tuple[int, int], ...]:
@@ -118,7 +111,7 @@ def imj_order(k: int) -> GroupOrderReport:
     Cached per k; the frozen report is shared."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return GroupOrderReport.finite((bernoulli(2 * k) / (4 * k)).denominator)
+    return GroupOrderReport((bernoulli(2 * k) / (4 * k)).denominator)
 
 
 def _vl_power_minus_one(u: int, k: int, ell: int) -> int:
@@ -181,11 +174,11 @@ def k_finite_field(n: int, q: int) -> GroupOrderReport:
     if prime_power_base(q) is None:
         raise ValueError(f"{q} is not a prime power")
     if n == 0:
-        return GroupOrderReport.infinite_cyclic()
+        return GroupOrderReport(None)
     if n % 2 == 0:
-        return GroupOrderReport.finite(1)
+        return GroupOrderReport(1)
     i = (n + 1) // 2
-    return GroupOrderReport.finite(q**i - 1)
+    return GroupOrderReport(q**i - 1)
 
 
 def imj_consistency_check(ell: int, k: int) -> bool:

@@ -28,12 +28,13 @@ import contextlib
 import functools
 import inspect
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 from operator import itemgetter
 
-from ._integers import _jacobi, primes_up_to, split_unit
+from ._integers import _jacobi, prime_power_base, primes_up_to, split_unit
 from .imj import (
     bernoulli,
     imj_consistency_check,
@@ -267,7 +268,7 @@ def sweep_oracle_agreement(
     _at_least(1, coeff_bound=coeff_bound)
     _at_least(0, rational_samples=rational_samples)
     # a prime past the oracle's cap refuses the grid before its first check
-    places = [Place.finite(_oracle_prime(p)) for p in primes_up_to(prime_max)] + [INFINITY]
+    places = [Place(_oracle_prime(p)) for p in primes_up_to(prime_max)] + [INFINITY]
     nonzero = [n for n in range(-coeff_bound, coeff_bound + 1) if n]
     for place in places:
         with result.bucket("mismatches", place=str(place), pairs=len(nonzero) ** 2):
@@ -378,22 +379,14 @@ def sweep_norm_identity(
                     result.check(ok, ell=ell, d=d, m=m)
 
 
-def _prime_powers_up_to(q_max: int) -> list[int]:
-    out = []
-    for p in primes_up_to(q_max):
-        q = p
-        while q <= q_max:
-            out.append(q)
-            q *= p
-    return sorted(out)
-
-
 @_sweep("quillen", "k-groups-finite-field")
 def sweep_quillen(result: SweepResult, q_max: int = 49, i_max: int = 10) -> None:
     """|K_{2i-1}(F_q)| = q^i - 1 and K_{2i}(F_q) = 0 for prime powers
     q <= q_max and 1 <= i <= i_max, with every order prime to q."""
     _at_least(1, i_max=i_max)  # the K_0 spot checks alone are no grid
-    for q in _prime_powers_up_to(q_max):
+    if q_max > sys.maxsize:  # range() would run on; refused as a sieve's bytearray is
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
+    for q in filter(prime_power_base, range(2, q_max + 1)):
         with result.bucket(q=q, i_max=i_max):
             result.check(k_finite_field(0, q).order is None, q=q, degree=0)
             for i in range(1, i_max + 1):
@@ -409,7 +402,7 @@ def sweep_pi2_nontriviality(result: SweepResult, p_max: int = 100) -> None:
     """For every prime p <= p_max, exhibit a pair (a, b) with (a,b)_p = -1."""
     pool = [-1, 2, 3, 5, 6, 7, 10, 11, 13, 17]
     for p in primes_up_to(p_max):
-        place = Place.finite(p)
+        place = Place(p)
         pairs = ((a, b) for b in [p] + pool for a in pool)
         witness = next(((a, b) for a, b in pairs if hilbert_symbol(a, b, place) == -1), None)
         result.check(witness is not None, p=p)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 from typing import Union
 
@@ -53,14 +52,6 @@ class Place:
         if self.prime is not None and not is_prime(self.prime):
             raise SymbolError(f"{self.prime} is not prime")
 
-    @classmethod
-    def finite(cls, p: int) -> "Place":
-        return cls(p)
-
-    @classmethod
-    def infinity(cls) -> "Place":
-        return cls(None)
-
     @property
     def is_finite(self) -> bool:
         return self.prime is not None
@@ -69,7 +60,7 @@ class Place:
         return "inf" if self.prime is None else str(self.prime)
 
 
-INFINITY = Place.infinity()
+INFINITY = Place(None)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -198,13 +189,22 @@ def _oracle_prime(p: int) -> int:
     return p
 
 
-@lru_cache(maxsize=64)
+_SQRT_TABLE_ENTRIES = 2**19  # roots kept over all tables: four tables at ORACLE_PRIME_CAP
+_sqrt_tables: dict[int, dict[int, tuple[int, ...]]] = {}  # p -> its table, oldest first
+
+
 def _sqrt_table(p: int) -> dict[int, tuple[int, ...]]:
-    """s -> all z in [0, p) with z^2 = s mod p."""
-    table: dict[int, tuple[int, ...]] = {}
-    for z in range(p):
-        s = z * z % p
-        table[s] = table.get(s, ()) + (z,)
+    """s -> all z in [0, p) with z^2 = s mod p.  The tables kept hold at most
+    _SQRT_TABLE_ENTRIES roots in all (a table mod p holds p); the oldest go first."""
+    table = _sqrt_tables.get(p)
+    if table is None:
+        table = {}
+        for z in range(p):
+            s = z * z % p
+            table[s] = table.get(s, ()) + (z,)
+        while _sqrt_tables and sum(_sqrt_tables) + p > _SQRT_TABLE_ENTRIES:
+            del _sqrt_tables[next(iter(_sqrt_tables))]
+        _sqrt_tables[p] = table
     return table
 
 
@@ -306,12 +306,6 @@ class ReciprocityResult:
         return self.product == 1
 
 
-@lru_cache(maxsize=1024)
-def _place(p: int) -> Place:
-    """The place of a prime, built (and primality-checked) once per prime."""
-    return Place.finite(p)
-
-
 def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     """Evaluate (a,b)_v on the finite support set and multiply.
 
@@ -328,7 +322,7 @@ def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     A, local_A = _cleared_local_data(local, a)
     B, local_B = _cleared_local_data(local, b)
     symbols = tuple(
-        (INFINITY if p is None else _place(p), s)
+        (INFINITY if p is None else Place(p), s)
         for p, s in local_symbols(A, local_A, B, local_B, jacobi)
     )
     product = prod(s for _, s in symbols)

@@ -12,6 +12,7 @@ import sys
 import time
 from decimal import Decimal
 from pathlib import Path
+from typing import Annotated, get_args, get_origin
 
 import pytest
 
@@ -628,15 +629,14 @@ _FALLBACK_ARGVS = [
     ["zolotarev", "--a=3", "--p=abc"],  # a bad int
     ["zolotarev", "--a=3"],  # a missing required flag
     ["sweep", "zolotarev", "--p-max=11"],
+    ["hilbert", "--a=--", "--b=5", "--place=5"],  # "--", which argparse reads as no value
 ]
 
 
 def test_exact_args_agree_with_argparse(monkeypatch, capsys):
     queries = [argv for seed in (1, 2) for argv in _queries_mixed_argvs(monkeypatch, seed)]
     corpus = _argvs_in_tests() + [list(argv) for argv in _SLOW_ARGVS] + _EXACT_EDGE_ARGVS
-    # argparse reads the value "--" as no value at all, so it is left to argparse; run()
-    # still fails on it, so it is not one literal list, which other tests would run
-    corpus += _FALLBACK_ARGVS + [["hilbert", "--b=5", "--place=5"] + ["--a=--"]]
+    corpus += _FALLBACK_ARGVS
     for argv in corpus + queries + [argv[1:] for argv in queries]:
         args = _exact_args(argv)
         assert args is None or vars(args) == vars(build_parser(argv).parse_args(argv)), argv
@@ -646,6 +646,38 @@ def test_exact_args_agree_with_argparse(monkeypatch, capsys):
             with pytest.raises(SystemExit):
                 build_parser(argv).parse_args(argv)
     capsys.readouterr()
+
+
+def _dash_dash_argvs() -> list[tuple[list[str], str]]:
+    """(argv, flag): for every flag but a switch of every command and sweep subparser, an
+    argv giving it the value "--" and each other required flag a value its parser takes."""
+    commands = {(name,): handler for name, (_, handler, _) in _COMMANDS.items() if name != "sweep"}
+    commands |= {("sweep", name): fn for name, fn in SWEEPS.items()}
+    cases = [(["sweep", "all", "--seed=--"], "--seed")]
+    for command, fn in commands.items():
+        params = inspect.signature(fn).parameters.values()
+        notes = {p.name: p.annotation for p in params}
+        kinds = {k: get_args(n)[0] if get_origin(n) is Annotated else n for k, n in notes.items()}
+        required = {
+            p.name: kinds[p.name][0] if isinstance(kinds[p.name], tuple) else "3"
+            for p in params
+            if p.default is p.empty
+        }
+        names = [key for key, kind in kinds.items() if kind is not bool]
+        for name in dict.fromkeys(names + ["seed"] * (command[0] == "sweep")):
+            given = [f"--{k.replace('_', '-')}={v}" for k, v in required.items() if k != name]
+            flag = "--" + name.replace("_", "-")
+            cases.append(([*command, *given, f"{flag}=--"], flag))
+    return cases
+
+
+def test_the_value_dash_dash_is_a_usage_error_for_every_flag(capsys):
+    # argparse stores [] for it, which used to reach the handler: a TypeError traceback
+    cases = _dash_dash_argvs()
+    assert len(cases) > 60
+    for argv, flag in cases:
+        assert run(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {flag}: expected one argument\n"), argv
 
 
 def test_only_argvs_of_other_forms_reach_argparse(monkeypatch, capsys):

@@ -5,11 +5,13 @@ With the fault in place the sweep must record failures; without it the
 same sweep, at the same grid, must pass.
 """
 
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 
-from jshadow import padic, symbols
+from jshadow import imj, jmaps, padic, symbols
+from jshadow._integers import factorint
 from jshadow.padic import PadicNumber
 from jshadow.sweeps import SWEEPS
 
@@ -20,6 +22,9 @@ _at_two = symbols._symbol_at_two
 _teichmuller = padic.teichmuller
 _mul = PadicNumber.__mul__
 _pow = PadicNumber.__pow__
+_valuation = imj._vl_power_minus_one
+_k_finite_field = imj.k_finite_field
+_j_tame_pi1 = jmaps.j_tame_pi1
 
 
 def _one_cycle_too_many(a: int, p: int) -> int:
@@ -68,6 +73,35 @@ def _top_digit_of_a_power_lost(self: PadicNumber, exponent: int) -> PadicNumber:
     return PadicNumber._make(p, power.valuation, power.unit_digits % p ** (n - 1), n)
 
 
+def _valuation_plus_one(u: int, k: int, ell: int) -> int:
+    return _valuation(u, k, ell) + 1
+
+
+def _valuation_plus_one_at_3(u: int, k: int, ell: int) -> int:
+    return _valuation(u, k, ell) + (ell == 3)
+
+
+def _largest_prime_dropped(n: int) -> dict[int, int]:
+    # of a number with two or more primes
+    factors = factorint(n)
+    if len(factors) > 1:
+        del factors[max(factors)]
+    return factors
+
+
+def _k4j_given_the_order_of_k4j_minus_1(n: int, q: int) -> imj.GroupOrderReport:
+    return _k_finite_field(n - 1 if n > 0 and n % 4 == 0 else n, q)
+
+
+def _tame_off_by_p_when_p_squared_divides(x, p: int) -> Fraction:
+    value = _j_tame_pi1(x, p)
+    return value * p if Fraction(x).numerator % (p * p) == 0 else value
+
+
+def _exponent_of_3_set_to_1(n: int) -> dict[int, int]:
+    return {p: 1 if p == 3 else e for p, e in factorint(n).items()}
+
+
 # (sweep, grid, patched name, fault, failures it records).  The zolotarev
 # sweep at p_max=50 catches both of its faults: the walk fault fails every
 # check, and the flipped (-1|p) fails a = p - 1 at p = 7, 23, 31 and 47.
@@ -82,6 +116,11 @@ def _top_digit_of_a_power_lost(self: PadicNumber, exponent: int) -> PadicNumber:
 # calls, at a grid of 1,800 checks.  Its Legendre symbols come from chi
 # tables that the sweep fills through jshadow.sweeps._jacobi, so the flipped
 # (-1|p) is patched there: patched at jshadow.symbols._jacobi it records 0.
+# imj-consistency, quillen and low-degree-j run at their default grids (720,
+# 483 and 11,602 checks; low-degree-j takes about 0.15 s a run).  Giving K_4j
+# the order of K_4j-1 fails the triviality check at even i, 5 per prime
+# power.  The tame fault fails the tame-pi1 bucket, and the exponent of 3
+# the norm-product bucket, whose factorint is jmaps' own.
 ZOLOTAREV_GRID = {"p_max": 50}
 ORACLE_GRID = {"prime_max": 13, "coeff_bound": 10, "rational_samples": 100}
 RECIPROCITY_GRID = {"bound": 20, "rational_samples": 200}
@@ -97,6 +136,12 @@ FAULTS = [
     ("rezk-log", {}, "jshadow.sweeps.rezk_log_pi0", _rezk_log_without_dividing_by_l, 4),
     ("norm-identity", {}, "jshadow.padic.PadicNumber.__mul__", _top_digit_of_a_product_shifted, 436),
     ("norm-identity", {}, "jshadow.padic.PadicNumber.__pow__", _top_digit_of_a_power_lost, 34),
+    ("imj-consistency", {}, "jshadow.imj._vl_power_minus_one", _valuation_plus_one, 720),
+    ("imj-consistency", {}, "jshadow.imj._vl_power_minus_one", _valuation_plus_one_at_3, 30),
+    ("quillen", {}, "jshadow.imj.factorint", _largest_prime_dropped, 217),
+    ("quillen", {}, "jshadow.sweeps.k_finite_field", _k4j_given_the_order_of_k4j_minus_1, 115),
+    ("low-degree-j", {}, "jshadow.sweeps.j_tame_pi1", _tame_off_by_p_when_p_squared_divides, 318),
+    ("low-degree-j", {}, "jshadow.jmaps.factorint", _exponent_of_3_set_to_1, 37),
 ]
 
 
@@ -118,6 +163,9 @@ def test_the_sweep_records_the_fault(sweep, grid, target, fault, failures):
         ("norm-identity", {}),
         ("oracle-agreement", ORACLE_GRID),
         ("reciprocity", RECIPROCITY_GRID),
+        ("imj-consistency", {}),
+        ("quillen", {}),
+        ("low-degree-j", {}),
     ],
 )
 def test_the_unpatched_sweep_passes(sweep, grid):

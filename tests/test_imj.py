@@ -170,11 +170,17 @@ def test_imj_order_odd_part_agrees_with_b2k_over_k():
 
 
 def test_group_order_report_helpers():
-    report = GroupOrderReport.finite(24)
+    report = GroupOrderReport(24)
     assert report.part(2) == 8 and report.part(3) == 3 and report.part(5) == 1
     assert report.describe() == "Z/24"
-    assert GroupOrderReport.infinite_cyclic().describe() == "Z"
-    assert GroupOrderReport.finite(1).describe() == "0"
+    assert GroupOrderReport(None).describe() == "Z"
+    assert GroupOrderReport(1).describe() == "0"
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_a_group_order_below_one_is_refused(order):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        GroupOrderReport(order)
 
 
 def test_a_report_factors_its_order_on_first_use_and_once(monkeypatch):
@@ -185,12 +191,12 @@ def test_a_report_factors_its_order_on_first_use_and_once(monkeypatch):
         return factorint(n)
 
     monkeypatch.setattr(imj, "factorint", counting)
-    report = GroupOrderReport.finite(24)
+    report = GroupOrderReport(24)
     assert calls == []
     assert report.part(2) == 8 and report.part(3) == 3
     assert report.factors == ((2, 3), (3, 1))
     assert calls == [24]
-    assert GroupOrderReport.finite(1).factors == GroupOrderReport.infinite_cyclic().factors == ()
+    assert GroupOrderReport(1).factors == GroupOrderReport(None).factors == ()
     assert calls == [24]
 
 

@@ -60,7 +60,7 @@ def test_j_wild_pi1_examples():
 def test_pi2_value_is_the_hilbert_symbol():
     assert hilbert_symbol(1, 17, INFINITY) == 1
     assert hilbert_symbol(-1, -1, INFINITY) == -1
-    assert hilbert_symbol(2, 5, Place.finite(5)) == -1
+    assert hilbert_symbol(2, 5, Place(5)) == -1
 
 
 def test_multiplicativity_sweeps():
@@ -111,7 +111,7 @@ def test_product_formula_second_supplement():
         if p == 2 or p % 8 not in (1, 7):
             continue
         result = hilbert_reciprocity_check(2, p)
-        assert Place.finite(p) not in {v for v, s in result.local_symbols if s == -1}
+        assert Place(p) not in {v for v, s in result.local_symbols if s == -1}
 
 
 def test_product_formula_reproduces_quadratic_reciprocity():

@@ -112,7 +112,7 @@ def test_sieve_tables_agree_with_the_single_query():
     # The sweep's local data and chi tables against factorint and the Jacobi
     # ladder (hilbert_reciprocity_check), and each symbol against hilbert_symbol.
     local, legendre_of = sweeps._sieve_tables(60)
-    places = {p: Place.finite(p) for p in primes_up_to(60)} | {None: INFINITY}
+    places = {p: Place(p) for p in primes_up_to(60)} | {None: INFINITY}
     nonzero = [n for n in range(-60, 61) if n]
     rng = random.Random(60)
     rationals = [

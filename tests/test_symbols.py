@@ -26,7 +26,7 @@ from jshadow.symbols import (
 )
 
 ODD_PRIMES_100 = [p for p in primes_up_to(100) if p != 2]
-PLACES_20 = [Place.finite(p) for p in primes_up_to(20)] + [INFINITY]
+PLACES_20 = [Place(p) for p in primes_up_to(20)] + [INFINITY]
 
 
 # -- independent oracles -------------------------------------------------
@@ -47,7 +47,7 @@ def squares_mod(p: int) -> set[int]:
 
 def test_place_parse_and_order():
     assert parse_place("inf") == INFINITY
-    assert parse_place("7") == Place.finite(7)
+    assert parse_place("7") == Place(7)
     with pytest.raises(UsageError):
         parse_place("6")
     with pytest.raises(UsageError):
@@ -156,7 +156,7 @@ def test_hilbert_examples():
         for b in (2, -3, Fraction(5, 7)):
             assert hilbert_symbol(1, b, v) == 1
     assert hilbert_symbol(-1, -1, INFINITY) == -1
-    assert hilbert_symbol(2, 5, Place.finite(5)) == -1
+    assert hilbert_symbol(2, 5, Place(5)) == -1
 
 
 def test_hilbert_rejects_zero():
@@ -167,8 +167,8 @@ def test_hilbert_rejects_zero():
 
 
 def test_oracle_examples():
-    assert hilbert_oracle(1, 1, Place.finite(3)) == 1
-    assert hilbert_oracle(3, 5, Place.finite(3)) == -1
+    assert hilbert_oracle(1, 1, Place(3)) == 1
+    assert hilbert_oracle(3, 5, Place(3)) == -1
     assert legendre(5, 3) == -1  # the closed-form reason
 
 
@@ -190,7 +190,7 @@ def test_oracle_agreement_small_grid():
 
 
 def test_oracle_modulus_exponent_bound():
-    v = Place.finite(3)
+    v = Place(3)
     assert hilbert_oracle(3, 3, v) == hilbert_symbol(3, 3, v)
 
 
@@ -198,7 +198,7 @@ def test_oracle_on_high_powers_of_the_place():
     # The oracle divides out p**2, which keeps each square class, so it still
     # agrees with the closed form while its search modulus stops growing with v_p.
     for p in (3, 17):
-        v = Place.finite(p)
+        v = Place(p)
         for e in range(9):
             for a in (2 * p**e, 3 * p**e, -(p**e), Fraction(5, p**e)):
                 for b in (5, p, -7 * p**3):
@@ -209,7 +209,7 @@ def test_oracle_decides_every_square_class_at_a_large_prime():
     # The two-chart walk is linear in p; the box search it replaced took
     # hours on a symbol of -1 at this p.  (2p, p) takes the descent step.
     p = 100003
-    v = Place.finite(p)
+    v = Place(p)
     n = next(k for k in range(2, p) if euler_criterion(k, p) == -1)
     classes = (1, n, p, n * p)
     for a in classes:
@@ -223,8 +223,26 @@ def test_oracle_refuses_primes_past_its_cap():
     assert p > symbols.ORACLE_PRIME_CAP
     with mock.patch("jshadow.symbols._sqrt_table", side_effect=AssertionError("table built")):
         with pytest.raises(SymbolError, match=f"{symbols.ORACLE_PRIME_CAP}, got {p}"):
-            hilbert_oracle(2, 3, Place.finite(p))
-    assert hilbert_symbol(2, 3, Place.finite(p)) == 1
+            hilbert_oracle(2, 3, Place(p))
+    assert hilbert_symbol(2, 3, Place(p)) == 1
+
+
+def test_square_root_tables_are_kept_up_to_a_total_of_roots(monkeypatch):
+    # a table mod p holds p roots; a count of tables alone let 64 tables near
+    # the oracle's cap hold about 0.75 GiB
+    monkeypatch.setattr(symbols, "_SQRT_TABLE_ENTRIES", 100)
+    monkeypatch.setattr(symbols, "_sqrt_tables", {})
+    for p in (31, 37, 41, 5):  # 41 pushes out 31, the oldest
+        symbols._sqrt_table(p)
+        assert sum(symbols._sqrt_tables) <= 100
+    assert list(symbols._sqrt_tables) == [37, 41, 5]
+    assert symbols._sqrt_table(37) is symbols._sqrt_tables[37]
+    assert symbols._sqrt_table(7) == {0: (0,), 1: (1, 6), 2: (3, 4), 4: (2, 5)}
+    # a bound that evicts on almost every place leaves the answers as they were
+    for v in (Place(p) for p in primes_up_to(60)):
+        for a, b in ((2, 3), (-1, 5), (6, 7), (3 * 59, 59)):
+            assert hilbert_oracle(a, b, v) == hilbert_symbol(a, b, v), (a, b, v)
+        assert sum(symbols._sqrt_tables) <= 100
 
 
 def test_hilbert_bilinear_and_symmetric():
@@ -308,7 +326,7 @@ def test_tame_hilbert_compatibility():
         p = rng.choice(ODD_PRIMES_100[:12])
         a = Fraction(rng.choice(pool), rng.randint(1, 40))
         b = Fraction(rng.choice(pool), rng.randint(1, 40))
-        assert legendre(tame_symbol(a, b, p), p) == hilbert_symbol(a, b, Place.finite(p))
+        assert legendre(tame_symbol(a, b, p), p) == hilbert_symbol(a, b, Place(p))
 
 
 # -- reciprocity ----------------------------------------------------------
@@ -378,7 +396,7 @@ def test_reciprocity_places_and_symbols_differential():
         odd = set().union(
             *map(_odd_primes_by_trial_division, (a.numerator, a.denominator, b.numerator, b.denominator))
         )
-        assert places == [Place.finite(p) for p in [2, *sorted(odd)]] + [INFINITY]
+        assert places == [Place(p) for p in [2, *sorted(odd)]] + [INFINITY]
         for v, s in result.local_symbols:
             if v.is_finite and v.prime <= 50:
                 # The same square classes with v_p cut to 0 or 1, which keeps
@@ -391,7 +409,7 @@ def test_reciprocity_places_and_symbols_differential():
 def test_pi2_nontriviality_at_every_place():
     # at every p <= 100 some pair pairs to -1
     for p in primes_up_to(100):
-        place = Place.finite(p)
+        place = Place(p)
         found = any(
             hilbert_symbol(a, b, place) == -1
             for b in (p, -1, 2, 3, 5)
