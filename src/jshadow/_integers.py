@@ -1,5 +1,6 @@
-"""Shared integer utilities: primality, sieves, exact factorization, and
-the split n = p**alpha * u of an integer at a prime.
+"""Shared integer utilities: primality, sieves, exact factorization, the
+split n = p**alpha * u of an integer at a prime, and the one check of a
+prime argument and of a rational one.
 
 Everything here is deterministic.  Miller-Rabin with the first k prime
 bases is a proof of primality below psi_k, the least strong pseudoprime to
@@ -14,6 +15,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
+
+Rational = int | Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -72,6 +76,22 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return n < _PSI_13 or _is_strong_lucas_probable_prime(n)
+
+
+def check_prime(p: int, error: type[ValueError] = ValueError, odd: bool = False) -> int:
+    """p, if it is prime (and odd, with ``odd``); else ``error`` naming it.
+    The one check that refuses a non-prime argument."""
+    if odd and p == 2 or not is_prime(p):
+        raise error(f"{p} is not an odd prime" if odd else f"{p} is not prime")
+    return p
+
+
+def check_rational(x: Rational) -> Rational:
+    """x, if it is an int or a Fraction; else TypeError.  No float or string
+    is read as a rational: Fraction(0.1) is not 1/10."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__} {x!r}")
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -182,7 +202,8 @@ def factorint(n: int) -> dict[int, int]:
 
 def split_unit(n: int, p: int) -> tuple[int, int]:
     """(alpha, u) with n = p**alpha * u and u prime to p, the sign kept in u.
-    The one place that divides a prime out of an integer."""
+    ``factorint`` divides by its own trial primes, and the brute valuation
+    of ``sweeps.sweep_low_degree_j`` keeps its own loop as an independent oracle."""
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
     alpha = 0
@@ -197,13 +218,29 @@ def vp_int(n: int, p: int) -> int:
     return split_unit(n, p)[0]
 
 
+def _iroot(n: int, e: int) -> int:
+    """floor(n ** (1/e)) for n >= 1, by Newton's iteration on ints from above."""
+    x = 1 << -(-n.bit_length() // e)
+    while (y := ((e - 1) * x + n // x ** (e - 1)) // e) < x:
+        x = y
+    return x
+
+
 def prime_power_base(q: int) -> tuple[int, int] | None:
-    """Return (p, e) with q = p**e if q is a prime power, else None."""
+    """Return (p, e) with q = p**e if q is a prime power, else None.
+
+    No factoring: a prime below 1000 that divides q must be p.  Otherwise
+    p > 1000 > 2**9, so e <= q.bit_length() // 9, and p is the e-th root of
+    q that is prime."""
     if q < 2:
         return None
-    factors = factorint(q)
-    if len(factors) != 1:
-        return None
-    ((p, e),) = factors.items()
-    return p, e
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            e, rest = split_unit(q, p)
+            return (p, e) if rest == 1 else None
+    for e in range(1, q.bit_length() // 9 + 1):
+        p = _iroot(q, e)
+        if p**e == q and is_prime(p):
+            return p, e
+    return None
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from ._integers import factorint, is_prime, prime_power_base, vp_int
+from ._integers import check_prime, factorint, is_prime, prime_power_base, vp_int
 from .padic import embed, is_topological_generator, smallest_topological_generator
 
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
@@ -151,10 +151,9 @@ def k1_sphere_order(ell: int, k: int, generator: int | None = None) -> K1SphereO
     """|Z_l/(u^k - 1)| = l**v_l(u^k - 1) for a topological generator u.
 
     ``generator`` defaults to the smallest one; a supplied value is
-    validated.  Defined for all nonzero k (the order is even in k).
+    validated.  Defined for all nonzero k (the order is even in k).  Both
+    generator functions refuse an l that is not an odd prime.
     """
-    if ell == 2 or not is_prime(ell):
-        raise ValueError("l must be an odd prime")
     if k == 0:
         raise ValueError("k must be nonzero (pi_{-1} is infinite cyclic)")
     if generator is None:
@@ -192,11 +191,9 @@ def imj_consistency_check(ell: int, k: int) -> bool:
 
 def surjectivity_check(ell: int, p: int, k: int) -> bool:
     """Whether v_l(p^k - 1) >= v_l(u^k - 1): the l-part of K_{2k-1}(F_p)
-    dominates the order of pi_{2k-1} of the K(1)-local sphere."""
-    if ell == 2 or not is_prime(ell):
-        raise ValueError("l must be an odd prime")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    dominates the order of pi_{2k-1} of the K(1)-local sphere.
+    ``smallest_topological_generator`` refuses an l that is not an odd prime."""
+    check_prime(p)
     if p == ell:
         raise ValueError("p must differ from l")
     if k < 1:

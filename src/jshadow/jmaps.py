@@ -21,12 +21,9 @@ formula for the absolute values of Q at the norm level is
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
-from ._integers import factorint, is_prime
+from ._integers import Rational, check_prime, check_rational, factorint
 from .padic import PadicNumber, ZeroOperandError, vp
-
-Rational = Union[int, Fraction]
 
 
 def j_real_pi0(k: int) -> int:
@@ -36,8 +33,7 @@ def j_real_pi0(k: int) -> int:
 
 def j_fp_pi0(k: int, p: int) -> int:
     """Degree of the sphere self-map attached to a k-dimensional F_p-space: p**k."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if k < 0:
         raise ValueError("dimension must be nonnegative")
     return p**k
@@ -62,8 +58,7 @@ def j_wild_pi1(x: PadicNumber) -> PadicNumber:
 
 def adelic_norm_product(x: Rational) -> Fraction:
     """|x| times the product of all p-adic norms of x; always exactly 1."""
-    x = Fraction(x)
-    if x == 0:
+    if check_rational(x) == 0:
         raise ZeroOperandError("norm product of 0 is undefined")
     num, den = abs(x.numerator), x.denominator
     product_num, product_den = num, den  # |x|

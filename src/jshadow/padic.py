@@ -29,14 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
-from ._integers import factorint, is_prime, split_unit, vp_int
+from ._integers import Rational, check_prime, check_rational, factorint, split_unit, vp_int
 
 DEFAULT_PRECISION = 64
 MAX_PRECISION = 4096
-
-Rational = Union[int, Fraction]
 
 
 class PadicError(ValueError):
@@ -51,11 +48,6 @@ class ZeroOperandError(PadicError):
     """An operation received (or would have to invert) a zero."""
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise PadicError(f"{p} is not prime")
-
-
 def _check_precision(n: int) -> None:
     if not 1 <= n <= MAX_PRECISION:
         raise PrecisionError(f"precision must be in [1, {MAX_PRECISION}], got {n}")
@@ -66,10 +58,8 @@ def vp(x: Rational, p: int) -> int:
 
     Additive: vp(x*y) = vp(x) + vp(y).
     """
-    _check_prime(p)
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    if x == 0:
+    check_prime(p, PadicError)
+    if check_rational(x) == 0:
         raise ZeroOperandError("valuation of 0 is undefined")
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
@@ -107,7 +97,7 @@ class PadicNumber:
 
     @classmethod
     def from_unit(cls, prime: int, valuation: int, unit_digits: int, precision: int) -> "PadicNumber":
-        _check_prime(prime)
+        check_prime(prime, PadicError)
         _check_precision(precision)
         unit_digits %= _modulus(prime, precision)
         if unit_digits % prime == 0:
@@ -117,7 +107,7 @@ class PadicNumber:
     @classmethod
     def zero(cls, prime: int, abs_precision: int) -> "PadicNumber":
         """The flagged zero: a value known only to satisfy x = O(p**abs_precision)."""
-        _check_prime(prime)
+        check_prime(prime, PadicError)
         if abs_precision < 1:
             raise PrecisionError("zero must be known modulo at least one digit")
         return cls._make(prime, abs_precision, 0, 0)
@@ -289,10 +279,9 @@ def embed(x: Rational, prime: int, precision: int = DEFAULT_PRECISION) -> "Padic
 
     The denominator is inverted modulo p**precision by Newton's iteration.
     """
-    _check_prime(prime)
+    check_prime(prime, PadicError)
     _check_precision(precision)
-    x = x if isinstance(x, int) else Fraction(x)  # an int needs no Fraction round trip
-    if x == 0:
+    if check_rational(x) == 0:
         raise ZeroOperandError("cannot embed 0; use PadicNumber.zero")
     (vn, digits), (vd, unit) = split_unit(x.numerator, prime), split_unit(x.denominator, prime)
     if unit != 1:  # an int has nothing to invert
@@ -306,9 +295,7 @@ def teichmuller(a: int, prime: int, precision: int = DEFAULT_PRECISION) -> "Padi
     Newton's iteration x -> x (p - x**(p-1)) / (p-1) from x = a mod p doubles
     the digits known each step.  Requires an odd prime and a nonzero residue.
     """
-    _check_prime(prime)
-    if prime == 2:
-        raise PadicError("Teichmuller lifts are restricted to odd primes here")
+    check_prime(prime, PadicError, odd=True)
     _check_precision(precision)
     if a % prime == 0:
         raise ZeroOperandError("residue must be nonzero mod p")
@@ -373,8 +360,6 @@ def rezk_log_pi0(x: PadicNumber) -> "PadicNumber":
     and vanishes exactly on the Teichmuller roots of unity.
     """
     ell = x.prime
-    if ell == 2:
-        raise PadicError("restricted to odd primes")
     if x.is_zero:
         raise ZeroOperandError("argument must be a unit")
     if x.valuation != 0:
@@ -392,9 +377,7 @@ def is_topological_generator(u: int, ell: int) -> bool:
     Holds iff u generates the multiplicative group mod l and
     v_l(u**(l-1) - 1) = 1; consequently it depends only on u mod l**2.
     """
-    _check_prime(ell)
-    if ell == 2:
-        raise PadicError("Z_2^x is not procyclic; l must be odd")
+    check_prime(ell, PadicError, odd=True)
     if u % ell == 0:
         raise ZeroOperandError("u must be prime to l")
     if any(pow(u, (ell - 1) // q, ell) == 1 for q in factorint(ell - 1)):
@@ -419,7 +402,7 @@ def geometric_series_witness(ell: int = 3, depth: int = 64) -> bool:
     For l = 3 this is the statement 2*s_k + 1 = 3**k, exhibiting a
     sequence of integers converging 3-adically to the non-integer -1/2.
     """
-    _check_prime(ell)
+    check_prime(ell, PadicError)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     s = 0

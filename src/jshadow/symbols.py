@@ -30,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Union
 
-from ._integers import _jacobi, factorint, is_prime, split_unit, vp_int
+from ._integers import Rational, _jacobi, check_prime, check_rational, factorint, split_unit, vp_int
 
-Rational = Union[int, Fraction]
 Sign = int  # always +1 or -1
 
 
@@ -49,8 +47,8 @@ class Place:
     prime: int | None  # None encodes the infinite place
 
     def __post_init__(self) -> None:
-        if self.prime is not None and not is_prime(self.prime):
-            raise SymbolError(f"{self.prime} is not prime")
+        if self.prime is not None:
+            check_prime(self.prime, SymbolError)
 
     @property
     def is_finite(self) -> bool:
@@ -70,15 +68,9 @@ def jacobi(a: int, n: int) -> int:
     return _jacobi(a, n)
 
 
-def _check_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise SymbolError(f"{p} is not an odd prime")
-
-
 def legendre(a: int, p: int) -> int:
     """The Legendre symbol (a|p) in {-1, 0, +1} for odd prime p."""
-    _check_odd_prime(p)
-    return jacobi(a, p)
+    return _jacobi(a, check_prime(p, SymbolError, odd=True))
 
 
 def zolotarev_sign(a: int, p: int) -> Sign:
@@ -89,7 +81,7 @@ def zolotarev_sign(a: int, p: int) -> Sign:
     cycle closes when it returns to its start, and the next start is the
     first unvisited residue, found by ``bytearray.find``.
     """
-    _check_odd_prime(p)
+    check_prime(p, SymbolError, odd=True)
     a %= p
     if a == 0:
         raise SymbolError("a must be prime to p")
@@ -112,7 +104,7 @@ def _cleared_int(x: Rational, what: str) -> int:
     """Replace x by the integer x * den(x)^2 (same square class); an int
     is returned as it is."""
     if not isinstance(x, int):
-        x = Fraction(x)
+        x = check_rational(x)
         x = x.numerator * x.denominator
     if x == 0:
         raise SymbolError(f"{what} must be nonzero")
@@ -137,7 +129,7 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> Sign:
     (alpha, u), (beta, w) = split_unit(A, p), split_unit(B, p)
     if p == 2:
         return _symbol_at_two(alpha, u, beta, w)
-    return _symbol_at_odd_prime(alpha, u, beta, w, p, jacobi)
+    return _symbol_at_odd_prime(alpha, u, beta, w, p, _jacobi)
 
 
 def _symbol_at_two(alpha: int, u: int, beta: int, w: int) -> Sign:
@@ -267,11 +259,8 @@ def tame_symbol(a: Rational, b: Rational, p: int) -> int:
     w^(-alpha), computed mod p from the p-free parts of each numerator and
     denominator.  Returns the least positive residue, a unit of Z/p.
     """
-    if not is_prime(p):
-        raise SymbolError(f"{p} is not prime")
-    a = a if isinstance(a, int) else Fraction(a)
-    b = b if isinstance(b, int) else Fraction(b)
-    if a == 0 or b == 0:
+    check_prime(p, SymbolError)
+    if check_rational(a) == 0 or check_rational(b) == 0:
         raise SymbolError("tame symbol inputs must be nonzero")
     alpha, u = _unit_mod_p(a, p)
     beta, w = _unit_mod_p(b, p)
@@ -313,8 +302,8 @@ def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     numerator and denominator (never a product) is factored and split
     once; :func:`_cleared_local_data` merges them, as in the reciprocity
     sweep, and the symbols come from :func:`local_symbols`."""
-    a = Fraction(a)
-    b = Fraction(b)
+    a = Fraction(check_rational(a))
+    b = Fraction(check_rational(b))
     if a == 0 or b == 0:
         raise SymbolError("inputs must be nonzero")
     parts = (a.numerator, a.denominator, b.numerator, b.denominator)
@@ -323,7 +312,7 @@ def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     B, local_B = _cleared_local_data(local, b)
     symbols = tuple(
         (INFINITY if p is None else Place(p), s)
-        for p, s in local_symbols(A, local_A, B, local_B, jacobi)
+        for p, s in local_symbols(A, local_A, B, local_B, _jacobi)
     )
     product = prod(s for _, s in symbols)
     return ReciprocityResult(a=a, b=b, local_symbols=symbols, product=product)

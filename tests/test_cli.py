@@ -2,12 +2,14 @@
 
 import argparse
 import ast
+import contextlib
 import hashlib
 import importlib.util
 import inspect
 import json
 import re
 import shlex
+import signal
 import sys
 import time
 from decimal import Decimal
@@ -24,7 +26,6 @@ from jshadow.cli import (
     build_parser,
     parse_int,
     parse_place,
-    parse_prime,
     parse_rational,
     run,
 )
@@ -56,9 +57,6 @@ def test_prime_and_place_parsing():
     for bad in (" 7", "7 ", "1_009", "0x1f", "\u0663", "", "+-1"):
         with pytest.raises(ValueError):
             parse_int(bad)
-    assert parse_prime("13") == 13
-    with pytest.raises(ValueError):
-        parse_prime("21")
     assert not parse_place("inf").is_finite
     assert parse_place("5").prime == 5
 
@@ -132,6 +130,27 @@ def _queries_mixed_argvs(monkeypatch, seed: int) -> list[list[str]]:
     return [query["argv"] for query in workloads.generate("queries-mixed", seed)["queries"]]
 
 
+@contextlib.contextmanager
+def _time_bound(argv: list[str], seconds: float):
+    """Fail the test, naming argv, when the block runs past ``seconds``: in
+    process, by SIGALRM, so a hang fails one test instead of stopping the
+    suite.  No bound where the platform has no SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"jshadow {shlex.join(argv)} ran past {seconds} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_reused_parsers_carry_no_state_between_runs(monkeypatch, capsys):
     # Each command's parser is built once per process; running every argv
     # again in reverse order must give the same exit code, stdout and stderr.
@@ -141,7 +160,8 @@ def test_reused_parsers_carry_no_state_between_runs(monkeypatch, capsys):
     def outputs(order):
         seen = {}
         for i in order:
-            code = run(list(argvs[i]))
+            with _time_bound(argvs[i], seconds=10):
+                code = run(list(argvs[i]))
             captured = capsys.readouterr()
             seen[i] = code, captured.out, captured.err
         return seen
@@ -773,6 +793,16 @@ def test_empty_sweep_grid_exits_2(capsys, argv):
         # the library's own errors, no longer repeated by the CLI
         (["bernoulli", "--n=-1"], "n must be >= 0"),
         (["imj-order", "--k=0"], "k must be >= 1"),
+        # a prime flag is a plain int: the library's own check refuses it
+        (["zolotarev", "--a=3", "--p=4"], "error: 4 is not an odd prime\n"),
+        (["tame", "--a=2", "--b=3", "--p=4"], "error: 4 is not prime\n"),
+        (["hilbert", "--a=2", "--b=3", "--place=6"], "error: 6 is not prime\n"),
+        (["k1-sphere", "--ell=2", "--k=1"], "error: 2 is not an odd prime\n"),
+        (["rezk-log", "--ell=4", "--x=3"], "error: 4 is not prime\n"),
+        (["rezk-log", "--ell=3", "--x=3"], "error: argument must be a unit of Z_l\n"),
+        (["padic", "--p=4", "--op=valuation", "--x=3"], "error: 4 is not prime\n"),
+        # 2**128 + 1, a product of two primes, was factored to count its primes: past 10 s
+        (["kff", "--n=1", "--q=340282366920938463463374607431768211457"], "is not a prime power"),
     ],
 )
 def test_arguments_the_library_rejects_exit_2(capsys, argv, message):

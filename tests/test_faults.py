@@ -25,6 +25,9 @@ _pow = PadicNumber.__pow__
 _valuation = imj._vl_power_minus_one
 _k_finite_field = imj.k_finite_field
 _j_tame_pi1 = jmaps.j_tame_pi1
+_vsc = imj.von_staudt_clausen_denominator
+_bernoulli = imj.bernoulli
+_hilbert = symbols.hilbert_symbol
 
 
 def _one_cycle_too_many(a: int, p: int) -> int:
@@ -102,6 +105,22 @@ def _exponent_of_3_set_to_1(n: int) -> dict[int, int]:
     return {p: 1 if p == 3 else e for p, e in factorint(n).items()}
 
 
+def _vsc_doubled_at_0_mod_10(n: int) -> int:
+    return _vsc(n) * (2 if n % 10 == 0 else 1)
+
+
+def _bernoulli_negated(n: int) -> Fraction:
+    return -_bernoulli(n)
+
+
+def _plus_one_at_7_mod_8(a, b, place: symbols.Place) -> int:
+    return 1 if place.is_finite and place.prime % 8 == 7 else _hilbert(a, b, place)
+
+
+def _plus_one_at_2(a, b, place: symbols.Place) -> int:
+    return 1 if place.prime == 2 else _hilbert(a, b, place)
+
+
 # (sweep, grid, patched name, fault, failures it records).  The zolotarev
 # sweep at p_max=50 catches both of its faults: the walk fault fails every
 # check, and the flipped (-1|p) fails a = p - 1 at p = 7, 23, 31 and 47.
@@ -120,7 +139,12 @@ def _exponent_of_3_set_to_1(n: int) -> dict[int, int]:
 # 483 and 11,602 checks; low-degree-j takes about 0.15 s a run).  Giving K_4j
 # the order of K_4j-1 fails the triviality check at even i, 5 per prime
 # power.  The tame fault fails the tame-pi1 bucket, and the exponent of 3
-# the norm-product bucket, whose factorint is jmaps' own.
+# the norm-product bucket, whose factorint is jmaps' own.  bernoulli and
+# pi2-nontriviality run at their default grids (31 and 25 checks).  A
+# doubled von Staudt-Clausen product at n = 10, 20, ..., 60 fails 6
+# denominators; a negated B_n keeps every denominator and fails only the
+# B_12 spot check.  A symbol forced to +1 leaves no witness at each of the
+# 6 primes p = 7 mod 8 below 100, or at 2.
 ZOLOTAREV_GRID = {"p_max": 50}
 ORACLE_GRID = {"prime_max": 13, "coeff_bound": 10, "rational_samples": 100}
 RECIPROCITY_GRID = {"bound": 20, "rational_samples": 200}
@@ -142,6 +166,10 @@ FAULTS = [
     ("quillen", {}, "jshadow.sweeps.k_finite_field", _k4j_given_the_order_of_k4j_minus_1, 115),
     ("low-degree-j", {}, "jshadow.sweeps.j_tame_pi1", _tame_off_by_p_when_p_squared_divides, 318),
     ("low-degree-j", {}, "jshadow.jmaps.factorint", _exponent_of_3_set_to_1, 37),
+    ("bernoulli", {}, "jshadow.sweeps.von_staudt_clausen_denominator", _vsc_doubled_at_0_mod_10, 6),
+    ("bernoulli", {}, "jshadow.sweeps.bernoulli", _bernoulli_negated, 1),
+    ("pi2-nontriviality", {}, "jshadow.sweeps.hilbert_symbol", _plus_one_at_7_mod_8, 6),
+    ("pi2-nontriviality", {}, "jshadow.sweeps.hilbert_symbol", _plus_one_at_2, 1),
 ]
 
 
@@ -166,6 +194,8 @@ def test_the_sweep_records_the_fault(sweep, grid, target, fault, failures):
         ("imj-consistency", {}),
         ("quillen", {}),
         ("low-degree-j", {}),
+        ("bernoulli", {}),
+        ("pi2-nontriviality", {}),
     ],
 )
 def test_the_unpatched_sweep_passes(sweep, grid):

@@ -233,6 +233,19 @@ def test_k1_sphere_order_rejects_bad_input():
         k1_sphere_order(5, 1, generator=7)  # not a topological generator
 
 
+@pytest.mark.parametrize("ell", [2, 4, 1, -3])
+def test_an_ell_that_is_not_an_odd_prime_is_refused_on_every_call(ell):
+    # k1_sphere_order and surjectivity_check leave l to the generator search,
+    # whose cache never holds a refused l, so the second call raises too.
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{ell} is not an odd prime$"):
+            k1_sphere_order(ell, 1)
+        with pytest.raises(ValueError, match=f"^{ell} is not an odd prime$"):
+            k1_sphere_order(ell, 1, generator=3)
+        with pytest.raises(ValueError, match=f"^{ell} is not an odd prime$"):
+            surjectivity_check(ell, 7, 1)
+
+
 def first_generators(ell: int, count: int = 3) -> list[int]:
     out = []
     u = 2
@@ -327,6 +340,8 @@ def test_surjectivity_examples():
     assert surjectivity_check(3, 7, 1)
     with pytest.raises(ValueError):
         surjectivity_check(3, 3, 1)
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        surjectivity_check(5, 9, 1)
 
 
 def test_norm_identity_examples():

@@ -1,18 +1,24 @@
-"""Tests for primality and factorization, with sympy as an out-of-tree oracle."""
+"""Tests for primality, factorization and the argument checks; sympy is the oracle."""
 
 import math
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jshadow import jmaps, padic, symbols
 from jshadow._integers import (
     _PSI,
     _PSI_13,
     _is_strong_lucas_probable_prime,
+    check_prime,
+    check_rational,
     factorint,
     is_prime,
+    prime_power_base,
     primes_up_to,
     split_unit,
     vp_int,
@@ -101,6 +107,74 @@ def test_is_prime_agrees_with_sympy_around_each_psi_k():
     for psi in sorted({*_PSI, _PSI_13}):
         for n in range(psi - 2000, psi + 2001):
             assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_the_prime_check_returns_a_prime_and_raises_the_given_class():
+    assert check_prime(13) == 13 and check_prime(2) == 2 and check_prime(13, odd=True) == 13
+    with pytest.raises(ValueError, match="^21 is not prime$"):
+        check_prime(21)
+
+    class Refused(ValueError):
+        pass
+
+    with pytest.raises(Refused, match="^2 is not an odd prime$"):
+        check_prime(2, Refused, odd=True)
+    with pytest.raises(Refused, match="^1 is not an odd prime$"):
+        check_prime(1, Refused, odd=True)
+
+
+# Each public function that takes a rational, called on x in the position of a rational.
+RATIONAL_ENTRY_POINTS = {
+    "vp": lambda x: padic.vp(x, 5),
+    "padic_norm": lambda x: padic.padic_norm(x, 5),
+    "embed": lambda x: padic.embed(x, 5, 8),
+    "hilbert_symbol": lambda x: symbols.hilbert_symbol(x, 3, symbols.Place(5)),
+    "hilbert_oracle": lambda x: symbols.hilbert_oracle(3, x, symbols.Place(5)),
+    "tame_symbol": lambda x: symbols.tame_symbol(x, 3, 5),
+    "hilbert_reciprocity_check": lambda x: symbols.hilbert_reciprocity_check(3, x),
+    "j_tame_pi1": lambda x: jmaps.j_tame_pi1(x, 5),
+    "adelic_norm_product": jmaps.adelic_norm_product,
+}
+
+
+@pytest.mark.parametrize("entry", RATIONAL_ENTRY_POINTS.values(), ids=RATIONAL_ENTRY_POINTS)
+def test_floats_and_strings_are_refused_as_rationals(entry):
+    # Fraction(0.1) is 3602879701896397/2**55, whose v_5 is 0, not v_5(1/10) = -1:
+    # vp(0.1, 5) used to return 0, and hilbert_symbol(0.1, 3, Place(5)) +1 for -1.
+    entry(Fraction(1, 10))
+    for x in (0.1, "1/10", 1.0):
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            entry(x)
+
+
+def test_a_tenth_is_read_exactly():
+    assert padic.vp(Fraction(1, 10), 5) == -1
+    assert symbols.hilbert_symbol(Fraction(1, 10), 3, symbols.Place(5)) == -1
+    assert check_rational(7) == 7 and check_rational(Fraction(1, 10)) == Fraction(1, 10)
+
+
+# -- prime powers -----------------------------------------------------------
+
+
+def _prime_power_by_factoring(q: int) -> tuple[int, int] | None:
+    factors = factorint(q) if q >= 2 else {}
+    return next(iter(factors.items())) if len(factors) == 1 else None
+
+
+def test_prime_power_base_agrees_with_factoring():
+    for q in range(-5, 10**4):
+        assert prime_power_base(q) == _prime_power_by_factoring(q), q
+    for p, e in ((1009, 7), (2**61 - 1, 3), (2**89 - 1, 2), (2**127 - 1, 1), (1000003, 12)):
+        assert prime_power_base(p**e) == (p, e) and prime_power_base(p ** (e + 1)) == (p, e + 1)
+        assert prime_power_base(p**e * 1013) is None  # two primes
+
+
+def test_prime_power_base_decides_a_product_of_two_large_primes_without_factoring():
+    # 2**128 + 1 = 59649589127497217 * 5704689200685129054721: factoring it takes
+    # Pollard-Brent past 20 s, but a prime power's root is found in microseconds.
+    with mock.patch("jshadow._integers._pollard_brent", side_effect=AssertionError("factored")):
+        assert prime_power_base(2**128 + 1) is None
+        assert prime_power_base(59649589127497217 * 5704689200685129054721**2) is None
 
 
 # -- the split n = p**alpha * u -------------------------------------------------

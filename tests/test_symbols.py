@@ -48,7 +48,7 @@ def squares_mod(p: int) -> set[int]:
 def test_place_parse_and_order():
     assert parse_place("inf") == INFINITY
     assert parse_place("7") == Place(7)
-    with pytest.raises(UsageError):
+    with pytest.raises(SymbolError, match="6 is not prime"):
         parse_place("6")
     with pytest.raises(UsageError):
         parse_place("x")
