@@ -165,7 +165,8 @@ class PadicNumber:
             # a product, self's absolute precision for a sum, and at least
             # one.  The cap binds only when v(other) < v(self), where a sum
             # needs more than MAX_PRECISION digits anyway.
-            digits = max(self.precision, self.abs_precision - vp(other, self.prime), 1)
+            v = vp_int(other.numerator, self.prime) - vp_int(other.denominator, self.prime)
+            digits = max(self.precision, self.abs_precision - v, 1)
             return embed(other, self.prime, min(MAX_PRECISION, digits))
         return NotImplemented  # type: ignore[return-value]
 

@@ -32,7 +32,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
-from operator import itemgetter
 
 from ._integers import _jacobi, prime_power_base, primes_up_to, split_unit
 from .imj import (
@@ -60,7 +59,7 @@ from .symbols import (
     hilbert_oracle,
     hilbert_symbol,
     legendre,
-    local_symbols,
+    local_symbol_product,
     zolotarev_sign,
 )
 
@@ -234,23 +233,20 @@ def sweep_reciprocity(
     _at_least(1, bound=bound)
     _at_least(0, rational_samples=rational_samples)
     local, legendre_of = _sieve_tables(bound)
-    symbol_of = itemgetter(1)  # of a (place, symbol) pair
     nonzero = [n for n in range(-bound, bound + 1) if n]
     with result.bucket(kind="integer-grid", pairs=(2 * bound) ** 2):
         for a in nonzero:
             local_a = local[a]
             for b in nonzero:
-                symbols = local_symbols(a, local_a, b, local[b], legendre_of)
-                result.check(prod(map(symbol_of, symbols)) == 1, a=a, b=b)
+                sign = local_symbol_product(a, local_a, b, local[b], legendre_of)
+                result.check(sign == 1, a=a, b=b)
     rng = random.Random(seed)
     with result.bucket(kind="rational-sample", pairs=rational_samples):
         for _ in range(rational_samples):
             a = Fraction(rng.choice(nonzero), rng.randint(1, bound))
             b = Fraction(rng.choice(nonzero), rng.randint(1, bound))
-            symbols = local_symbols(
-                *_cleared_local_data(local, a), *_cleared_local_data(local, b), legendre_of
-            )
-            result.check(prod(map(symbol_of, symbols)) == 1, a=a, b=b)
+            cleared = *_cleared_local_data(local, a), *_cleared_local_data(local, b)
+            result.check(local_symbol_product(*cleared, legendre_of) == 1, a=a, b=b)
 
 
 @_sweep("oracle-agreement", "hilbert-symbol-solvability")

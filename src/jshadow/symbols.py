@@ -22,14 +22,14 @@ Conventions:
   forces p | z), so two charts, linear in p, suffice: z^2 = a + b y^2, and
   z^2 = b + a x^2 with p | x.  If a = pu and b = pw, every node is
   degenerate, but p | z and z = pz' gives (wy)^2 = -uw x^2 + pw z'^2,
-  primitive both ways: (-uw, pw) is searched, so M <= 5 (M <= 9 at p = 2).
+  primitive both ways: (-uw, pw) is searched, so M <= 5 (M <= 9 at p = 2)
+  bounds the depth of the walk, which recurses once per level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from ._integers import Rational, _jacobi, check_prime, check_rational, factorint, split_unit, vp_int
 
@@ -151,24 +151,36 @@ def _symbol_at_odd_prime(alpha: int, u: int, beta: int, w: int, p: int, legendre
     return sign
 
 
-def local_symbols(A: int, local_A: dict, B: int, local_B: dict, legendre_of):
-    """Yield (p, (A,B)_p) at p = 2, then at each odd prime dividing A or B in
-    increasing order, then (None, (A,B)_inf) for the infinite place.
+def local_symbol_product(
+    A: int, local_A: dict, B: int, local_B: dict, legendre_of, table: dict | None = None
+) -> Sign:
+    """The product of (A,B)_v over 2, the odd primes of ``local_A``, those of
+    ``local_B`` not in it, and infinity; each place's symbol is also
+    written to ``table`` if one is given, keyed by p (None for infinity).
 
     ``local_A`` is the local data of the nonzero integer A: p -> (alpha, u)
     with A = p^alpha u, u prime to p, for every prime p dividing A (a prime
     missing from it has alpha = 0, u = A); likewise ``local_B``.
     ``legendre_of(x, p)`` gives the Legendre symbol (x|p) at odd primes.
     """
-    alpha, u = local_A.get(2, (0, A))
-    beta, w = local_B.get(2, (0, B))
-    yield 2, _symbol_at_two(alpha, u, beta, w)
-    for p in sorted(local_A | local_B):
+    sign = _symbol_at_two(*local_A.get(2, (0, A)), *local_B.get(2, (0, B)))
+    infinite = -1 if A < 0 and B < 0 else 1
+    if table is not None:
+        table[2], table[None] = sign, infinite
+    for p, (alpha, u) in local_A.items():
         if p != 2:
-            alpha, u = local_A.get(p, (0, A))
             beta, w = local_B.get(p, (0, B))
-            yield p, _symbol_at_odd_prime(alpha, u, beta, w, p, legendre_of)
-    yield None, -1 if A < 0 and B < 0 else 1
+            s = _symbol_at_odd_prime(alpha, u, beta, w, p, legendre_of)
+            sign *= s
+            if table is not None:
+                table[p] = s
+    for p, (beta, w) in local_B.items():
+        if p != 2 and p not in local_A:
+            s = _symbol_at_odd_prime(0, A, beta, w, p, legendre_of)
+            sign *= s
+            if table is not None:
+                table[p] = s
+    return sign * infinite
 
 
 ORACLE_PRIME_CAP = 2**17  # the oracle's table of square roots mod p holds p entries
@@ -202,31 +214,31 @@ def _sqrt_table(p: int) -> dict[int, tuple[int, ...]]:
 
 def _search_primitive_solution(C: int, D: int, p: int, levels: int, ts) -> bool:
     """Whether z^2 = C + D t^2 has a solution mod p**levels with t mod p in
-    ``ts``, by a depth-first walk with lazy generators over the solutions
-    mod p, p^2, ...  A node (t, z) at level j has the children (dt, dz)
-    with c + g_t dt + g_z dz = 0 mod p, c = (z^2 - C - D t^2) / p^j,
-    g_t = -2Dt, g_z = 2z: dz is solved when g_z is a unit, free when
-    g_z = 0 mod p and the residual is 0, and absent otherwise."""
+    ``ts``, by a depth-first walk from each solution mod p in turn."""
     roots = _sqrt_table(p)
+    for t in ts:
+        for z in roots.get((C + D * t * t) % p, ()):
+            if _lifts(C, D, p, levels, t, z, 1):
+                return True
+    return False
 
-    def children(t: int, z: int, j: int):
-        pj = p**j
-        c, g_t, g_z = (z * z - C - D * t * t) // pj, -2 * D * t % p, 2 * z % p
-        inverse = pow(g_z, -1, p) if g_z else 0
-        for dt in range(p):
-            r = (c + g_t * dt) % p
-            for dz in (-r * inverse % p,) if g_z else range(p) if r == 0 else ():
-                yield t + dt * pj, z + dz * pj
 
-    stack = [((t, z) for t in ts for z in roots.get((C + D * t * t) % p, ()))]
-    while stack:  # stack[j-1] yields the nodes at level j
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-        elif len(stack) == levels:
-            return True
-        else:
-            stack.append(children(*node, len(stack)))
+def _lifts(C: int, D: int, p: int, levels: int, t: int, z: int, j: int) -> bool:
+    """Whether the solution (t, z) mod p^j lifts to one mod p**levels, by
+    recursion on its children (t + dt p^j, z + dz p^j), in increasing dt:
+    c + g_t dt + g_z dz = 0 mod p with c = (z^2 - C - D t^2) / p^j,
+    g_t = -2Dt, g_z = 2z, so dz is solved when g_z is a unit, free when
+    g_z = 0 mod p and the residual is 0, and absent otherwise."""
+    if j == levels:
+        return True
+    pj = p**j
+    c, g_t, g_z = (z * z - C - D * t * t) // pj, -2 * D * t % p, 2 * z % p
+    inverse = pow(g_z, -1, p) if g_z else 0
+    for dt in range(p):
+        r = (c + g_t * dt) % p
+        for dz in (-r * inverse % p,) if g_z else range(p) if r == 0 else ():
+            if _lifts(C, D, p, levels, t + dt * pj, z + dz * pj, j + 1):
+                return True
     return False
 
 
@@ -301,7 +313,8 @@ def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     a and b are cleared to A = num*den and B = num*den once, and each
     numerator and denominator (never a product) is factored and split
     once; :func:`_cleared_local_data` merges them, as in the reciprocity
-    sweep, and the symbols come from :func:`local_symbols`."""
+    sweep.  :func:`local_symbol_product` writes each place's symbol to a
+    table, listed here at 2, the odd primes ascending, and infinity."""
     a = Fraction(check_rational(a))
     b = Fraction(check_rational(b))
     if a == 0 or b == 0:
@@ -310,11 +323,10 @@ def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     local = {n: {p: split_unit(n, p) for p in factorint(abs(n))} for n in parts}
     A, local_A = _cleared_local_data(local, a)
     B, local_B = _cleared_local_data(local, b)
-    symbols = tuple(
-        (INFINITY if p is None else Place(p), s)
-        for p, s in local_symbols(A, local_A, B, local_B, _jacobi)
-    )
-    product = prod(s for _, s in symbols)
+    table = {}
+    product = local_symbol_product(A, local_A, B, local_B, _jacobi, table)
+    infinite = table.pop(None)
+    symbols = tuple((Place(p), table[p]) for p in sorted(table)) + ((INFINITY, infinite),)
     return ReciprocityResult(a=a, b=b, local_symbols=symbols, product=product)
 
 

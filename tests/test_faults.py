@@ -131,7 +131,7 @@ def _plus_one_at_2(a, b, place: symbols.Place) -> int:
 # breaks the geometric-sum identity at 436 and 34 grid points.  The
 # oracle-agreement rows patch the closed forms where hilbert_symbol looks
 # them up, at a grid of 2,900 checks (365 and 629 failures at the default).
-# The reciprocity rows patch the same closed forms, which local_symbols
+# The reciprocity rows patch the same closed forms, which local_symbol_product
 # calls, at a grid of 1,800 checks.  Its Legendre symbols come from chi
 # tables that the sweep fills through jshadow.sweeps._jacobi, so the flipped
 # (-1|p) is patched there: patched at jshadow.symbols._jacobi it records 0.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jshadow._integers import primes_up_to
+from jshadow._integers import is_prime, primes_up_to
 from jshadow.padic import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
@@ -207,6 +207,18 @@ def test_arithmetic_builds_its_zeros_without_a_primality_test():
         assert padic_log(unit).valuation == 1
         with pytest.raises(PrecisionError):  # known only modulo 3^-1
             fine - fine
+
+
+@pytest.mark.parametrize(
+    "op", [lambda x: x * 3, lambda x: x + 3, lambda x: 3 - x], ids=["x*3", "x+3", "3-x"]
+)
+def test_a_scalar_operand_checks_its_prime_once(op):
+    # The scalar is embedded at the operand's prime, which embed checks; the
+    # digits it needs read its valuation with no check of its own.
+    x = embed(Fraction(5, 9), 7, 8)
+    with mock.patch("jshadow._integers.is_prime", wraps=is_prime) as checked:
+        op(x)
+    assert checked.call_args_list == [mock.call(7)]
 
 
 def test_mixed_prime_rejected():

@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -110,7 +111,8 @@ def test_out_of_range_parameters_raise_value_error(name, params, message):
 
 def test_sieve_tables_agree_with_the_single_query():
     # The sweep's local data and chi tables against factorint and the Jacobi
-    # ladder (hilbert_reciprocity_check), and each symbol against hilbert_symbol.
+    # ladder (hilbert_reciprocity_check), each symbol the walker records
+    # against hilbert_symbol, and the sign it returns against their product.
     local, legendre_of = sweeps._sieve_tables(60)
     places = {p: Place(p) for p in primes_up_to(60)} | {None: INFINITY}
     nonzero = [n for n in range(-60, 61) if n]
@@ -126,11 +128,16 @@ def test_sieve_tables_agree_with_the_single_query():
     ]
     pairs = [(a, b) for a in nonzero for b in nonzero] + rationals
     for (a, b), data in zip(pairs, cases):
-        table = list(sweeps.local_symbols(*data, legendre_of))
-        single = hilbert_reciprocity_check(a, b).local_symbols
-        assert table == [(v.prime, s) for v, s in single], (a, b)
-        for p, s in table:
+        table = {}
+        sign = sweeps.local_symbol_product(*data, legendre_of, table)
+        single = hilbert_reciprocity_check(a, b)
+        order = [v.prime for v, _ in single.local_symbols]  # 2, odd primes ascending, inf
+        assert order == [*sorted(table.keys() - {None}), None], (a, b)
+        assert table == {v.prime: s for v, s in single.local_symbols}, (a, b)
+        for p, s in table.items():
             assert s == hilbert_symbol(a, b, places[p]), (a, b, p)
+        assert sign == prod(table.values()) == single.product, (a, b)
+        assert sweeps.local_symbol_product(*data, legendre_of) == sign, (a, b)
 
 
 # -- the failure path: kernels patched as jshadow.sweeps sees them ----------
@@ -156,10 +163,10 @@ def test_failure_rows_hold_rationals_as_strings(monkeypatch):
     # 16 integer pairs of bound 2 come first
     calls = itertools.count()
 
-    def symbols(A, local_A, B, local_B, legendre_of):
-        return iter([(None, 1 if next(calls) < 16 else -1)])
+    def product(A, local_A, B, local_B, legendre_of):
+        return 1 if next(calls) < 16 else -1
 
-    monkeypatch.setattr(sweeps, "local_symbols", symbols)
+    monkeypatch.setattr(sweeps, "local_symbol_product", product)
     result = SWEEPS["reciprocity"](bound=2, rational_samples=3)
     assert (result.checked, result.failures) == (16 + 3, 3)
     failures = [row for row in result.rows if "failure" in row]

@@ -205,6 +205,47 @@ def test_oracle_on_high_powers_of_the_place():
                     assert hilbert_oracle(a, b, v) == hilbert_symbol(a, b, v), (a, b, p)
 
 
+def test_oracle_walk_reaches_its_rare_branches(monkeypatch):
+    # Seeded pairs a, b = +-p^i u, i <= 4, u a small unit, against the closed
+    # form.  The counters show that the sample takes the (pu, pw) -> (-uw, pw)
+    # descent, reaches a node with g_z = 0 mod p and residual 0 (its dz is
+    # free, so it has children), and finds a verdict only in the second chart.
+    # The walk goes no deeper than the module docstring's M <= 5 (M <= 9 at
+    # p = 2), which needs the descent: (pu, pw) itself would take M = 7 (11).
+    search, lifts = symbols._search_primitive_solution, symbols._lifts
+    reached = {"descent": 0, "free dz": 0, "second chart": 0}
+    free = []  # per open node of the walk: whether its g_z is 0 mod p
+    deepest = dict.fromkeys((2, 3, 5, 7), 0)  # p -> the deepest level walked
+
+    def counted_search(C, D, p, levels, ts):
+        found = search(C, D, p, levels, ts)
+        reached["second chart"] += found and ts == (0,)
+        return found
+
+    def counted_lifts(C, D, p, levels, t, z, j):
+        reached["free dz"] += bool(free and free[-1])
+        deepest[p] = max(deepest[p], j)
+        free.append(2 * z % p == 0)
+        try:
+            return lifts(C, D, p, levels, t, z, j)
+        finally:
+            free.pop()
+
+    monkeypatch.setattr(symbols, "_search_primitive_solution", counted_search)
+    monkeypatch.setattr(symbols, "_lifts", counted_lifts)
+    rng = random.Random(2023)
+    for p in (2, 3, 5, 7):
+        units = [u for u in range(1, 16) if u % p]
+        for _ in range(500):
+            i, j = rng.randint(0, 4), rng.randint(0, 4)
+            a = rng.choice((-1, 1)) * rng.choice(units) * p**i
+            b = rng.choice((-1, 1)) * rng.choice(units) * p**j
+            reached["descent"] += i & j & 1
+            assert hilbert_oracle(a, b, Place(p)) == hilbert_symbol(a, b, Place(p)), (a, b, p)
+    assert all(reached.values()), reached
+    assert deepest == {2: 9, 3: 5, 5: 5, 7: 5}
+
+
 def test_oracle_decides_every_square_class_at_a_large_prime():
     # The two-chart walk is linear in p; the box search it replaced took
     # hours on a symbol of -1 at this p.  (2p, p) takes the descent step.
