@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from ._integers import check_prime, factorint, is_prime, prime_power_base, vp_int
-from .padic import embed, is_topological_generator, smallest_topological_generator
+from .padic import PadicNumber, embed, is_topological_generator, smallest_topological_generator
 
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 _zigzag_row: list[int] = [1]  # row 0 of the Seidel boustrophedon; row n ends in E_n
@@ -74,7 +74,7 @@ class GroupOrderReport:
     ``order`` is None for the infinite cyclic group, else at least 1 (a
     smaller one raises ValueError); the factorization multiplies back to
     the order (order 1 has an empty factorization).  It is computed on first use and kept, so a report
-    whose factors nobody reads never factors its order.
+    whose factors nobody reads never factors its order; ``part`` reads the order's valuation instead.
     """
 
     order: int | None
@@ -92,10 +92,13 @@ class GroupOrderReport:
         return self.order == 1
 
     def part(self, p: int) -> int:
-        """The p-part of the order (1 if p does not divide it)."""
+        """The p-part p**v_p(order) of the order (1 if p does not divide it),
+        for a prime p; for any p >= 2, the largest power of p dividing it."""
         if self.order is None:
             raise ValueError("infinite group has no p-part")
-        return p ** dict(self.factors).get(p, 0)
+        if p < 2:
+            raise ValueError(f"{p} has no p-part")
+        return p ** vp_int(self.order, p)
 
     def describe(self) -> str:
         if self.order is None:
@@ -160,9 +163,14 @@ def k1_sphere_order(ell: int, k: int, generator: int | None = None) -> K1SphereO
         generator = smallest_topological_generator(ell)
     elif not is_topological_generator(generator, ell):
         raise ValueError(f"{generator} does not topologically generate Z_{ell}^x")
-    v = _vl_power_minus_one(generator, k, ell)
+    order, closed = _k1_order(ell, k, generator)
+    return K1SphereOrder(ell=ell, k=k, generator=generator, order=order, closed_form=closed)
+
+
+def _k1_order(ell: int, k: int, generator: int) -> tuple[int, int]:
+    """The order l**v_l(u^k - 1) of K1SphereOrder and its closed form, unchecked."""
     closed = ell ** (1 + vp_int(k, ell)) if abs(k) % (ell - 1) == 0 else 1
-    return K1SphereOrder(ell=ell, k=k, generator=generator, order=ell**v, closed_form=closed)
+    return ell ** _vl_power_minus_one(generator, k, ell), closed
 
 
 def k_finite_field(n: int, q: int) -> GroupOrderReport:
@@ -184,9 +192,9 @@ def imj_consistency_check(ell: int, k: int) -> bool:
     """Whether the l-part of the image-of-J order in stem 4k-1 equals both
     the order of pi_{4k-1} of the K(1)-local sphere (= pi_{2m-1}, m = 2k)
     and that order's closed form."""
-    l_part = imj_order(k).part(ell)
-    sphere = k1_sphere_order(ell, 2 * k)
-    return l_part == sphere.order == sphere.closed_form
+    report = imj_order(k)
+    order, closed = _k1_order(ell, 2 * k, smallest_topological_generator(ell))
+    return report.part(ell) == order == closed
 
 
 def surjectivity_check(ell: int, p: int, k: int) -> bool:
@@ -212,8 +220,7 @@ def norm_identity_check(ell: int, u: int, d: int, m: int, precision: int) -> boo
     x = embed(u, ell, precision)
     xm = x**m
     lhs = (x**d) ** m - 1
-    total = embed(1, ell, precision)
-    power = embed(1, ell, precision)
+    total = power = PadicNumber._make(ell, 0, 1, precision)  # exact 1; embed checked ell, precision
     for _ in range(1, d):
         power = power * xm
         total = total + power

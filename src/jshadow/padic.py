@@ -164,10 +164,12 @@ class PadicNumber:
             # enough digits that it never limits the result: self's own for
             # a product, self's absolute precision for a sum, and at least
             # one.  The cap binds only when v(other) < v(self), where a sum
-            # needs more than MAX_PRECISION digits anyway.
-            v = vp_int(other.numerator, self.prime) - vp_int(other.denominator, self.prime)
-            digits = max(self.precision, self.abs_precision - v, 1)
-            return embed(other, self.prime, min(MAX_PRECISION, digits))
+            # needs more than MAX_PRECISION digits anyway.  Self's prime was
+            # checked when self was built; one split gives valuation and unit.
+            p = self.prime
+            (vn, num), (vd, den) = split_unit(other.numerator, p), split_unit(other.denominator, p)
+            digits = max(self.precision, self._valuation + self.precision - vn + vd, 1)
+            return _embed_unit(p, vn - vd, num, den, min(MAX_PRECISION, digits))
         return NotImplemented  # type: ignore[return-value]
 
     def __neg__(self) -> "PadicNumber":
@@ -181,18 +183,16 @@ class PadicNumber:
         if other is NotImplemented:
             return NotImplemented
         p = self.prime
-        a = min(self.abs_precision, other.abs_precision)
-        v = min(self._valuation, other._valuation)
-        width = a - v  # 0 when a flagged zero's O(p^A) swallows every digit
+        low, high = (self, other) if self._valuation <= other._valuation else (other, self)
+        v = low._valuation
+        # 0 when a flagged zero's O(p^A) swallows every digit
+        width = min(low.precision, high._valuation + high.precision - v)
         m = _modulus(p, width)
-        # A gap of width or more vanishes mod m: capping it builds no p^A for a zero.
-        s = (
-            self._unit_digits * _modulus(p, min(self._valuation - v, width))
-            + other._unit_digits * _modulus(p, min(other._valuation - v, width))
-        ) % m
-        if s == 0 and a < 1:
+        # Only high is scaled.  A gap >= width vanishes mod m: the cap builds no p^A for a zero.
+        s = (low._unit_digits + high._unit_digits * _modulus(p, min(high._valuation - v, width))) % m
+        if s == 0 and v + width < 1:
             raise PrecisionError("zero must be known modulo at least one digit")
-        w, unit = split_unit(s, p) if s else (width, 0)  # a zero is O(p^a)
+        w, unit = split_unit(s, p) if s else (width, 0)  # a zero is O(p^(v + width))
         return PadicNumber._make(p, v + w, unit, width - w)
 
     __radd__ = __add__
@@ -278,16 +278,23 @@ def _inverse_mod_power(u: int, p: int, n: int) -> int:
 def embed(x: Rational, prime: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
     """Embed a nonzero rational into Q_p, the unit part known mod p**precision.
 
-    The denominator is inverted modulo p**precision by Newton's iteration.
+    Checks the prime, the precision and x once, then splits x at the prime;
+    ``_embed_unit`` inverts the denominator's unit by Newton's iteration.
     """
     check_prime(prime, PadicError)
     _check_precision(precision)
     if check_rational(x) == 0:
         raise ZeroOperandError("cannot embed 0; use PadicNumber.zero")
-    (vn, digits), (vd, unit) = split_unit(x.numerator, prime), split_unit(x.denominator, prime)
-    if unit != 1:  # an int has nothing to invert
-        digits *= _inverse_mod_power(unit, prime, precision)
-    return PadicNumber._make(prime, vn - vd, digits % _modulus(prime, precision), precision)
+    (vn, num), (vd, den) = split_unit(x.numerator, prime), split_unit(x.denominator, prime)
+    return _embed_unit(prime, vn - vd, num, den, precision)
+
+
+def _embed_unit(prime: int, valuation: int, num: int, den: int, precision: int) -> "PadicNumber":
+    """p**valuation * num / den, num and den prime to p, known mod p**precision:
+    ``embed`` without its checks, for it and for a scalar operand."""
+    if den != 1:  # an int has nothing to invert
+        num *= _inverse_mod_power(den, prime, precision)
+    return PadicNumber._make(prime, valuation, num % _modulus(prime, precision), precision)
 
 
 def teichmuller(a: int, prime: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -372,11 +379,12 @@ def rezk_log_pi0(x: PadicNumber) -> "PadicNumber":
     return PadicNumber._make(ell, lg._valuation - 1, lg._unit_digits, lg.precision)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def is_topological_generator(u: int, ell: int) -> bool:
     """Whether the integer u topologically generates Z_l^x (l odd).
 
     Holds iff u generates the multiplicative group mod l and
-    v_l(u**(l-1) - 1) = 1; consequently it depends only on u mod l**2.
+    v_l(u**(l-1) - 1) = 1; consequently it depends only on u mod l**2.  Cached per (u, l).
     """
     check_prime(ell, PadicError, odd=True)
     if u % ell == 0:

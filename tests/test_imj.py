@@ -177,6 +177,22 @@ def test_group_order_report_helpers():
     assert GroupOrderReport(1).describe() == "0"
 
 
+
+def test_a_part_agrees_with_the_factorization():
+    # part reads the order's valuation; the report's factors are the oracle.
+    primes = primes_up_to(60)
+    for n in range(1, 5001):
+        report = GroupOrderReport(n)
+        factors = dict(report.factors)
+        for p in primes:
+            assert report.part(p) == p ** factors.get(p, 0)
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_a_part_below_two_is_refused(p):
+    with pytest.raises(ValueError, match="has no p-part"):
+        GroupOrderReport(24).part(p)
+
 @pytest.mark.parametrize("order", [0, -3])
 def test_a_group_order_below_one_is_refused(order):
     with pytest.raises(ValueError, match="order must be >= 1"):
@@ -332,6 +348,32 @@ def test_imj_consistency_grid():
     for ell in ODD_PRIMES_97:
         for k in range(1, 31):
             assert imj_consistency_check(ell, k), (ell, k)
+
+
+@pytest.mark.parametrize(
+    "shift, scale, failures",
+    [(0, 1, 0), (1, 1, 30), (0, 3, 30), (1, 3, 30)],
+    ids=["exact", "sphere-order-shifted", "image-of-j-scaled", "closed-form-alone"],
+)
+def test_the_consistency_check_agrees_with_the_reports_it_skips(monkeypatch, shift, scale, failures):
+    # imj_consistency_check builds no K1SphereOrder; on the default grid it
+    # must read what the reports read.  At l = 3 the faults shift the sphere
+    # order, or scale the image-of-J order by 3 (its other parts stay), or
+    # both, so that each of the three sides disagrees alone.
+    def shifted(u, k, ell):
+        return _vl_power_minus_one(u, k, ell) + shift * (ell == 3)
+
+    orders = {k: GroupOrderReport(imj_order(k).order * scale) for k in range(1, 31)}
+    monkeypatch.setattr(imj, "_vl_power_minus_one", shifted)
+    monkeypatch.setattr(imj, "imj_order", orders.__getitem__)
+    verdicts = []
+    for ell in ODD_PRIMES_97:
+        for k in range(1, 31):
+            sphere = k1_sphere_order(ell, 2 * k)
+            expected = orders[k].part(ell) == sphere.order == sphere.closed_form
+            verdicts.append(imj_consistency_check(ell, k))
+            assert verdicts[-1] == expected, (ell, k)
+    assert verdicts.count(False) == failures
 
 
 def test_surjectivity_examples():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jshadow._integers import is_prime, primes_up_to
+from jshadow._integers import primes_up_to, split_unit
 from jshadow.padic import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
@@ -212,13 +212,13 @@ def test_arithmetic_builds_its_zeros_without_a_primality_test():
 @pytest.mark.parametrize(
     "op", [lambda x: x * 3, lambda x: x + 3, lambda x: 3 - x], ids=["x*3", "x+3", "3-x"]
 )
-def test_a_scalar_operand_checks_its_prime_once(op):
-    # The scalar is embedded at the operand's prime, which embed checks; the
-    # digits it needs read its valuation with no check of its own.
+def test_a_scalar_operand_makes_no_primality_test(op):
+    # The scalar is embedded at the operand's prime, which was checked when
+    # the operand was built; one split of it gives its valuation and unit.
     x = embed(Fraction(5, 9), 7, 8)
-    with mock.patch("jshadow._integers.is_prime", wraps=is_prime) as checked:
-        op(x)
-    assert checked.call_args_list == [mock.call(7)]
+    expected = op(x)
+    with mock.patch("jshadow._integers.is_prime", side_effect=AssertionError("is_prime called")):
+        assert op(x) == expected
 
 
 def test_mixed_prime_rejected():
@@ -537,6 +537,108 @@ def test_arithmetic_results_are_canonical(data, p):
         except PadicError:  # division by a flagged zero, or a result below one digit
             continue
         assert_canonical(result, p)
+
+
+
+# -- the rewritten kernels against their earlier formulas ----------------------
+
+
+def _sum_by_the_earlier_formula(x: PadicNumber, y: PadicNumber) -> PadicNumber:
+    # PadicNumber.__add__ before it scaled only the operand of larger
+    # valuation: both unit parts scaled to the lower one, each gap capped.
+    p = x.prime
+    a = min(x.abs_precision, y.abs_precision)
+    v = min(x._valuation, y._valuation)
+    width = a - v
+    s = (
+        x._unit_digits * p ** min(x._valuation - v, width)
+        + y._unit_digits * p ** min(y._valuation - v, width)
+    ) % p**width
+    if s == 0 and a < 1:
+        raise PrecisionError("zero must be known modulo at least one digit")
+    w, unit = split_unit(s, p) if s else (width, 0)
+    return PadicNumber._make(p, v + w, unit, width - w)
+
+
+def _outcome(operation):
+    """The result of operation(), or the class of the PadicError it raises."""
+    try:
+        return operation()
+    except PadicError as error:
+        return type(error)
+
+
+@st.composite
+def summands(draw):
+    # Valuations down to -6 at precisions from 1, so a sum that cancels can
+    # fall below one digit (PrecisionError); flagged zeros; and a second
+    # operand that is free, the negation of the first, or cancels some digits.
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def operand():
+        if draw(st.integers(0, 5)) == 0:
+            return PadicNumber.zero(p, draw(st.integers(1, 8)))
+        precision = draw(st.integers(1, 8))
+        unit = draw(st.integers(1, p**precision - 1).filter(lambda u: u % p))
+        return PadicNumber.from_unit(p, draw(st.integers(-6, 6)), unit, precision)
+
+    x = operand()
+    kind = draw(st.sampled_from(["free", "negated", "cancelling"]))
+    if kind == "negated":
+        return x, -x
+    if kind == "cancelling" and not x.is_zero:
+        digits, precision = draw(st.integers(1, x.precision)), draw(st.integers(1, 8))
+        unit = -x.unit_digits + p**digits * draw(st.integers(0, p**8))
+        return x, PadicNumber.from_unit(p, x.valuation, unit, precision)
+    return x, operand()
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=summands())
+def test_a_sum_matches_the_earlier_formula(pair):
+    x, y = pair
+    expected = _outcome(lambda: _sum_by_the_earlier_formula(x, y))
+    assert _outcome(lambda: x + y) == expected
+    assert _outcome(lambda: y + x) == expected
+
+
+def test_a_cancelling_sum_below_one_digit_raises_as_before():
+    x = PadicNumber.from_unit(3, -1, 1, 1)  # known modulo 3^0, the largest such modulus
+    for operation in (lambda: x + -x, lambda: _sum_by_the_earlier_formula(x, -x)):
+        with pytest.raises(PrecisionError):
+            operation()
+
+
+@st.composite
+def scalars(draw, p):
+    # An int, or a Fraction with p in its numerator or in its denominator.
+    n = draw(st.integers(-60, 60).filter(lambda n: n % p))
+    d = draw(st.integers(1, 60).filter(lambda d: d % p))
+    k = draw(st.integers(0, 4))
+    where = draw(st.sampled_from(["int", "numerator", "denominator"]))
+    if where == "int":
+        return n * p**k
+    if where == "numerator":
+        return Fraction(n * p**k, d)
+    return Fraction(n, d * p ** (k + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+def test_a_scalar_operand_matches_its_embedding(data, p):
+    x, r = data.draw(padic_operands(p)), data.draw(scalars(p))
+    # _coerce's digit rule: enough digits that r never limits the result.
+    n = min(MAX_PRECISION, max(x.precision, x.abs_precision - vp(r, p), 1))
+    e = embed(r, p, n)
+    pairs = (
+        (lambda: x + r, lambda: x + e),
+        (lambda: x - r, lambda: x - e),
+        (lambda: x * r, lambda: x * e),
+        (lambda: x / r, lambda: x / e),
+        (lambda: r - x, lambda: e - x),
+    )
+    for scalar, embedded in pairs:
+        assert _outcome(scalar) == _outcome(embedded)
 
 
 # -- results pinned byte for byte ---------------------------------------------
