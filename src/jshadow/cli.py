@@ -30,8 +30,8 @@ seeded sweeps; ``sweep all`` runs every default grid.
 Exit codes: 0 for pass or informational output, 1 for a verification
 failure, 2 for a usage error (unknown subcommand, sweep or flag, malformed
 rational, composite number where a prime is required, empty sweep grid,
-an integer too large for the interpreter to index with or the value ``--``,
-each named by its flag).
+a prime or grid size past its cap, named by its parameter, or the value
+``--``, named by its flag).
 """
 
 import argparse
@@ -441,27 +441,13 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if [] in vars(args).values():  # --flag=--: argparse strips the "--" and stores []
-            empty = _flags_given(args, lambda value: value == [])
+            empty = ", ".join("--" + k.replace("_", "-") for k, v in vars(args).items() if v == [])
             raise UsageError(f"{empty}: expected one argument")
         report = args.handler(args)
-    except (ValueError, OverflowError) as exc:
-        message = str(exc)
-        if isinstance(exc, OverflowError):
-            message = f"{_flags_given(args, _oversized) or 'an argument'}: {message}"
-        print(f"error: {message}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return _emit(report, args.json)
-
-
-def _oversized(value) -> bool:
-    """Whether the value holds an integer too large for the interpreter to index with."""
-    values = value if isinstance(value, tuple) else (value,)
-    return any(isinstance(v, int) and abs(v) > sys.maxsize for v in values)
-
-
-def _flags_given(args, test: Callable) -> str:
-    """The flags, comma-separated, whose values in ``args`` pass ``test``."""
-    return ", ".join("--" + key.replace("_", "-") for key, v in vars(args).items() if test(v))
 
 
 def main() -> None:

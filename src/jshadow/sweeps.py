@@ -12,14 +12,15 @@ Its body takes a fresh :class:`SweepResult` and then its parameters, each
 with a default, and states only what it checks: ``result.check(ok,
 **what)`` counts every check and records a failure row, and ``with
 result.bucket(**row):`` appends ``row`` with the failures recorded inside
-the block.  The decorator registers it in
-:data:`SWEEPS`, where ``jshadow sweep <name>`` and ``jshadow sweep all``
-find it (each keyword is a flag of ``sweep <name>``, read by its
-annotation), records the parameters used in ``params``, and rejects
-a grid on which nothing was checked.  A sweep with a randomized component has a
-``seed`` parameter defaulting to :data:`DEFAULT_SEED`; the CLI passes
-``--seed`` to exactly those sweeps, and reports are byte-for-byte
-deterministic for a given seed.
+the block.  The decorator registers it in :data:`SWEEPS`, where
+``jshadow sweep <name>`` and ``jshadow sweep all`` find it (each keyword
+is a flag of ``sweep <name>``, read by its annotation), records the
+parameters used in ``params``, and rejects a grid on which nothing was
+checked.  A body refuses a bound or largest prime above :data:`GRID_CAP`
+before it builds anything of that size.  A sweep with a randomized
+component has a ``seed`` parameter defaulting to :data:`DEFAULT_SEED`;
+the CLI passes ``--seed`` to exactly those sweeps, and reports are
+byte-for-byte deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import contextlib
 import functools
 import inspect
 import random
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
@@ -44,6 +44,7 @@ from .imj import (
 )
 from .jmaps import adelic_norm_product, j_fp_pi0, j_real_pi0, j_tame_pi1, j_wild_pi0, j_wild_pi1
 from .padic import (
+    MAX_PRECISION,
     PadicNumber,
     embed,
     geometric_series_witness,
@@ -55,7 +56,6 @@ from .symbols import (
     INFINITY,
     Place,
     _cleared_local_data,
-    _oracle_prime,
     hilbert_oracle,
     hilbert_symbol,
     legendre,
@@ -65,6 +65,7 @@ from .symbols import (
 
 DEFAULT_SEED = 1729
 _MAX_FAILURE_ROWS = 32
+GRID_CAP = 4096  # the largest bound, coefficient or prime of a grid: sieves and tables are O(cap)
 
 # One entry per verified statement; sweeps and single-shot CLI commands
 # share these so every report quotes the same anchor text.
@@ -163,11 +164,14 @@ class SweepResult:
 SWEEPS: dict[str, object] = {}
 
 
-def _at_least(low: int, **params: int) -> None:
-    """Reject a parameter below the least value its grid can use."""
+def _in_range(low: int, high: int | None = None, /, **params: int) -> None:
+    """Reject a parameter below the least value its grid can use, or above
+    ``high``, before anything of its size is built."""
     for name, value in params.items():
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise ValueError(f"{name} must be <= {high}, got {value}")
 
 
 def _sweep(name: str, statement_id: str):
@@ -230,8 +234,8 @@ def sweep_reciprocity(
     exhaustively for integer pairs with |a|, |b| <= bound and for a seeded
     sample of rational pairs with numerator and denominator <= bound.  The
     local symbols come from sieve tables built once per call."""
-    _at_least(1, bound=bound)
-    _at_least(0, rational_samples=rational_samples)
+    _in_range(1, GRID_CAP, bound=bound)
+    _in_range(0, rational_samples=rational_samples)
     local, legendre_of = _sieve_tables(bound)
     nonzero = [n for n in range(-bound, bound + 1) if n]
     with result.bucket(kind="integer-grid", pairs=(2 * bound) ** 2):
@@ -260,11 +264,10 @@ def sweep_oracle_agreement(
     """Closed-form Hilbert symbol versus the solvability oracle, for every
     place p <= prime_max plus infinity and all integers |a|, |b| <= bound,
     plus a seeded sample of rational pairs."""
-    _at_least(2, prime_max=prime_max)  # the infinite place alone is no grid
-    _at_least(1, coeff_bound=coeff_bound)
-    _at_least(0, rational_samples=rational_samples)
-    # a prime past the oracle's cap refuses the grid before its first check
-    places = [Place(_oracle_prime(p)) for p in primes_up_to(prime_max)] + [INFINITY]
+    _in_range(2, GRID_CAP, prime_max=prime_max)  # the infinite place alone is no grid
+    _in_range(1, GRID_CAP, coeff_bound=coeff_bound)
+    _in_range(0, rational_samples=rational_samples)
+    places = [Place(p) for p in primes_up_to(prime_max)] + [INFINITY]
     nonzero = [n for n in range(-coeff_bound, coeff_bound + 1) if n]
     for place in places:
         with result.bucket("mismatches", place=str(place), pairs=len(nonzero) ** 2):
@@ -286,6 +289,7 @@ def sweep_oracle_agreement(
 def sweep_zolotarev(result: SweepResult, p_max: int = 500) -> None:
     """Permutation sign of multiplication by a on Z/p equals the Legendre
     symbol, for every odd prime p <= p_max and every 1 <= a < p."""
+    _in_range(2, GRID_CAP, p_max=p_max)
     for p in primes_up_to(p_max)[1:]:  # odd primes
         with result.bucket("mismatches", p=p, pairs=p - 1):
             for a in range(1, p):
@@ -297,6 +301,7 @@ def sweep_imj_consistency(result: SweepResult, ell_max: int = 97, k_max: int = 3
     """The l-part of den(B_{2k}/4k) equals l**v_l(u^{2k} - 1) for the
     canonical topological generator u, and its closed form l**(1 + v_l(2k))
     when (l-1) | 2k (else 1), for every odd l <= ell_max and 1 <= k <= k_max."""
+    _in_range(2, GRID_CAP, ell_max=ell_max)
     for ell in primes_up_to(ell_max)[1:]:  # odd primes
         u = smallest_topological_generator(ell)
         with result.bucket(ell=ell, k_max=k_max, generator=u):
@@ -308,7 +313,7 @@ def sweep_imj_consistency(result: SweepResult, ell_max: int = 97, k_max: int = 3
 def sweep_bernoulli(result: SweepResult, n_max: int = 60) -> None:
     """Recurrence denominators equal the von Staudt-Clausen product for all
     even n <= n_max, and B_12 has its known value."""
-    _at_least(2, n_max=n_max)  # the B_12 spot check alone is no grid
+    _in_range(2, n_max=n_max)  # the B_12 spot check alone is no grid
     for n in range(2, n_max + 1, 2):
         den = bernoulli(n).denominator
         expected = von_staudt_clausen_denominator(n)
@@ -350,6 +355,7 @@ def sweep_surjectivity(
 ) -> None:
     """v_l(p^k - 1) >= v_l(u^k - 1) for all odd l <= ell_max, primes
     p <= p_max with p != l, and 1 <= k <= k_max."""
+    _in_range(2, GRID_CAP, ell_max=ell_max, p_max=p_max)
     primes = primes_up_to(p_max)
     for ell in primes_up_to(ell_max)[1:]:  # odd primes
         with result.bucket(ell=ell):
@@ -366,6 +372,7 @@ def sweep_norm_identity(
 ) -> None:
     """(u^d)^m - 1 = (u^m - 1)(1 + u^m + ... + (u^m)^(d-1)) in Z_l at the
     given precision, over the full (l, d, m) grid."""
+    _in_range(2, GRID_CAP, ell_max=ell_max)
     for ell in primes_up_to(ell_max)[1:]:  # odd primes
         u = smallest_topological_generator(ell)
         with result.bucket(ell=ell, generator=u):
@@ -379,9 +386,8 @@ def sweep_norm_identity(
 def sweep_quillen(result: SweepResult, q_max: int = 49, i_max: int = 10) -> None:
     """|K_{2i-1}(F_q)| = q^i - 1 and K_{2i}(F_q) = 0 for prime powers
     q <= q_max and 1 <= i <= i_max, with every order prime to q."""
-    _at_least(1, i_max=i_max)  # the K_0 spot checks alone are no grid
-    if q_max > sys.maxsize:  # range() would run on; refused as a sieve's bytearray is
-        raise OverflowError("cannot fit 'int' into an index-sized integer")
+    _in_range(1, i_max=i_max)  # the K_0 spot checks alone are no grid
+    _in_range(2, GRID_CAP, q_max=q_max)
     for q in filter(prime_power_base, range(2, q_max + 1)):
         with result.bucket(q=q, i_max=i_max):
             result.check(k_finite_field(0, q).order is None, q=q, degree=0)
@@ -396,6 +402,7 @@ def sweep_quillen(result: SweepResult, q_max: int = 49, i_max: int = 10) -> None
 @_sweep("pi2-nontriviality", "local-symbol-nontriviality")
 def sweep_pi2_nontriviality(result: SweepResult, p_max: int = 100) -> None:
     """For every prime p <= p_max, exhibit a pair (a, b) with (a,b)_p = -1."""
+    _in_range(2, GRID_CAP, p_max=p_max)
     pool = [-1, 2, 3, 5, 6, 7, 10, 11, 13, 17]
     for p in primes_up_to(p_max):
         place = Place(p)
@@ -427,8 +434,8 @@ def sweep_low_degree_j(
     """The low-degree J tables: identity on pi_0 over R, negation and
     inversion for the wild map, p**v_p(x) (multiplicatively) for the tame
     map, and the tame/degree factorization."""
-    _at_least(1, precision=precision)
-    _at_least(0, inversion_samples=inversion_samples, tame_samples=tame_samples)
+    _in_range(1, MAX_PRECISION, precision=precision)
+    _in_range(0, inversion_samples=inversion_samples, tame_samples=tame_samples)
     rng = random.Random(seed)
     with result.bucket(check="pi0-tables", samples=402):
         for k in range(-100, 101):

@@ -79,9 +79,10 @@ def zolotarev_sign(a: int, p: int) -> Sign:
     A permutation of n points with c cycles has sign (-1)^(n - c).  The walk
     visits each of the n = p - 1 nonzero residues once, counting cycles; a
     cycle closes when it returns to its start, and the next start is the
-    first unvisited residue, found by ``bytearray.find``.
+    first unvisited residue, found by ``bytearray.find``.  A prime above
+    ORACLE_PRIME_CAP raises SymbolError before the walk's table is built.
     """
-    check_prime(p, SymbolError, odd=True)
+    check_prime(_capped_prime(p), SymbolError, odd=True)
     a %= p
     if a == 0:
         raise SymbolError("a must be prime to p")
@@ -183,13 +184,13 @@ def local_symbol_product(
     return sign * infinite
 
 
-ORACLE_PRIME_CAP = 2**17  # the oracle's table of square roots mod p holds p entries
+ORACLE_PRIME_CAP = 2**17  # the Zolotarev walk and the oracle's square-root table are O(p)
 
 
-def _oracle_prime(p: int) -> int:
-    """p, if the oracle searches at it; else SymbolError, before any table is built."""
+def _capped_prime(p: int) -> int:
+    """p, if a walk over Z/p takes it; else SymbolError, before any table is built."""
     if p > ORACLE_PRIME_CAP:
-        raise SymbolError(f"the oracle searches primes up to {ORACLE_PRIME_CAP}, got {p}")
+        raise SymbolError(f"p must be <= {ORACLE_PRIME_CAP}, got {p}")
     return p
 
 
@@ -256,7 +257,7 @@ def hilbert_oracle(a: Rational, b: Rational, place: Place) -> Sign:
     B = _cleared_int(b, "b")
     if not place.is_finite:
         return -1 if A < 0 and B < 0 else 1
-    p = _oracle_prime(place.prime)
+    p = _capped_prime(place.prime)
     (alpha, u), (beta, w) = split_unit(A, p), split_unit(B, p)
     A, B = (-u * w, p * w) if alpha & beta & 1 else (u * p ** (alpha & 1), w * p ** (beta & 1))
     levels = 2 * vp_int(4 * A * B, p) + 3

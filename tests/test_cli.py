@@ -219,21 +219,29 @@ def test_hilbert_oracle_past_its_prime_cap_exits_2(capsys):
 
 
 def test_oracle_agreement_refuses_a_grid_past_the_oracle_cap_before_its_first_check(monkeypatch, capsys):
-    # the grid used to run every prime below the cap first: 2 min 40 s before this error
+    # the grid used to run every prime below the cap first: 2 min 40 s before this error.
+    # The grid cap lies below the oracle's, so the grid is refused before it is sieved.
+    assert sweeps.GRID_CAP < symbols.ORACLE_PRIME_CAP
+
     def search(a, b, place):
         raise AssertionError(f"the oracle searched at {place} before the grid was refused")
 
+    def sieve(n):
+        raise AssertionError(f"the primes up to {n} were sieved before the grid was refused")
+
     monkeypatch.setattr(sweeps, "hilbert_oracle", search)
+    monkeypatch.setattr(sweeps, "primes_up_to", sieve)
     grid = ["--coeff-bound=1", "--rational-samples=0"]
     assert run(["sweep", "oracle-agreement", "--prime-max=200000", *grid]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: the oracle searches primes up to 131072, got 131101\n"
-    # no prime lies between the cap and 131101, so a grid to 131100 runs (the closed form
-    # stands in for the search here): 4 pairs at each of its 12,251 primes and at infinity
+    assert captured.err == "error: prime_max must be <= 4096, got 200000\n"
+    # a grid at the cap runs (the closed form stands in for the search here):
+    # 4 pairs at each of its 564 primes and at infinity
+    monkeypatch.undo()
     monkeypatch.setattr(sweeps, "hilbert_oracle", symbols.hilbert_symbol)
-    code, report = run_json(capsys, ["sweep", "oracle-agreement", "--prime-max=131100", *grid])
-    assert code == 0 and report["rows"][-1]["checked"] == 4 * (12251 + 1)
+    code, report = run_json(capsys, ["sweep", "oracle-agreement", "--prime-max=4096", *grid])
+    assert code == 0 and report["rows"][-1]["checked"] == 4 * (564 + 1)
 
 
 def test_hilbert_informational_verdict(capsys):
@@ -786,10 +794,10 @@ def test_empty_sweep_grid_exits_2(capsys, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # each used to exit 1 with an OverflowError traceback
-        (["zolotarev", "--a=2", "--p=3317044064679887385962123"], "index-sized integer"),
-        (["sweep", "zolotarev", "--p-max=100000000000000000000000"], "index-sized integer"),
-        (["sweep", "quillen", "--q-max=100000000000000000000000"], "index-sized integer"),
+        # each used to exit 1 with an OverflowError traceback; the library now caps them
+        (["zolotarev", "--a=2", "--p=3317044064679887385962123"], "p must be <= 131072"),
+        (["sweep", "zolotarev", "--p-max=100000000000000000000000"], "p_max must be <= 4096"),
+        (["sweep", "quillen", "--q-max=100000000000000000000000"], "q_max must be <= 4096"),
         # the library's own errors, no longer repeated by the CLI
         (["bernoulli", "--n=-1"], "n must be >= 0"),
         (["imj-order", "--k=0"], "k must be >= 1"),
@@ -819,14 +827,35 @@ def test_arguments_the_library_rejects_exit_2(capsys, argv, message):
         (["sweep", "zolotarev", "--p-max=100000000000000000000000"], "--p-max"),
         (["sweep", "quillen", "--q-max=100000000000000000000000"], "--q-max"),
         (["sweep", "reciprocity", "--bound=100000000000000000000000"], "--bound"),
+        # below sys.maxsize each of these used to exit 1 with a MemoryError traceback
+        (["zolotarev", "--a=2", "--p=1000000000000037"], "--p"),
+        (["sweep", "zolotarev", "--p-max=100000000000"], "--p-max"),
+        (["sweep", "reciprocity", "--bound=100000000000"], "--bound"),
+        (["sweep", "oracle-agreement", "--prime-max=100000000000"], "--prime-max"),
+        (["sweep", "oracle-agreement", "--coeff-bound=100000000000"], "--coeff-bound"),
+        (["sweep", "surjectivity", "--p-max=100000000000"], "--p-max"),
+        (["sweep", "imj-consistency", "--ell-max=100000000000"], "--ell-max"),
+        (["sweep", "norm-identity", "--ell-max=100000000000"], "--ell-max"),
+        (["sweep", "pi2-nontriviality", "--p-max=100000000000"], "--p-max"),
+        # p**precision was built first: killed by a 10 s timeout
+        (["sweep", "low-degree-j", "--precision=1000000000"], "--precision"),
     ],
 )
-def test_an_overflowing_integer_names_its_flag(capsys, argv, flag):
-    # the error line used to carry Python's words only, with no parameter name
-    assert run(argv) == 2
+def test_an_overflowing_integer_names_its_flag(monkeypatch, capsys, argv, flag):
+    # the error line used to carry Python's words only, with no parameter name;
+    # the library's cap now opens it with the flag's parameter, before anything is built
+    def built(*args):
+        raise AssertionError(f"jshadow {shlex.join(argv)} built a table before refusing it")
+
+    monkeypatch.setattr(sweeps, "primes_up_to", built)
+    monkeypatch.setattr(sweeps, "prime_power_base", built)
+    monkeypatch.setattr(symbols, "bytearray", built, raising=False)  # the Zolotarev walk's table
+    with _time_bound(argv, seconds=1):
+        assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {flag}: ") and captured.err.count("\n") == 1
+    name = flag[2:].replace("-", "_")
+    assert captured.err.startswith(f"error: {name} must be <= ") and captured.err.count("\n") == 1
 
 
 def _off_by_one_valuation(monkeypatch):

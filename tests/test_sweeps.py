@@ -96,13 +96,32 @@ def test_params_record_the_arguments_used():
         ("quillen", {"i_max": -3, "q_max": 4}, "i_max must be >= 1, got -3"),
         ("quillen", {"i_max": 0}, "i_max must be >= 1, got 0"),
         ("oracle-agreement", {"prime_max": 1}, "prime_max must be >= 2, got 1"),
+        # each sieved, listed or tabulated up to its size first: a MemoryError,
+        # or for low-degree-j the power p**precision
+        ("reciprocity", {"bound": 10**11}, "bound must be <= 4096, got 100000000000$"),
+        ("reciprocity", {"bound": 4097}, "bound must be <= 4096, got 4097$"),
+        ("oracle-agreement", {"prime_max": 10**11}, "prime_max must be <= 4096"),
+        ("oracle-agreement", {"coeff_bound": 10**11}, "coeff_bound must be <= 4096"),
+        ("zolotarev", {"p_max": 10**11}, "p_max must be <= 4096"),
+        ("imj-consistency", {"ell_max": 10**11}, "ell_max must be <= 4096"),
+        ("surjectivity", {"ell_max": 10**11}, "ell_max must be <= 4096"),
+        ("surjectivity", {"p_max": 10**11}, "p_max must be <= 4096"),
+        ("norm-identity", {"ell_max": 10**11}, "ell_max must be <= 4096"),
+        ("quillen", {"q_max": 10**11}, "q_max must be <= 4096"),
+        ("pi2-nontriviality", {"p_max": 10**11}, "p_max must be <= 4096"),
+        ("low-degree-j", {"precision": 10**9}, "precision must be <= 4096, got 1000000000$"),
     ],
 )
-def test_out_of_range_parameters_raise_value_error(name, params, message):
+def test_out_of_range_parameters_raise_value_error(monkeypatch, name, params, message):
     # These used to raise IndexError or a randrange error, or pass on spot
     # checks alone: bernoulli on B_12, quillen on K_0, oracle-agreement on
-    # the infinite place.
-    with pytest.raises(ValueError, match=message):
+    # the infinite place.  Each is refused before anything is built.
+    def built(*args):
+        raise AssertionError(f"sweep {name} {params} built a table before refusing it")
+
+    monkeypatch.setattr(sweeps, "primes_up_to", built)
+    monkeypatch.setattr(sweeps, "prime_power_base", built)
+    with pytest.raises(ValueError, match="^" + message):
         SWEEPS[name](**params)
 
 

@@ -266,6 +266,11 @@ def test_oracle_refuses_primes_past_its_cap():
         with pytest.raises(SymbolError, match=f"{symbols.ORACLE_PRIME_CAP}, got {p}"):
             hilbert_oracle(2, 3, Place(p))
     assert hilbert_symbol(2, 3, Place(p)) == 1
+    # the Zolotarev walk takes the same cap: bytearray(p) at 10^15 + 37 was a MemoryError
+    with mock.patch("jshadow.symbols.bytearray", side_effect=AssertionError("table built"), create=True):
+        with pytest.raises(SymbolError, match=f"^p must be <= {symbols.ORACLE_PRIME_CAP}, got "):
+            zolotarev_sign(2, 1000000000000037)
+    assert zolotarev_sign(3, 131071) == legendre(3, 131071)  # the largest prime either takes
 
 
 def test_square_root_tables_are_kept_up_to_a_total_of_roots(monkeypatch):
