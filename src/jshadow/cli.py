@@ -434,15 +434,17 @@ def _exact_args(argv: Sequence[str]) -> argparse.Namespace | None:
 
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # --flag=--: argparse stores [] before 3.13 and passes "--" on from 3.13, so no parser sees it
+    empty = [arg[:-3] for arg in argv if arg[-3:] == "=--" and arg[:2] == "--" and "=" not in arg[:-3]]
+    if empty:
+        print(f"error: {', '.join(empty)}: expected one argument", file=sys.stderr)
+        return 2
     parser = build_parser(argv)
     try:
         args = _exact_args(argv) or parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if [] in vars(args).values():  # --flag=--: argparse strips the "--" and stores []
-            empty = ", ".join("--" + k.replace("_", "-") for k, v in vars(args).items() if v == [])
-            raise UsageError(f"{empty}: expected one argument")
         report = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

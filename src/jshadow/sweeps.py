@@ -241,16 +241,23 @@ def sweep_reciprocity(
     with result.bucket(kind="integer-grid", pairs=(2 * bound) ** 2):
         for a in nonzero:
             local_a = local[a]
-            for b in nonzero:
-                sign = local_symbol_product(a, local_a, b, local[b], legendre_of)
-                result.check(sign == 1, a=a, b=b)
+            for b in nonzero:  # only a failure passes its row values, here and below
+                if local_symbol_product(a, local_a, b, local[b], legendre_of) == 1:
+                    result.check(True)
+                else:
+                    result.check(False, a=a, b=b)
     rng = random.Random(seed)
+    choice, randrange, top = rng.choice, rng.randrange, bound + 1  # randrange(1, top) is randint
     with result.bucket(kind="rational-sample", pairs=rational_samples):
-        for _ in range(rational_samples):
-            a = Fraction(rng.choice(nonzero), rng.randint(1, bound))
-            b = Fraction(rng.choice(nonzero), rng.randint(1, bound))
-            cleared = *_cleared_local_data(local, a), *_cleared_local_data(local, b)
-            result.check(local_symbol_product(*cleared, legendre_of) == 1, a=a, b=b)
+        for _ in range(rational_samples):  # a = m/d and b = n/e, each reduced by one gcd
+            m, d, n, e = choice(nonzero), randrange(1, top), choice(nonzero), randrange(1, top)
+            g, h = gcd(m, d), gcd(n, e)
+            m, d, n, e = m // g, d // g, n // h, e // h
+            cleared = *_cleared_local_data(local, m, d), *_cleared_local_data(local, n, e)
+            if local_symbol_product(*cleared, legendre_of) == 1:
+                result.check(True)
+            else:  # only a failure row builds Fractions, printed as str(Fraction) prints them
+                result.check(False, a=Fraction(m, d), b=Fraction(n, e))
 
 
 @_sweep("oracle-agreement", "hilbert-symbol-solvability")

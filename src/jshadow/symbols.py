@@ -311,19 +311,19 @@ class ReciprocityResult:
 def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     """Evaluate (a,b)_v on the finite support set and multiply.
 
-    a and b are cleared to A = num*den and B = num*den once, and each
-    numerator and denominator (never a product) is factored and split
-    once; :func:`_cleared_local_data` merges them, as in the reciprocity
-    sweep.  :func:`local_symbol_product` writes each place's symbol to a
-    table, listed here at 2, the odd primes ascending, and infinity."""
+    a and b are cleared to A = num*den and B = num*den once: each numerator
+    and denominator (never a product) is factored and split once, and
+    :func:`_cleared_local_data` merges them, given as two ints, as the
+    reciprocity sweep does.  :func:`local_symbol_product` writes each
+    place's symbol to a table, listed at 2, the odd primes ascending, and infinity."""
     a = Fraction(check_rational(a))
     b = Fraction(check_rational(b))
     if a == 0 or b == 0:
         raise SymbolError("inputs must be nonzero")
     parts = (a.numerator, a.denominator, b.numerator, b.denominator)
     local = {n: {p: split_unit(n, p) for p in factorint(abs(n))} for n in parts}
-    A, local_A = _cleared_local_data(local, a)
-    B, local_B = _cleared_local_data(local, b)
+    A, local_A = _cleared_local_data(local, a.numerator, a.denominator)
+    B, local_B = _cleared_local_data(local, b.numerator, b.denominator)
     table = {}
     product = local_symbol_product(A, local_A, B, local_B, _jacobi, table)
     infinite = table.pop(None)
@@ -331,11 +331,10 @@ def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     return ReciprocityResult(a=a, b=b, local_symbols=symbols, product=product)
 
 
-def _cleared_local_data(local: dict, x: Fraction) -> tuple[int, dict]:
-    """(X, local data of X) for X = num*den, merged from the local data
-    ``local[n]`` of the reduced numerator and denominator: a prime divides
-    only one of them, and its unit takes the other one's whole value."""
-    num, den = x.numerator, x.denominator
+def _cleared_local_data(local: dict, num: int, den: int) -> tuple[int, dict]:
+    """(X, local data of X) for X = num*den, num/den in lowest terms with den >= 1,
+    merged from the local data ``local[num]`` and ``local[den]``: a prime
+    divides only one of them, and its unit takes the other one's whole value."""
     data = {}
     for p, (alpha, u) in local[num].items():
         data[p] = alpha, u * den

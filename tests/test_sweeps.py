@@ -9,12 +9,12 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 
 from jshadow import sweeps
-from jshadow._integers import primes_up_to
+from jshadow._integers import factorint, primes_up_to, split_unit
 from jshadow.cli import build_parser, run
 from jshadow.sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, SweepResult
 from jshadow.symbols import INFINITY, Place, hilbert_reciprocity_check, hilbert_symbol
@@ -142,7 +142,10 @@ def test_sieve_tables_agree_with_the_single_query():
     ]
     cases = [(a, local[a], b, local[b]) for a in nonzero for b in nonzero]
     cases += [
-        (*sweeps._cleared_local_data(local, a), *sweeps._cleared_local_data(local, b))
+        (
+            *sweeps._cleared_local_data(local, a.numerator, a.denominator),
+            *sweeps._cleared_local_data(local, b.numerator, b.denominator),
+        )
         for a, b in rationals
     ]
     pairs = [(a, b) for a in nonzero for b in nonzero] + rationals
@@ -157,6 +160,18 @@ def test_sieve_tables_agree_with_the_single_query():
             assert s == hilbert_symbol(a, b, places[p]), (a, b, p)
         assert sign == prod(table.values()) == single.product, (a, b)
         assert sweeps.local_symbol_product(*data, legendre_of) == sign, (a, b)
+
+
+def test_cleared_local_data_agrees_with_factoring_the_product():
+    # every num/den in lowest terms with |num|, den <= 60, from the sieve tables
+    local, _ = sweeps._sieve_tables(60)
+    pairs = itertools.product(range(-60, 61), range(1, 61))
+    cases = [(num, den) for num, den in pairs if num and gcd(num, den) == 1]
+    assert len(cases) > 4000
+    for num, den in cases:
+        X = num * den
+        expected = {p: split_unit(X, p) for p in factorint(abs(X))}
+        assert sweeps._cleared_local_data(local, num, den) == (X, expected), (num, den)
 
 
 # -- the failure path: kernels patched as jshadow.sweeps sees them ----------
@@ -196,6 +211,37 @@ def test_failure_rows_hold_rationals_as_strings(monkeypatch):
         assert Fraction(row["a"]) and Fraction(row["b"])
     buckets = {row["kind"]: row["failures"] for row in result.rows if "kind" in row}
     assert buckets == {"integer-grid": 0, "rational-sample": 3}
+
+
+def test_failure_rows_pin_the_rational_sample_stream(monkeypatch):
+    # Every pair fails, so the 32 rows are the 16 integer pairs of bound 2
+    # and then the first 16 rational samples, drawn as m/d and n/e in that
+    # order from the seed.  A reference loop of Fractions gives their rows.
+    monkeypatch.setattr(sweeps, "local_symbol_product", lambda *args: -1)
+    result = SWEEPS["reciprocity"](bound=2, rational_samples=40, seed=11)
+    assert (result.checked, result.failures) == (16 + 40, 16 + 40)
+    rows = [row for row in result.rows if "failure" in row]
+    nonzero = [-2, -1, 1, 2]
+    assert rows[:16] == [{"failure": True, "a": a, "b": b} for a in nonzero for b in nonzero]
+    rng = random.Random(11)
+    expected = []
+    for _ in range(16):
+        a = Fraction(rng.choice(nonzero), rng.randint(1, 2))
+        b = Fraction(rng.choice(nonzero), rng.randint(1, 2))
+        expected.append({"failure": True, "a": str(a), "b": str(b)})
+    assert rows[16:] == expected
+    values = [row[k] for row in rows[16:] for k in "ab"]
+    assert all(isinstance(v, str) for v in values)
+    assert {"-2", "-1", "1", "2"} & set(values) and {"-1/2", "1/2"} & set(values)
+
+
+def test_passing_rational_samples_build_no_fraction(monkeypatch):
+    def built(*args):
+        raise AssertionError(f"a passing sample built Fraction{args}")
+
+    monkeypatch.setattr(sweeps, "Fraction", built)
+    result = SWEEPS["reciprocity"](bound=12, rational_samples=200)
+    assert (result.checked, result.verdict) == (576 + 200, "pass")
 
 
 def test_failure_rows_stop_at_the_cap(monkeypatch):
