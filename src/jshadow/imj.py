@@ -27,6 +27,8 @@ from itertools import accumulate
 from ._integers import check_prime, factorint, is_prime, prime_power_base, vp_int
 from .padic import PadicNumber, embed, is_topological_generator, smallest_topological_generator
 
+BERNOULLI_CAP = 2048  # B_2048's numerator has 4,266 digits, under str()'s 4,300; a cold B_2048 takes ~1 s
+
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 _zigzag_row: list[int] = [1]  # row 0 of the Seidel boustrophedon; row n ends in E_n
 
@@ -37,10 +39,13 @@ def bernoulli(n: int) -> Fraction:
     B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), reduced, for the tangent
     number T_k = E_{2k-1} (Brent-Harvey, arXiv:1108.0286).  Row m of the
     Seidel boustrophedon, the running sum of row m-1 reversed, ends in E_m.
+    An n above BERNOULLI_CAP raises ValueError before the cache grows.
     """
     global _zigzag_row
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n > BERNOULLI_CAP:
+        raise ValueError(f"n must be <= {BERNOULLI_CAP}, got {n}")
     while len(_bernoulli_cache) <= n:
         m = len(_bernoulli_cache)
         if m % 2:
@@ -110,10 +115,12 @@ class GroupOrderReport:
 
 @lru_cache(maxsize=1024, typed=True)
 def imj_order(k: int) -> GroupOrderReport:
-    """The order of the image of J in stable stem 4k-1: den(B_{2k}/4k).
-    Cached per k; the frozen report is shared."""
+    """The order of the image of J in stable stem 4k-1: den(B_{2k}/4k), for
+    1 <= k <= BERNOULLI_CAP / 2.  Cached per k; the frozen report is shared."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if 2 * k > BERNOULLI_CAP:
+        raise ValueError(f"k must be <= {BERNOULLI_CAP // 2}, got {k}")
     return GroupOrderReport((bernoulli(2 * k) / (4 * k)).denominator)
 
 

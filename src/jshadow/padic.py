@@ -88,11 +88,12 @@ class PadicNumber:
 
     @classmethod
     def _make(cls, prime: int, valuation: int, unit_digits: int, precision: int) -> "PadicNumber":
+        """The number of four canonical fields, unchecked; each slot set by its descriptor."""
         self = object.__new__(cls)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "_valuation", valuation)
-        object.__setattr__(self, "_unit_digits", unit_digits)
-        object.__setattr__(self, "precision", precision)
+        _set_prime(self, prime)
+        _set_valuation(self, valuation)
+        _set_unit_digits(self, unit_digits)
+        _set_precision(self, precision)
         return self
 
     @classmethod
@@ -246,6 +247,12 @@ class PadicNumber:
         e = abs(exponent)
         digits = pow(base._unit_digits, e, _modulus(base.prime, base.precision))
         return PadicNumber._make(base.prime, base._valuation * e, digits, base.precision)
+
+
+# The slots' own setters, which the frozen class's __setattr__ does not guard.
+_set_prime, _set_valuation, _set_unit_digits, _set_precision = (
+    PadicNumber.__dict__[name].__set__ for name in ("prime", "_valuation", "_unit_digits", "precision")
+)
 
 
 def _digits(n: int) -> str:

@@ -16,8 +16,9 @@ the block.  The decorator registers it in :data:`SWEEPS`, where
 ``jshadow sweep <name>`` and ``jshadow sweep all`` find it (each keyword
 is a flag of ``sweep <name>``, read by its annotation), records the
 parameters used in ``params``, and rejects a grid on which nothing was
-checked.  A body refuses a bound or largest prime above :data:`GRID_CAP`
-before it builds anything of that size.  A sweep with a randomized
+checked.  A body refuses a bound or largest prime above :data:`GRID_CAP`,
+and a Bernoulli index above ``imj.BERNOULLI_CAP``, before it builds
+anything of that size.  A sweep with a randomized
 component has a ``seed`` parameter defaulting to :data:`DEFAULT_SEED`;
 the CLI passes ``--seed`` to exactly those sweeps, and reports are
 byte-for-byte deterministic for a given seed.
@@ -35,6 +36,7 @@ from math import gcd, prod
 
 from ._integers import _jacobi, prime_power_base, primes_up_to, split_unit
 from .imj import (
+    BERNOULLI_CAP,
     bernoulli,
     imj_consistency_check,
     k_finite_field,
@@ -164,11 +166,11 @@ class SweepResult:
 SWEEPS: dict[str, object] = {}
 
 
-def _in_range(low: int, high: int | None = None, /, **params: int) -> None:
-    """Reject a parameter below the least value its grid can use, or above
-    ``high``, before anything of its size is built."""
+def _in_range(low: int | None, high: int | None = None, /, **params: int) -> None:
+    """Reject a parameter below the least value its grid can use (None: any
+    value), or above ``high``, before anything of its size is built."""
     for name, value in params.items():
-        if value < low:
+        if low is not None and value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
         if high is not None and value > high:
             raise ValueError(f"{name} must be <= {high}, got {value}")
@@ -309,6 +311,7 @@ def sweep_imj_consistency(result: SweepResult, ell_max: int = 97, k_max: int = 3
     canonical topological generator u, and its closed form l**(1 + v_l(2k))
     when (l-1) | 2k (else 1), for every odd l <= ell_max and 1 <= k <= k_max."""
     _in_range(2, GRID_CAP, ell_max=ell_max)
+    _in_range(None, BERNOULLI_CAP // 2, k_max=k_max)  # k_max <= 0 is an empty grid
     for ell in primes_up_to(ell_max)[1:]:  # odd primes
         u = smallest_topological_generator(ell)
         with result.bucket(ell=ell, k_max=k_max, generator=u):
@@ -320,7 +323,7 @@ def sweep_imj_consistency(result: SweepResult, ell_max: int = 97, k_max: int = 3
 def sweep_bernoulli(result: SweepResult, n_max: int = 60) -> None:
     """Recurrence denominators equal the von Staudt-Clausen product for all
     even n <= n_max, and B_12 has its known value."""
-    _in_range(2, n_max=n_max)  # the B_12 spot check alone is no grid
+    _in_range(2, BERNOULLI_CAP, n_max=n_max)  # the B_12 spot check alone is no grid
     for n in range(2, n_max + 1, 2):
         den = bernoulli(n).denominator
         expected = von_staudt_clausen_denominator(n)

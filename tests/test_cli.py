@@ -13,14 +13,18 @@ import signal
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from typing import Annotated, get_args, get_origin
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from jshadow import imj, sweeps, symbols
 from jshadow.cli import (
     _COMMANDS,
+    _canonical_json,
     _emit,
     _exact_args,
     build_parser,
@@ -561,6 +565,54 @@ def test_sweep_reports_are_byte_identical(capsys, argv, text_sha256, json_sha256
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
 
+def _json_reference(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+# One argv per command, reaching bool, None, long int and str values in its report.
+CANONICAL_ARGVS = [
+    ["hilbert", "--a=-2/9", "--b=3317044064679887385962123", "--place=3317044064679887385962123"],
+    ["reciprocity", "--a=3317044064679887385962123", "--b=-6/35"],
+    ["zolotarev", "--a=-3", "--p=101"],
+    ["tame", "--a=12", "--b=-5", "--p=7"],
+    ["bernoulli", "--n=60"],
+    ["imj-order", "--k=12"],
+    ["k1-sphere", "--ell=7", "--k=6"],
+    ["kff", "--n=0", "--q=9"],
+    ["rezk-log", "--ell=5", "--x=-7/3", "--precision=12"],
+    ["padic", "--p=7", "--op=teichmuller", "--residue=3", "--precision=10"],
+    ["norm-product", "--x=-1000/27"],
+    ["sweep", "rezk-log", "--ells=3,5", "--precision=8"],
+]
+
+
+def test_every_command_writes_canonical_json(capsys):
+    assert [argv[0] for argv in CANONICAL_ARGVS] == list(_COMMANDS)
+    for argv in CANONICAL_ARGVS:
+        assert run(["--json"] + argv) == 0
+        out = capsys.readouterr().out
+        assert out == _json_reference(json.loads(out)) + "\n", argv
+
+
+_JSON_TEXT = st.text(st.characters(exclude_categories=()))  # surrogates and controls too
+_JSON_VALUES = st.recursive(
+    _JSON_TEXT | st.integers() | st.integers(2**64, 2**200) | st.booleans() | st.none(),
+    lambda inner: st.lists(inner) | st.dictionaries(_JSON_TEXT, inner),
+)
+
+
+@given(_JSON_VALUES)
+@example({"b": [True, False, None, -(2**70)], "a": {"z\u00e9\x00\ud800": [], "y": {}}, "": ""})
+def test_canonical_json_writer_equals_json_dumps(value):
+    assert _canonical_json(value) == _json_reference(value)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), (1, 2), {1: "a"}], ids=repr)
+def test_canonical_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _canonical_json({"rows": [value]})
+
+
 def _readme_examples() -> list[list[str]]:
     """The argv of each ``jshadow`` line in the README's sh blocks, but ``sweep all``,
     which the acceptance suite runs sweep by sweep."""
@@ -816,6 +868,10 @@ def test_empty_sweep_grid_exits_2(capsys, argv):
         (["padic", "--p=4", "--op=valuation", "--x=3"], "error: 4 is not prime\n"),
         # 2**128 + 1, a product of two primes, was factored to count its primes: past 10 s
         (["kff", "--n=1", "--q=340282366920938463463374607431768211457"], "is not a prime power"),
+        # past 10 s; B_2100 exited 2 after 2 s with the interpreter's 4,300-digit message
+        (["bernoulli", "--n=5000"], "error: n must be <= 2048, got 5000\n"),
+        (["imj-order", "--k=2500"], "error: k must be <= 1024, got 2500\n"),
+        (["bernoulli", "--n=2100"], "error: n must be <= 2048, got 2100\n"),
     ],
 )
 def test_arguments_the_library_rejects_exit_2(capsys, argv, message):
@@ -844,6 +900,9 @@ def test_arguments_the_library_rejects_exit_2(capsys, argv, message):
         (["sweep", "pi2-nontriviality", "--p-max=100000000000"], "--p-max"),
         # p**precision was built first: killed by a 10 s timeout
         (["sweep", "low-degree-j", "--precision=1000000000"], "--precision"),
+        # the Bernoulli recurrence ran to the index first
+        (["sweep", "bernoulli", "--n-max=5000"], "--n-max"),
+        (["sweep", "imj-consistency", "--k-max=2500"], "--k-max"),
     ],
 )
 def test_an_overflowing_integer_names_its_flag(monkeypatch, capsys, argv, flag):

@@ -12,6 +12,7 @@ from jshadow import imj
 from jshadow._integers import factorint, primes_up_to, vp_int
 from jshadow.cli import run
 from jshadow.imj import (
+    BERNOULLI_CAP,
     GroupOrderReport,
     _vl_power_minus_one,
     bernoulli,
@@ -98,6 +99,19 @@ def test_bernoulli_odd_vanishing_and_squarefree_denominators():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+def test_bernoulli_cap():
+    # B_2100's numerator is past the interpreter's 4,300-digit limit on int-to-str conversion;
+    # every index up to the cap prints.
+    assert len(str(bernoulli(BERNOULLI_CAP))) > 4266
+    cached = len(imj._bernoulli_cache)
+    with pytest.raises(ValueError, match=f"^n must be <= {BERNOULLI_CAP}, got {BERNOULLI_CAP + 2}$"):
+        bernoulli(BERNOULLI_CAP + 2)
+    assert len(imj._bernoulli_cache) == cached
+    assert imj_order(BERNOULLI_CAP // 2).order > 1
+    with pytest.raises(ValueError, match=f"^k must be <= {BERNOULLI_CAP // 2}, got {BERNOULLI_CAP // 2 + 1}$"):
+        imj_order(BERNOULLI_CAP // 2 + 1)
 
 
 def test_von_staudt_clausen_examples():

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from unittest import mock
 
@@ -106,6 +107,17 @@ def test_newton_inversion_agrees_with_extended_gcd(p, n):
 def test_from_unit_rejects_non_unit():
     with pytest.raises(PadicError):
         PadicNumber.from_unit(3, 0, 9, 4)
+
+
+def test_make_equals_from_unit_and_stays_frozen():
+    made = PadicNumber._make(7, -2, 12345, 20)
+    checked = PadicNumber.from_unit(7, -2, 12345, 20)
+    assert made == checked and hash(made) == hash(checked)
+    assert (made.prime, made.valuation, made.unit_digits, made.precision) == (7, -2, 12345, 20)
+    for name in ("prime", "_valuation", "_unit_digits", "precision"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(made, name, 1)
+    assert made == checked
 
 
 def test_canonical_equality():
