@@ -5,8 +5,7 @@ arithmetic and ``sweep <name>``, the one way to run a named verification
 suite.  Each run prints a report: text by default, or a canonical JSON
 object with ``--json`` (keys: command, inputs, rows, verdict, provenance,
 version).  Reports hold no timestamps and are byte-for-byte reproducible:
-``json.dumps`` with sorted keys and indent 1, which before Python 3.13, where
-``json`` indents in pure Python, :func:`_canonical_json` writes instead.
+``json.dumps`` with sorted keys and indent 1, written by :func:`_canonical_json`.
 
 A single-shot command is one handler decorated with
 ``@_command(name, statement_id, help)``.  Its parameters are its flags,
@@ -156,16 +155,9 @@ def _canonical_json(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-# From 3.13 json's C encoder indents, and beats the writer above.
-if sys.version_info < (3, 13):
-    _dumps = _canonical_json
-else:
-    _dumps = partial(json.dumps, sort_keys=True, separators=(",", ": "), indent=1)
-
-
 def _emit(report: dict, as_json: bool) -> int:
     if as_json:
-        print(_dumps(report))
+        print(_canonical_json(report))
     else:
         print(f"command: {report['command']}")
         for key in sorted(report["inputs"]):

@@ -50,13 +50,6 @@ class Place:
         if self.prime is not None:
             check_prime(self.prime, SymbolError)
 
-    @classmethod
-    def _proved(cls, prime: int) -> Place:
-        """The place of a prime already proved, as ``factorint``'s are: no second check."""
-        self = object.__new__(cls)
-        self.__dict__["prime"] = prime
-        return self
-
     @property
     def is_finite(self) -> bool:
         return self.prime is not None
@@ -322,8 +315,7 @@ def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     and denominator (never a product) is factored and split once, and
     :func:`_cleared_local_data` merges them, given as two ints, as the
     reciprocity sweep does.  :func:`local_symbol_product` writes each
-    place's symbol to a table, listed at 2, the odd primes ascending, and infinity;
-    each finite place is built from ``factorint``'s prime without a second proof."""
+    place's symbol to a table, listed at 2, the odd primes ascending, and infinity."""
     a = Fraction(check_rational(a))
     b = Fraction(check_rational(b))
     if a == 0 or b == 0:
@@ -335,7 +327,7 @@ def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     table = {}
     product = local_symbol_product(A, local_A, B, local_B, _jacobi, table)
     infinite = table.pop(None)
-    symbols = tuple((Place._proved(p), table[p]) for p in sorted(table)) + ((INFINITY, infinite),)
+    symbols = tuple((Place(p), table[p]) for p in sorted(table)) + ((INFINITY, infinite),)
     return ReciprocityResult(a=a, b=b, local_symbols=symbols, product=product)
 
 

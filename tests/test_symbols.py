@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jshadow import _integers, symbols
+from jshadow import symbols
 from jshadow._integers import primes_up_to
 from jshadow.cli import UsageError, parse_place
 from jshadow.padic import vp
@@ -401,24 +401,6 @@ def test_reciprocity_random_rationals():
         a = Fraction(rng.choice([-1, 1]) * rng.randint(1, 200), rng.randint(1, 200))
         b = Fraction(rng.choice([-1, 1]) * rng.randint(1, 200), rng.randint(1, 200))
         assert hilbert_reciprocity_check(a, b).product == 1
-
-
-def test_reciprocity_proves_each_place_prime_once(monkeypatch):
-    # factorint proves each prime of the support; Place(p) used to prove it again.
-    tested = []
-    is_prime = _integers.is_prime
-
-    def counted(n):
-        tested.append(n)
-        return is_prime(n)
-
-    monkeypatch.setattr(_integers, "is_prime", counted)
-    result = hilbert_reciprocity_check(Fraction(125162841127, 699465670499), -108287590129)
-    primes = [n for n in tested if is_prime(n)]
-    assert 699465670499 in primes and len(primes) == len(set(primes))
-    places = [v for v, _ in result.local_symbols]
-    assert places == [Place(v.prime) for v in places]
-    assert [hash(v) for v in places] == [hash(Place(v.prime)) for v in places]
 
 
 def _odd_primes_by_trial_division(n: int) -> set[int]:
