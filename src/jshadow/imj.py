@@ -28,6 +28,7 @@ from ._integers import check_prime, factorint, is_prime, prime_power_base, vp_in
 from .padic import PadicNumber, embed, is_topological_generator, smallest_topological_generator
 
 BERNOULLI_CAP = 2048  # B_2048's numerator has 4,266 digits, under str()'s 4,300; a cold B_2048 takes ~1 s
+ORDER_CAP = 10**4300 - 1  # the largest K-group order of F_q: str() prints at most 4,300 digits
 
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 _zigzag_row: list[int] = [1]  # row 0 of the Seidel boustrophedon; row n ends in E_n
@@ -182,7 +183,8 @@ def _k1_order(ell: int, k: int, generator: int) -> tuple[int, int]:
 
 def k_finite_field(n: int, q: int) -> GroupOrderReport:
     """Quillen's K-groups of F_q: Z in degree 0, cyclic of order q^i - 1
-    in degree 2i-1, trivial in positive even degrees."""
+    in degree 2i-1, trivial in positive even degrees.  An order above
+    ORDER_CAP raises ValueError, one far above it before q^i is built."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     if prime_power_base(q) is None:
@@ -191,8 +193,10 @@ def k_finite_field(n: int, q: int) -> GroupOrderReport:
         return GroupOrderReport(None)
     if n % 2 == 0:
         return GroupOrderReport(1)
-    i = (n + 1) // 2
-    return GroupOrderReport(q**i - 1)
+    i = (n + 1) // 2  # q^i >= 2^(i * (q.bit_length() - 1)): the first test builds no power
+    if i * (q.bit_length() - 1) >= ORDER_CAP.bit_length() or (order := q**i - 1) > ORDER_CAP:
+        raise ValueError(f"n must make the order q^((n+1)/2) - 1 at most 4300 digits, got {n}")
+    return GroupOrderReport(order)
 
 
 def imj_consistency_check(ell: int, k: int) -> bool:

@@ -12,16 +12,16 @@ Its body takes a fresh :class:`SweepResult` and then its parameters, each
 with a default, and states only what it checks: ``result.check(ok,
 **what)`` counts every check and records a failure row, and ``with
 result.bucket(**row):`` appends ``row`` with the failures recorded inside
-the block.  The decorator registers it in :data:`SWEEPS`, where
-``jshadow sweep <name>`` and ``jshadow sweep all`` find it (each keyword
-is a flag of ``sweep <name>``, read by its annotation), records the
-parameters used in ``params``, and rejects a grid on which nothing was
-checked.  A body refuses a bound or largest prime above :data:`GRID_CAP`,
-and a Bernoulli index above ``imj.BERNOULLI_CAP``, before it builds
-anything of that size.  A sweep with a randomized
-component has a ``seed`` parameter defaulting to :data:`DEFAULT_SEED`;
-the CLI passes ``--seed`` to exactly those sweeps, and reports are
-byte-for-byte deterministic for a given seed.
+the block.  The decorator registers it in :data:`SWEEPS`, where ``jshadow
+sweep <name>`` and ``jshadow sweep all`` find it (each keyword is a flag
+of ``sweep <name>``, read by its annotation), records the parameters used
+in ``params``, and rejects a grid on which nothing was checked.  It
+refuses a parameter outside the :class:`Range` its annotation declares
+before the body builds anything: a bound or largest prime past
+:data:`GRID_CAP`, a Bernoulli index past ``imj.BERNOULLI_CAP``.  A sweep
+with a randomized component has a ``seed`` parameter defaulting to
+:data:`DEFAULT_SEED`; the CLI passes ``--seed`` to exactly those sweeps,
+and reports are byte-for-byte deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
+from typing import Annotated, get_args
 
 from ._integers import _jacobi, prime_power_base, primes_up_to, split_unit
 from .imj import (
@@ -166,30 +167,40 @@ class SweepResult:
 SWEEPS: dict[str, object] = {}
 
 
-def _in_range(low: int | None, high: int | None = None, /, **params: int) -> None:
-    """Reject a parameter below the least value its grid can use (None: any
-    value), or above ``high``, before anything of its size is built."""
-    for name, value in params.items():
-        if low is not None and value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise ValueError(f"{name} must be <= {high}, got {value}")
+@dataclass(frozen=True)
+class Range:
+    """The values a sweep parameter may take, ``None`` meaning no bound."""
+
+    low: int | None
+    high: int | None
+
+
+Size = Annotated[int, Range(1, GRID_CAP)]  # a bound or coefficient of a grid
+LargestPrime = Annotated[int, Range(2, GRID_CAP)]  # below 2, a grid holds no prime
+Samples = Annotated[int, Range(0, None)]
 
 
 def _sweep(name: str, statement_id: str):
-    """Register the body as sweep ``name`` of ``statement_id``.  The
-    registered function takes the parameters only, records them (defaults
+    """Register the body as sweep ``name`` of ``statement_id``.  The registered
+    function takes the parameters only, checks their ranges, records them (defaults
     included, tuples as lists) and raises ``ValueError`` on an empty grid."""
 
     def register(body):
         signature = inspect.signature(body, eval_str=True)  # types, as the CLI reads them
         signature = signature.replace(parameters=list(signature.parameters.values())[1:])
+        notes = {key: get_args(param.annotation)[1:] for key, param in signature.parameters.items()}
+        ranges = [(key, r.low, r.high) for key in notes for r in notes[key] if isinstance(r, Range)]
 
         @functools.wraps(body)
         def run(*args, **kwargs) -> SweepResult:
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             values = bound.arguments
+            for key, low, high in ranges:  # before the body builds anything of a value's size
+                if low is not None and values[key] < low:
+                    raise ValueError(f"{key} must be >= {low}, got {values[key]}")
+                if high is not None and values[key] > high:
+                    raise ValueError(f"{key} must be <= {high}, got {values[key]}")
             params = {k: list(v) if isinstance(v, (tuple, list)) else v for k, v in values.items()}
             result = SweepResult(name, statement_id, params)
             body(result, **values)
@@ -230,14 +241,12 @@ def _sieve_tables(bound: int):
 
 @_sweep("reciprocity", "hilbert-reciprocity")
 def sweep_reciprocity(
-    result: SweepResult, bound: int = 200, rational_samples: int = 20000, seed: int = DEFAULT_SEED
+    result: SweepResult, bound: Size = 200, rational_samples: Samples = 20000, seed: int = DEFAULT_SEED
 ) -> None:
     """Hilbert reciprocity: the product of (a,b)_v over all places is +1,
     exhaustively for integer pairs with |a|, |b| <= bound and for a seeded
     sample of rational pairs with numerator and denominator <= bound.  The
     local symbols come from sieve tables built once per call."""
-    _in_range(1, GRID_CAP, bound=bound)
-    _in_range(0, rational_samples=rational_samples)
     local, legendre_of = _sieve_tables(bound)
     nonzero = [n for n in range(-bound, bound + 1) if n]
     with result.bucket(kind="integer-grid", pairs=(2 * bound) ** 2):
@@ -265,17 +274,14 @@ def sweep_reciprocity(
 @_sweep("oracle-agreement", "hilbert-symbol-solvability")
 def sweep_oracle_agreement(
     result: SweepResult,
-    prime_max: int = 50,
-    coeff_bound: int = 30,
-    rational_samples: int = 2000,
+    prime_max: LargestPrime = 50,  # the infinite place alone is no grid
+    coeff_bound: Size = 30,
+    rational_samples: Samples = 2000,
     seed: int = DEFAULT_SEED,
 ) -> None:
     """Closed-form Hilbert symbol versus the solvability oracle, for every
     place p <= prime_max plus infinity and all integers |a|, |b| <= bound,
     plus a seeded sample of rational pairs."""
-    _in_range(2, GRID_CAP, prime_max=prime_max)  # the infinite place alone is no grid
-    _in_range(1, GRID_CAP, coeff_bound=coeff_bound)
-    _in_range(0, rational_samples=rational_samples)
     places = [Place(p) for p in primes_up_to(prime_max)] + [INFINITY]
     nonzero = [n for n in range(-coeff_bound, coeff_bound + 1) if n]
     for place in places:
@@ -295,10 +301,9 @@ def sweep_oracle_agreement(
 
 
 @_sweep("zolotarev", "zolotarev-lemma")
-def sweep_zolotarev(result: SweepResult, p_max: int = 500) -> None:
+def sweep_zolotarev(result: SweepResult, p_max: LargestPrime = 500) -> None:
     """Permutation sign of multiplication by a on Z/p equals the Legendre
     symbol, for every odd prime p <= p_max and every 1 <= a < p."""
-    _in_range(2, GRID_CAP, p_max=p_max)
     for p in primes_up_to(p_max)[1:]:  # odd primes
         with result.bucket("mismatches", p=p, pairs=p - 1):
             for a in range(1, p):
@@ -306,12 +311,13 @@ def sweep_zolotarev(result: SweepResult, p_max: int = 500) -> None:
 
 
 @_sweep("imj-consistency", "image-of-j-order")
-def sweep_imj_consistency(result: SweepResult, ell_max: int = 97, k_max: int = 30) -> None:
+def sweep_imj_consistency(
+    result: SweepResult, ell_max: LargestPrime = 97,
+    k_max: Annotated[int, Range(None, BERNOULLI_CAP // 2)] = 30,  # k_max <= 0 is an empty grid
+) -> None:
     """The l-part of den(B_{2k}/4k) equals l**v_l(u^{2k} - 1) for the
     canonical topological generator u, and its closed form l**(1 + v_l(2k))
     when (l-1) | 2k (else 1), for every odd l <= ell_max and 1 <= k <= k_max."""
-    _in_range(2, GRID_CAP, ell_max=ell_max)
-    _in_range(None, BERNOULLI_CAP // 2, k_max=k_max)  # k_max <= 0 is an empty grid
     for ell in primes_up_to(ell_max)[1:]:  # odd primes
         u = smallest_topological_generator(ell)
         with result.bucket(ell=ell, k_max=k_max, generator=u):
@@ -320,10 +326,9 @@ def sweep_imj_consistency(result: SweepResult, ell_max: int = 97, k_max: int = 3
 
 
 @_sweep("bernoulli", "von-staudt-clausen")
-def sweep_bernoulli(result: SweepResult, n_max: int = 60) -> None:
+def sweep_bernoulli(result: SweepResult, n_max: Annotated[int, Range(2, BERNOULLI_CAP)] = 60) -> None:
     """Recurrence denominators equal the von Staudt-Clausen product for all
-    even n <= n_max, and B_12 has its known value."""
-    _in_range(2, BERNOULLI_CAP, n_max=n_max)  # the B_12 spot check alone is no grid
+    even n <= n_max, and B_12 has its known value (which alone is no grid)."""
     for n in range(2, n_max + 1, 2):
         den = bernoulli(n).denominator
         expected = von_staudt_clausen_denominator(n)
@@ -361,11 +366,10 @@ def sweep_rezk_log(
 
 @_sweep("surjectivity", "k-theory-order-domination")
 def sweep_surjectivity(
-    result: SweepResult, ell_max: int = 50, p_max: int = 50, k_max: int = 40
+    result: SweepResult, ell_max: LargestPrime = 50, p_max: LargestPrime = 50, k_max: int = 40
 ) -> None:
     """v_l(p^k - 1) >= v_l(u^k - 1) for all odd l <= ell_max, primes
     p <= p_max with p != l, and 1 <= k <= k_max."""
-    _in_range(2, GRID_CAP, ell_max=ell_max, p_max=p_max)
     primes = primes_up_to(p_max)
     for ell in primes_up_to(ell_max)[1:]:  # odd primes
         with result.bucket(ell=ell):
@@ -378,11 +382,10 @@ def sweep_surjectivity(
 
 @_sweep("norm-identity", "geometric-sum-identity")
 def sweep_norm_identity(
-    result: SweepResult, ell_max: int = 23, d_max: int = 6, m_max: int = 10, precision: int = 20
+    result: SweepResult, ell_max: LargestPrime = 23, d_max: int = 6, m_max: int = 10, precision: int = 20
 ) -> None:
     """(u^d)^m - 1 = (u^m - 1)(1 + u^m + ... + (u^m)^(d-1)) in Z_l at the
     given precision, over the full (l, d, m) grid."""
-    _in_range(2, GRID_CAP, ell_max=ell_max)
     for ell in primes_up_to(ell_max)[1:]:  # odd primes
         u = smallest_topological_generator(ell)
         with result.bucket(ell=ell, generator=u):
@@ -393,11 +396,11 @@ def sweep_norm_identity(
 
 
 @_sweep("quillen", "k-groups-finite-field")
-def sweep_quillen(result: SweepResult, q_max: int = 49, i_max: int = 10) -> None:
+def sweep_quillen(
+    result: SweepResult, q_max: LargestPrime = 49, i_max: Annotated[int, Range(1, None)] = 10
+) -> None:
     """|K_{2i-1}(F_q)| = q^i - 1 and K_{2i}(F_q) = 0 for prime powers
-    q <= q_max and 1 <= i <= i_max, with every order prime to q."""
-    _in_range(1, i_max=i_max)  # the K_0 spot checks alone are no grid
-    _in_range(2, GRID_CAP, q_max=q_max)
+    q <= q_max and 1 <= i <= i_max, every order prime to q (K_0 alone is no grid)."""
     for q in filter(prime_power_base, range(2, q_max + 1)):
         with result.bucket(q=q, i_max=i_max):
             result.check(k_finite_field(0, q).order is None, q=q, degree=0)
@@ -410,9 +413,8 @@ def sweep_quillen(result: SweepResult, q_max: int = 49, i_max: int = 10) -> None
 
 
 @_sweep("pi2-nontriviality", "local-symbol-nontriviality")
-def sweep_pi2_nontriviality(result: SweepResult, p_max: int = 100) -> None:
+def sweep_pi2_nontriviality(result: SweepResult, p_max: LargestPrime = 100) -> None:
     """For every prime p <= p_max, exhibit a pair (a, b) with (a,b)_p = -1."""
-    _in_range(2, GRID_CAP, p_max=p_max)
     pool = [-1, 2, 3, 5, 6, 7, 10, 11, 13, 17]
     for p in primes_up_to(p_max):
         place = Place(p)
@@ -436,16 +438,14 @@ def sweep_geometric_series(result: SweepResult, depth: int = 64) -> None:
 @_sweep("low-degree-j", "low-degree-j-values")
 def sweep_low_degree_j(
     result: SweepResult,
-    inversion_samples: int = 1000,
-    tame_samples: int = 10000,
-    precision: int = 64,
+    inversion_samples: Samples = 1000,
+    tame_samples: Samples = 10000,
+    precision: Annotated[int, Range(1, MAX_PRECISION)] = 64,
     seed: int = DEFAULT_SEED,
 ) -> None:
     """The low-degree J tables: identity on pi_0 over R, negation and
     inversion for the wild map, p**v_p(x) (multiplicatively) for the tame
     map, and the tame/degree factorization."""
-    _in_range(1, MAX_PRECISION, precision=precision)
-    _in_range(0, inversion_samples=inversion_samples, tame_samples=tame_samples)
     rng = random.Random(seed)
     with result.bucket(check="pi0-tables", samples=402):
         for k in range(-100, 101):

@@ -124,14 +124,42 @@ def _argvs_in_tests() -> list[list[str]]:
     return [argv for argv in argvs if [a for a in argv if a != "--json"] not in _SLOW_ARGVS]
 
 
-def _queries_mixed_argvs(monkeypatch, seed: int) -> list[list[str]]:
-    """The argvs of one ``queries-mixed`` benchmark pass, from perfbench's generator."""
+def _perfbench_inputs(monkeypatch, workload: str, seed: int) -> dict:
+    """The inputs of one benchmark pass of ``workload``, from perfbench's generator."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # where its dataclasses look
     spec.loader.exec_module(workloads)
-    return [query["argv"] for query in workloads.generate("queries-mixed", seed)["queries"]]
+    return workloads.generate(workload, seed)
+
+
+def _queries_mixed_argvs(monkeypatch, seed: int) -> list[list[str]]:
+    """The argvs of one ``queries-mixed`` benchmark pass, from perfbench's generator."""
+    return [query["argv"] for query in _perfbench_inputs(monkeypatch, "queries-mixed", seed)["queries"]]
+
+
+def test_every_benchmark_call_and_default_grid_fits_inside_the_declared_ranges(monkeypatch):
+    # a range that refused one of them would fail the benchmark, not measure it; each call
+    # stops where its SweepResult is built, after the ranges are checked and before the body
+    calls = [
+        (call["sweep"], call["kwargs"])
+        for workload in ("sweep-stream", "padic-imj")
+        for seed in (1, 2)
+        for call in _perfbench_inputs(monkeypatch, workload, seed)["calls"]
+    ]
+    assert len(calls) == 2 * (103 + 63)
+
+    class Checked(Exception):
+        pass
+
+    def build(*args):
+        raise Checked
+
+    monkeypatch.setattr(sweeps, "SweepResult", build)
+    for name, kwargs in calls + [(name, {}) for name in SWEEPS]:
+        with pytest.raises(Checked):
+            SWEEPS[name](**kwargs)
 
 
 @contextlib.contextmanager
@@ -872,6 +900,10 @@ def test_empty_sweep_grid_exits_2(capsys, argv):
         (["bernoulli", "--n=5000"], "error: n must be <= 2048, got 5000\n"),
         (["imj-order", "--k=2500"], "error: k must be <= 1024, got 2500\n"),
         (["bernoulli", "--n=2100"], "error: n must be <= 2048, got 2100\n"),
+        # 3^10001 - 1 has 4,772 digits: exited 2 with the interpreter's 4,300-digit message
+        (["kff", "--n=20001", "--q=3"], "error: n must make the order q^((n+1)/2) - 1 at most 4300"),
+        # 3^100000001 was built first: killed by a 20 s timeout
+        (["kff", "--n=200000001", "--q=3"], "digits, got 200000001\n"),
     ],
 )
 def test_arguments_the_library_rejects_exit_2(capsys, argv, message):
@@ -879,6 +911,12 @@ def test_arguments_the_library_rejects_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_an_order_of_at_most_4300_digits_is_reported(capsys):
+    # 3^4001 - 1 has 1,909 digits, below the cap on kff's degree
+    assert run(["kff", "--n=8001", "--q=3"]) == 0
+    assert f"order={3**4001 - 1}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -349,6 +349,28 @@ def test_k_finite_field_orders_prime_to_q():
             assert k_finite_field(2 * i, q).is_trivial
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 49, 10007, 2**61 - 1, 3**50])
+def test_k_finite_field_refuses_exactly_the_orders_str_cannot_print(q):
+    # the largest accepted degree 2i - 1, by bisection: its order prints and the next does
+    # not, by the interpreter's own 4,300-digit limit on int-to-str conversion
+    def accepted(i: int) -> bool:
+        try:
+            k_finite_field(2 * i - 1, q)
+        except ValueError as refusal:
+            assert str(refusal).startswith("n must ") and str(refusal).endswith(f"got {2 * i - 1}")
+            return False
+        return True
+
+    low, high = 1, 14286  # 2^14286 > 10^4300: refused without building q^i
+    assert accepted(low) and not accepted(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if accepted(mid) else (low, mid)
+    assert str(k_finite_field(2 * low - 1, q).order) == str(q**low - 1)
+    with pytest.raises(ValueError, match="4300"):
+        str(q**high - 1)
+
+
 # -- consistency checks -------------------------------------------------------
 
 

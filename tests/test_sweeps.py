@@ -5,18 +5,20 @@ None of these runs a default grid; the acceptance suite does that.
 
 import argparse
 import functools
+import inspect
 import itertools
 import json
 import random
 from fractions import Fraction
 from math import gcd, prod
+from typing import get_args
 
 import pytest
 
 from jshadow import sweeps
 from jshadow._integers import factorint, primes_up_to, split_unit
 from jshadow.cli import build_parser, run
-from jshadow.sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, SweepResult
+from jshadow.sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, Range, SweepResult
 from jshadow.symbols import INFINITY, Place, hilbert_reciprocity_check, hilbert_symbol
 
 # The params each sweep reports at its defaults, in signature order, with
@@ -123,6 +125,64 @@ def test_out_of_range_parameters_raise_value_error(monkeypatch, name, params, me
     monkeypatch.setattr(sweeps, "prime_power_base", built)
     with pytest.raises(ValueError, match="^" + message):
         SWEEPS[name](**params)
+
+
+def _declared_ranges() -> list[tuple[str, str, Range]]:
+    """(sweep, parameter, range) for every :class:`Range` a sweep's annotation declares."""
+    return [
+        (name, key, note)
+        for name, fn in SWEEPS.items()
+        for key, param in inspect.signature(fn).parameters.items()
+        for note in get_args(param.annotation)[1:]
+        if isinstance(note, Range)
+    ]
+
+
+def test_the_declared_ranges_are_the_bounds_of_each_grid():
+    declared = {(name, key): (allowed.low, allowed.high) for name, key, allowed in _declared_ranges()}
+    assert declared == {
+        ("reciprocity", "bound"): (1, 4096),
+        ("reciprocity", "rational_samples"): (0, None),
+        ("oracle-agreement", "prime_max"): (2, 4096),
+        ("oracle-agreement", "coeff_bound"): (1, 4096),
+        ("oracle-agreement", "rational_samples"): (0, None),
+        ("zolotarev", "p_max"): (2, 4096),
+        ("imj-consistency", "ell_max"): (2, 4096),
+        ("imj-consistency", "k_max"): (None, 1024),
+        ("bernoulli", "n_max"): (2, 2048),
+        ("surjectivity", "ell_max"): (2, 4096),
+        ("surjectivity", "p_max"): (2, 4096),
+        ("norm-identity", "ell_max"): (2, 4096),
+        ("quillen", "q_max"): (2, 4096),
+        ("quillen", "i_max"): (1, None),
+        ("pi2-nontriviality", "p_max"): (2, 4096),
+        ("low-degree-j", "inversion_samples"): (0, None),
+        ("low-degree-j", "tame_samples"): (0, None),
+        ("low-degree-j", "precision"): (1, 4096),
+    }
+
+
+@pytest.mark.parametrize("name, key, allowed", _declared_ranges())
+def test_each_declared_range_is_checked_before_anything_is_built(monkeypatch, name, key, allowed):
+    # one step past either end is refused with the range's own message; each end
+    # itself passes the check and reaches the SweepResult, built before the body runs
+    def built(*args):
+        raise AssertionError(f"sweep {name} built a table before refusing {key}")
+
+    def build(*args):
+        raise _Built(*args)
+
+    monkeypatch.setattr(sweeps, "primes_up_to", built)
+    monkeypatch.setattr(sweeps, "prime_power_base", built)
+    monkeypatch.setattr(sweeps, "SweepResult", build)
+    for value, words in ((allowed.low, ">="), (allowed.high, "<=")):
+        if value is None:
+            continue
+        step = value - 1 if words == ">=" else value + 1
+        with pytest.raises(ValueError, match=f"^{key} must be {words} {value}, got {step}$"):
+            SWEEPS[name](**{key: step})
+        with pytest.raises(_Built):
+            SWEEPS[name](**{key: value})
 
 
 # -- the reciprocity sweep's sieve tables -----------------------------------
