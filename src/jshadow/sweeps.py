@@ -58,7 +58,6 @@ from .padic import (
 from .symbols import (
     INFINITY,
     Place,
-    _cleared_local_data,
     hilbert_oracle,
     hilbert_symbol,
     legendre,
@@ -237,6 +236,18 @@ def _sieve_tables(bound: int):
         return chi[p][x % p]
 
     return local, legendre_of
+
+
+def _cleared_local_data(local: dict, num: int, den: int) -> tuple[int, dict]:
+    """(X, local data of X) for X = num*den, num/den in lowest terms with den >= 1,
+    merged from the sieve's local data ``local[num]`` and ``local[den]``: a prime
+    divides only one of them, and its unit takes the other one's whole value."""
+    data = {}
+    for p, (alpha, u) in local[num].items():
+        data[p] = alpha, u * den
+    for p, (alpha, u) in local[den].items():
+        data[p] = alpha, num * u
+    return num * den, data
 
 
 @_sweep("reciprocity", "hilbert-reciprocity")

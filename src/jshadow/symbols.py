@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from ._integers import Rational, _jacobi, check_prime, check_rational, factorint, split_unit, vp_int
 
@@ -152,12 +153,9 @@ def _symbol_at_odd_prime(alpha: int, u: int, beta: int, w: int, p: int, legendre
     return sign
 
 
-def local_symbol_product(
-    A: int, local_A: dict, B: int, local_B: dict, legendre_of, table: dict | None = None
-) -> Sign:
+def local_symbol_product(A: int, local_A: dict, B: int, local_B: dict, legendre_of) -> Sign:
     """The product of (A,B)_v over 2, the odd primes of ``local_A``, those of
-    ``local_B`` not in it, and infinity; each place's symbol is also
-    written to ``table`` if one is given, keyed by p (None for infinity).
+    ``local_B`` not in it, and infinity: the reciprocity sweep's kernel.
 
     ``local_A`` is the local data of the nonzero integer A: p -> (alpha, u)
     with A = p^alpha u, u prime to p, for every prime p dividing A (a prime
@@ -165,23 +163,14 @@ def local_symbol_product(
     ``legendre_of(x, p)`` gives the Legendre symbol (x|p) at odd primes.
     """
     sign = _symbol_at_two(*local_A.get(2, (0, A)), *local_B.get(2, (0, B)))
-    infinite = -1 if A < 0 and B < 0 else 1
-    if table is not None:
-        table[2], table[None] = sign, infinite
     for p, (alpha, u) in local_A.items():
         if p != 2:
             beta, w = local_B.get(p, (0, B))
-            s = _symbol_at_odd_prime(alpha, u, beta, w, p, legendre_of)
-            sign *= s
-            if table is not None:
-                table[p] = s
+            sign *= _symbol_at_odd_prime(alpha, u, beta, w, p, legendre_of)
     for p, (beta, w) in local_B.items():
         if p != 2 and p not in local_A:
-            s = _symbol_at_odd_prime(0, A, beta, w, p, legendre_of)
-            sign *= s
-            if table is not None:
-                table[p] = s
-    return sign * infinite
+            sign *= _symbol_at_odd_prime(0, A, beta, w, p, legendre_of)
+    return -sign if A < 0 and B < 0 else sign
 
 
 ORACLE_PRIME_CAP = 2**17  # the Zolotarev walk and the oracle's square-root table are O(p)
@@ -311,33 +300,18 @@ class ReciprocityResult:
 def hilbert_reciprocity_check(a: Rational, b: Rational) -> ReciprocityResult:
     """Evaluate (a,b)_v on the finite support set and multiply.
 
-    a and b are cleared to A = num*den and B = num*den once: each numerator
-    and denominator (never a product) is factored and split once, and
-    :func:`_cleared_local_data` merges them, given as two ints, as the
-    reciprocity sweep does.  :func:`local_symbol_product` writes each
-    place's symbol to a table, listed at 2, the odd primes ascending, and infinity."""
+    The support is 2, the primes ``factorint`` finds in each numerator and
+    denominator (each factored once, never their product), and infinity.
+    Each row is :func:`hilbert_symbol` of the cleared ints A and B (num*den
+    of a and of b, in their square classes), listed at 2, the odd primes
+    ascending, then infinity, and the product is that of the rows."""
     a = Fraction(check_rational(a))
     b = Fraction(check_rational(b))
     if a == 0 or b == 0:
         raise SymbolError("inputs must be nonzero")
-    parts = (a.numerator, a.denominator, b.numerator, b.denominator)
-    local = {n: {p: split_unit(n, p) for p in factorint(abs(n))} for n in parts}
-    A, local_A = _cleared_local_data(local, a.numerator, a.denominator)
-    B, local_B = _cleared_local_data(local, b.numerator, b.denominator)
-    table = {}
-    product = local_symbol_product(A, local_A, B, local_B, _jacobi, table)
-    infinite = table.pop(None)
-    symbols = tuple((Place(p), table[p]) for p in sorted(table)) + ((INFINITY, infinite),)
-    return ReciprocityResult(a=a, b=b, local_symbols=symbols, product=product)
-
-
-def _cleared_local_data(local: dict, num: int, den: int) -> tuple[int, dict]:
-    """(X, local data of X) for X = num*den, num/den in lowest terms with den >= 1,
-    merged from the local data ``local[num]`` and ``local[den]``: a prime
-    divides only one of them, and its unit takes the other one's whole value."""
-    data = {}
-    for p, (alpha, u) in local[num].items():
-        data[p] = alpha, u * den
-    for p, (alpha, u) in local[den].items():
-        data[p] = alpha, num * u
-    return num * den, data
+    A, B = a.numerator * a.denominator, b.numerator * b.denominator
+    parts = a.numerator, a.denominator, b.numerator, b.denominator
+    primes = {2}.union(*(factorint(abs(n)) for n in parts))
+    places = [Place(p) for p in sorted(primes)] + [INFINITY]
+    symbols = tuple((v, hilbert_symbol(A, B, v)) for v in places)
+    return ReciprocityResult(a=a, b=b, local_symbols=symbols, product=prod(s for _, s in symbols))

@@ -443,6 +443,9 @@ def test_sweep_runs_named_suite(capsys):
 
 # sha256 of stdout, as text and with --json, for one argv of each single-shot
 # command, recorded from the hand-written handlers the command registry replaced.
+# The last four reciprocity rows were recorded while the query still read its
+# rows from the sweep's kernel: a place past psi_13, the psi_12 pseudoprime,
+# primes shared across numerators and denominators, and symbols at 2 and inf alone.
 REPORT_SHA256 = [
     (
         ["hilbert", "--a=2", "--b=5", "--place=5", "--oracle"],
@@ -503,6 +506,25 @@ REPORT_SHA256 = [
         ["norm-product", "--x=-6"],
         "c2aa58a4582d66748f5fc6c1ac4f868d4104da0a9428890de2f2bcf2488a6b79",
         "028394ff02ade70224fdd93241483987a73cef18d4f7c16d03824f1031ae9609",
+    ),    (
+        ["reciprocity", "--a=3317044064679887385962123", "--b=-3/7"],
+        "c7c94a2a4a6917cdfec64074862a564b2a650423eec1c2868963a630e4556d55",
+        "8bdcc66529e490762f01c86ad413cf2ad76949d7d7fe4bcea4540faaa348dbed",
+    ),
+    (
+        ["reciprocity", "--a=318665857834031151167461", "--b=5"],
+        "3a4e9ad1ddbcdf84ac309ea6ebbaa617994b92165687ac5f7c282d956d5deffc",
+        "2d8c3c1ff7ec849706849e3092a039ca32fe052e2b1d40a3284781f096e08ef3",
+    ),
+    (
+        ["reciprocity", "--a=-12/35", "--b=50/21"],
+        "dd7192a372189144bf2f468a634b46b21793acdb7b43596d311e3d865e45b286",
+        "d708c18a4a2ea0c7b19462d3cec3e81bb32ac876cacc0d58c94ec81a27aa0c7b",
+    ),
+    (
+        ["reciprocity", "--a=-1", "--b=-1"],
+        "722f927f53ff815224ca859f1bd67282911829c9f14a61cf76342bcb6e3524ff",
+        "cbcb5c06f5c91ba73af7404ef08641fafd0d29e9a4906b2cdc00d559f5186a66",
     ),
 ]
 

@@ -28,6 +28,7 @@ _j_tame_pi1 = jmaps.j_tame_pi1
 _vsc = imj.von_staudt_clausen_denominator
 _bernoulli = imj.bernoulli
 _hilbert = symbols.hilbert_symbol
+_product = symbols.local_symbol_product
 
 
 def _one_cycle_too_many(a: int, p: int) -> int:
@@ -121,6 +122,12 @@ def _plus_one_at_2(a, b, place: symbols.Place) -> int:
     return 1 if place.prime == 2 else _hilbert(a, b, place)
 
 
+def _primes_of_b_alone_dropped(A: int, local_A: dict, B: int, local_B: dict, legendre_of) -> int:
+    # the walk skips the odd primes that divide B but not A
+    kept = {p: data for p, data in local_B.items() if p == 2 or p in local_A}
+    return _product(A, local_A, B, kept, legendre_of)
+
+
 # (sweep, grid, patched name, fault, failures it records).  The zolotarev
 # sweep at p_max=50 catches both of its faults: the walk fault fails every
 # check, and the flipped (-1|p) fails a = p - 1 at p = 7, 23, 31 and 47.
@@ -144,7 +151,9 @@ def _plus_one_at_2(a, b, place: symbols.Place) -> int:
 # doubled von Staudt-Clausen product at n = 10, 20, ..., 60 fails 6
 # denominators; a negated B_n keeps every denominator and fails only the
 # B_12 spot check.  A symbol forced to +1 leaves no witness at each of the
-# 6 primes p = 7 mod 8 below 100, or at 2.
+# 6 primes p = 7 mod 8 below 100, or at 2.  The last row patches the
+# reciprocity walk itself where the sweep looks it up: skipping the primes
+# of b alone fails 519 of the 1,800 checks.
 ZOLOTAREV_GRID = {"p_max": 50}
 ORACLE_GRID = {"prime_max": 13, "coeff_bound": 10, "rational_samples": 100}
 RECIPROCITY_GRID = {"bound": 20, "rational_samples": 200}
@@ -170,6 +179,7 @@ FAULTS = [
     ("bernoulli", {}, "jshadow.sweeps.bernoulli", _bernoulli_negated, 1),
     ("pi2-nontriviality", {}, "jshadow.sweeps.hilbert_symbol", _plus_one_at_7_mod_8, 6),
     ("pi2-nontriviality", {}, "jshadow.sweeps.hilbert_symbol", _plus_one_at_2, 1),
+    ("reciprocity", RECIPROCITY_GRID, "jshadow.sweeps.local_symbol_product", _primes_of_b_alone_dropped, 519),
 ]
 
 

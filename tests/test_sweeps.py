@@ -19,7 +19,7 @@ from jshadow import sweeps
 from jshadow._integers import factorint, primes_up_to, split_unit
 from jshadow.cli import build_parser, run
 from jshadow.sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, Range, SweepResult
-from jshadow.symbols import INFINITY, Place, hilbert_reciprocity_check, hilbert_symbol
+from jshadow.symbols import hilbert_reciprocity_check, hilbert_symbol
 
 # The params each sweep reports at its defaults, in signature order, with
 # the sweeps in the order `sweep all` runs and reports them.
@@ -189,11 +189,12 @@ def test_each_declared_range_is_checked_before_anything_is_built(monkeypatch, na
 
 
 def test_sieve_tables_agree_with_the_single_query():
-    # The sweep's local data and chi tables against factorint and the Jacobi
-    # ladder (hilbert_reciprocity_check), each symbol the walker records
-    # against hilbert_symbol, and the sign it returns against their product.
+    # The sweep's local data and chi tables drive the kernel.  The single
+    # query lists 2, the odd primes dividing a numerator or denominator
+    # (found here by trial division) and infinity, each row is
+    # hilbert_symbol's, and the kernel's sign is the product of the rows, +1.
     local, legendre_of = sweeps._sieve_tables(60)
-    places = {p: Place(p) for p in primes_up_to(60)} | {None: INFINITY}
+    odd_primes = primes_up_to(60)[1:]
     nonzero = [n for n in range(-60, 61) if n]
     rng = random.Random(60)
     rationals = [
@@ -210,16 +211,14 @@ def test_sieve_tables_agree_with_the_single_query():
     ]
     pairs = [(a, b) for a in nonzero for b in nonzero] + rationals
     for (a, b), data in zip(pairs, cases):
-        table = {}
-        sign = sweeps.local_symbol_product(*data, legendre_of, table)
         single = hilbert_reciprocity_check(a, b)
-        order = [v.prime for v, _ in single.local_symbols]  # 2, odd primes ascending, inf
-        assert order == [*sorted(table.keys() - {None}), None], (a, b)
-        assert table == {v.prime: s for v, s in single.local_symbols}, (a, b)
-        for p, s in table.items():
-            assert s == hilbert_symbol(a, b, places[p]), (a, b, p)
-        assert sign == prod(table.values()) == single.product, (a, b)
-        assert sweeps.local_symbol_product(*data, legendre_of) == sign, (a, b)
+        cleared = prod(x.numerator * x.denominator for x in (Fraction(a), Fraction(b)))
+        places = [2, *(p for p in odd_primes if cleared % p == 0), None]
+        assert [v.prime for v, _ in single.local_symbols] == places, (a, b)
+        for v, s in single.local_symbols:
+            assert s == hilbert_symbol(a, b, v), (a, b, v.prime)
+        sign = sweeps.local_symbol_product(*data, legendre_of)
+        assert sign == single.product == prod(s for _, s in single.local_symbols) == 1, (a, b)
 
 
 def test_cleared_local_data_agrees_with_factoring_the_product():
