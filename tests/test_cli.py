@@ -506,7 +506,8 @@ REPORT_SHA256 = [
         ["norm-product", "--x=-6"],
         "c2aa58a4582d66748f5fc6c1ac4f868d4104da0a9428890de2f2bcf2488a6b79",
         "028394ff02ade70224fdd93241483987a73cef18d4f7c16d03824f1031ae9609",
-    ),    (
+    ),
+    (
         ["reciprocity", "--a=3317044064679887385962123", "--b=-3/7"],
         "c7c94a2a4a6917cdfec64074862a564b2a650423eec1c2868963a630e4556d55",
         "8bdcc66529e490762f01c86ad413cf2ad76949d7d7fe4bcea4540faaa348dbed",

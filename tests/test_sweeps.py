@@ -15,7 +15,7 @@ from typing import get_args
 
 import pytest
 
-from jshadow import sweeps
+from jshadow import sweeps, symbols
 from jshadow._integers import factorint, primes_up_to, split_unit
 from jshadow.cli import build_parser, run
 from jshadow.sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, Range, SweepResult
@@ -191,8 +191,10 @@ def test_each_declared_range_is_checked_before_anything_is_built(monkeypatch, na
 def test_sieve_tables_agree_with_the_single_query():
     # The sweep's local data and chi tables drive the kernel.  The single
     # query lists 2, the odd primes dividing a numerator or denominator
-    # (found here by trial division) and infinity, each row is
-    # hilbert_symbol's, and the kernel's sign is the product of the rows, +1.
+    # (found here by trial division) and infinity; each row is
+    # hilbert_symbol's, and equals the closed form evaluated on the sieve's
+    # local data and chi tables at that place; and the kernel's sign is the
+    # product of the rows, +1.
     local, legendre_of = sweeps._sieve_tables(60)
     odd_primes = primes_up_to(60)[1:]
     nonzero = [n for n in range(-60, 61) if n]
@@ -210,14 +212,24 @@ def test_sieve_tables_agree_with_the_single_query():
         for a, b in rationals
     ]
     pairs = [(a, b) for a in nonzero for b in nonzero] + rationals
-    for (a, b), data in zip(pairs, cases):
+    for (a, b), (A, local_A, B, local_B) in zip(pairs, cases):
         single = hilbert_reciprocity_check(a, b)
         cleared = prod(x.numerator * x.denominator for x in (Fraction(a), Fraction(b)))
         places = [2, *(p for p in odd_primes if cleared % p == 0), None]
         assert [v.prime for v, _ in single.local_symbols] == places, (a, b)
         for v, s in single.local_symbols:
             assert s == hilbert_symbol(a, b, v), (a, b, v.prime)
-        sign = sweeps.local_symbol_product(*data, legendre_of)
+            p = v.prime
+            if p == 2:
+                sieve = symbols._symbol_at_two(*local_A.get(2, (0, A)), *local_B.get(2, (0, B)))
+            elif p is not None:
+                sieve = symbols._symbol_at_odd_prime(
+                    *local_A.get(p, (0, A)), *local_B.get(p, (0, B)), p, legendre_of
+                )
+            else:
+                sieve = -1 if A < 0 and B < 0 else 1
+            assert s == sieve, (a, b, p)
+        sign = sweeps.local_symbol_product(A, local_A, B, local_B, legendre_of)
         assert sign == single.product == prod(s for _, s in single.local_symbols) == 1, (a, b)
 
 
