@@ -446,6 +446,8 @@ def test_sweep_runs_named_suite(capsys):
 # The last four reciprocity rows were recorded while the query still read its
 # rows from the sweep's kernel: a place past psi_13, the psi_12 pseudoprime,
 # primes shared across numerators and denominators, and symbols at 2 and inf alone.
+# The rows at the Bernoulli cap were recorded while bernoulli still read its
+# tangent numbers off the Seidel boustrophedon.
 REPORT_SHA256 = [
     (
         ["hilbert", "--a=2", "--b=5", "--place=5", "--oracle"],
@@ -526,6 +528,16 @@ REPORT_SHA256 = [
         ["reciprocity", "--a=-1", "--b=-1"],
         "722f927f53ff815224ca859f1bd67282911829c9f14a61cf76342bcb6e3524ff",
         "cbcb5c06f5c91ba73af7404ef08641fafd0d29e9a4906b2cdc00d559f5186a66",
+    ),
+    (
+        ["bernoulli", "--n=2048"],
+        "0c15a51134a7b948f13d983d132ac4895923d7834844235b6a34b5da8f93bc5e",
+        "5776763e01ee5f89841a22a741c488a82baf93d374f448f06ad4f0fdda15a8df",
+    ),
+    (
+        ["imj-order", "--k=1024"],
+        "785e91099195c760d401ce361855c25d1f24a37549086c7dffd6592850c0e750",
+        "85aa45cc1eb801b7404467e040e74b7748ba1ade0cbaab4cc6b351f7e097351b",
     ),
 ]
 

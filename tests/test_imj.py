@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import isqrt
@@ -112,6 +114,57 @@ def test_bernoulli_cap():
     assert imj_order(BERNOULLI_CAP // 2).order > 1
     with pytest.raises(ValueError, match=f"^k must be <= {BERNOULLI_CAP // 2}, got {BERNOULLI_CAP // 2 + 1}$"):
         imj_order(BERNOULLI_CAP // 2 + 1)
+
+
+@pytest.fixture(scope="module")
+def reference_400():
+    return bernoulli_recurrence(400)
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """A fresh Bernoulli cache and tangent column in place of the process's warm ones."""
+    monkeypatch.setattr(imj, "_bernoulli_cache", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(imj, "_tangent_column", [1])
+
+
+def test_a_cold_cache_grows_the_same_way_from_any_state(cold_cache, reference_400):
+    rng = random.Random(31)
+    ns = rng.sample(range(401), 40) + [400, 399, 7, 7]
+    rng.shuffle(ns)
+    assert ns.index(400) < len(ns) - 1  # a request below the cache's length follows B_400
+    for n in ns:
+        assert bernoulli(n) == reference_400[n], n
+
+
+class _InterruptedColumn(list):
+    """A tangent column whose 500th item assignment raises KeyboardInterrupt, once."""
+
+    assignments = 0
+
+    def __setitem__(self, index, value):
+        self.assignments += 1
+        if self.assignments == 500:
+            raise KeyboardInterrupt
+        super().__setitem__(index, value)
+
+
+def test_an_interrupted_growth_step_leaves_no_wrong_numbers(monkeypatch, cold_cache, reference_400):
+    monkeypatch.setattr(imj, "_tangent_column", _InterruptedColumn([1]))
+    with pytest.raises(KeyboardInterrupt):
+        bernoulli(300)
+    assert [bernoulli(n) for n in range(401)] == reference_400
+
+
+def test_growth_holds_one_column(cold_cache):
+    # A step that built its next column beside the last would hold both at once, about 1.6x what it keeps.
+    tracemalloc.start()
+    try:
+        bernoulli(500)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * retained, (peak, retained)
 
 
 def test_von_staudt_clausen_examples():
