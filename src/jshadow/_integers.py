@@ -1,6 +1,6 @@
 """Shared integer utilities: primality, sieves, exact factorization, the
 split n = p**alpha * u of an integer at a prime, and the one check of a
-prime argument and of a rational one.
+prime argument, of a rational one and of a bounded int.
 
 Everything here is deterministic.  Miller-Rabin with the first k prime
 bases is a proof of primality below psi_k, the least strong pseudoprime to
@@ -94,6 +94,17 @@ def check_rational(x: Rational) -> Rational:
     raise TypeError(f"expected an int or a Fraction, got {type(x).__name__} {x!r}")
 
 
+def check_range(
+    name: str, value: int, low: int | None = None, high: int | None = None, error: type[ValueError] = ValueError
+) -> int:
+    """value, if low <= value <= high (None: no bound); else ``error`` naming name and the bound."""
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise error(f"{name} must be <= {high}, got {value}")
+    return value
+
+
 def _jacobi(a: int, n: int) -> int:
     """The Jacobi symbol (a|n) for odd n >= 1 (unchecked), by the reciprocity ladder."""
     a %= n
@@ -175,8 +186,7 @@ def _pollard_brent(n: int) -> int:
 
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}; factors >= psi_13 are BPSW probable primes."""
-    if n < 1:
-        raise ValueError("factorint requires n >= 1")
+    check_range("n", n, 1)
     factors: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:

@@ -31,8 +31,8 @@ seeded sweeps; ``sweep all`` runs every default grid.
 Exit codes: 0 for pass or informational output, 1 for a verification
 failure, 2 for a usage error (unknown subcommand, sweep or flag, malformed
 rational, composite number where a prime is required, empty sweep grid,
-a prime, grid size or degree past its cap, named by its parameter, or the value
-``--``, named by its flag).
+an int argument below its lower bound or past its cap, named by its
+parameter, or the value ``--``, named by its flag).
 """
 
 import argparse

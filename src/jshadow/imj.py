@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from ._integers import check_prime, factorint, is_prime, prime_power_base, vp_int
+from ._integers import check_prime, check_range, factorint, is_prime, prime_power_base, vp_int
 from .padic import PadicNumber, embed, is_topological_generator, smallest_topological_generator
 
 BERNOULLI_CAP = 2048  # B_2048's numerator has 4,266 digits, under str()'s 4,300; a cold B_2048 takes ~0.9 s
@@ -44,10 +44,7 @@ def bernoulli(n: int) -> Fraction:
     A step that raises resets the column to [1], so no half-updated column is
     read later.  An n above BERNOULLI_CAP raises ValueError before the cache grows.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > BERNOULLI_CAP:
-        raise ValueError(f"n must be <= {BERNOULLI_CAP}, got {n}")
+    check_range("n", n, 0, BERNOULLI_CAP)
     while len(_bernoulli_cache) <= n:
         m = len(_bernoulli_cache)
         if m % 2:
@@ -95,8 +92,8 @@ class GroupOrderReport:
     order: int | None
 
     def __post_init__(self) -> None:
-        if self.order is not None and self.order < 1:
-            raise ValueError("order must be >= 1")
+        if self.order is not None:
+            check_range("order", self.order, 1)
 
     @cached_property
     def factors(self) -> tuple[tuple[int, int], ...]:
@@ -127,10 +124,7 @@ class GroupOrderReport:
 def imj_order(k: int) -> GroupOrderReport:
     """The order of the image of J in stable stem 4k-1: den(B_{2k}/4k), for
     1 <= k <= BERNOULLI_CAP / 2.  Cached per k; the frozen report is shared."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if 2 * k > BERNOULLI_CAP:
-        raise ValueError(f"k must be <= {BERNOULLI_CAP // 2}, got {k}")
+    check_range("k", k, 1, BERNOULLI_CAP // 2)
     return GroupOrderReport((bernoulli(2 * k) / (4 * k)).denominator)
 
 
@@ -194,8 +188,7 @@ def k_finite_field(n: int, q: int) -> GroupOrderReport:
     """Quillen's K-groups of F_q: Z in degree 0, cyclic of order q^i - 1
     in degree 2i-1, trivial in positive even degrees.  An order above
     ORDER_CAP raises ValueError, one far above it before q^i is built."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
+    check_range("n", n, 0)
     if prime_power_base(q) is None:
         raise ValueError(f"{q} is not a prime power")
     if n == 0:
@@ -224,8 +217,7 @@ def surjectivity_check(ell: int, p: int, k: int) -> bool:
     check_prime(p)
     if p == ell:
         raise ValueError("p must differ from l")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_range("k", k, 1)
     u = smallest_topological_generator(ell)
     return _vl_power_minus_one(p, k, ell) >= _vl_power_minus_one(u, k, ell)
 
@@ -235,8 +227,8 @@ def norm_identity_check(ell: int, u: int, d: int, m: int, precision: int) -> boo
     given precision, using tracked-precision p-adic arithmetic."""
     if not is_topological_generator(u, ell):
         raise ValueError(f"{u} does not topologically generate Z_{ell}^x")
-    if d < 1 or m < 1:
-        raise ValueError("d and m must be >= 1")
+    check_range("d", d, 1)
+    check_range("m", m, 1)
     x = embed(u, ell, precision)
     xm = x**m
     lhs = (x**d) ** m - 1

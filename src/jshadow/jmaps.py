@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._integers import Rational, check_prime, check_rational, factorint
+from ._integers import Rational, check_prime, check_range, check_rational, factorint
 from .padic import PadicNumber, ZeroOperandError, vp
 
 
@@ -34,8 +34,7 @@ def j_real_pi0(k: int) -> int:
 def j_fp_pi0(k: int, p: int) -> int:
     """Degree of the sphere self-map attached to a k-dimensional F_p-space: p**k."""
     check_prime(p)
-    if k < 0:
-        raise ValueError("dimension must be nonnegative")
+    check_range("k", k, 0)
     return p**k
 
 

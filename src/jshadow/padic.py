@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._integers import Rational, check_prime, check_rational, factorint, split_unit, vp_int
+from ._integers import Rational, check_prime, check_range, check_rational, factorint, split_unit, vp_int
 
 DEFAULT_PRECISION = 64
 MAX_PRECISION = 4096
@@ -46,11 +46,6 @@ class PrecisionError(PadicError):
 
 class ZeroOperandError(PadicError):
     """An operation received (or would have to invert) a zero."""
-
-
-def _check_precision(n: int) -> None:
-    if not 1 <= n <= MAX_PRECISION:
-        raise PrecisionError(f"precision must be in [1, {MAX_PRECISION}], got {n}")
 
 
 def vp(x: Rational, p: int) -> int:
@@ -99,7 +94,7 @@ class PadicNumber:
     @classmethod
     def from_unit(cls, prime: int, valuation: int, unit_digits: int, precision: int) -> "PadicNumber":
         check_prime(prime, PadicError)
-        _check_precision(precision)
+        check_range("precision", precision, 1, MAX_PRECISION, PrecisionError)
         unit_digits %= _modulus(prime, precision)
         if unit_digits % prime == 0:
             raise PadicError("unit part must be coprime to the prime")
@@ -289,7 +284,7 @@ def embed(x: Rational, prime: int, precision: int = DEFAULT_PRECISION) -> "Padic
     ``_embed_unit`` inverts the denominator's unit by Newton's iteration.
     """
     check_prime(prime, PadicError)
-    _check_precision(precision)
+    check_range("precision", precision, 1, MAX_PRECISION, PrecisionError)
     if check_rational(x) == 0:
         raise ZeroOperandError("cannot embed 0; use PadicNumber.zero")
     (vn, num), (vd, den) = split_unit(x.numerator, prime), split_unit(x.denominator, prime)
@@ -311,7 +306,7 @@ def teichmuller(a: int, prime: int, precision: int = DEFAULT_PRECISION) -> "Padi
     the digits known each step.  Requires an odd prime and a nonzero residue.
     """
     check_prime(prime, PadicError, odd=True)
-    _check_precision(precision)
+    check_range("precision", precision, 1, MAX_PRECISION, PrecisionError)
     if a % prime == 0:
         raise ZeroOperandError("residue must be nonzero mod p")
     x, n = a % prime, 1
@@ -419,8 +414,7 @@ def geometric_series_witness(ell: int = 3, depth: int = 64) -> bool:
     sequence of integers converging 3-adically to the non-integer -1/2.
     """
     check_prime(ell, PadicError)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    check_range("depth", depth, 1)
     s = 0
     power = 1
     for k in range(1, depth + 1):

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Annotated, get_args
 
-from ._integers import _jacobi, prime_power_base, primes_up_to, split_unit
+from ._integers import _jacobi, check_range, prime_power_base, primes_up_to, split_unit
 from .imj import (
     BERNOULLI_CAP,
     bernoulli,
@@ -177,6 +177,7 @@ class Range:
 Size = Annotated[int, Range(1, GRID_CAP)]  # a bound or coefficient of a grid
 LargestPrime = Annotated[int, Range(2, GRID_CAP)]  # below 2, a grid holds no prime
 Samples = Annotated[int, Range(0, None)]
+Precision = Annotated[int, Range(1, MAX_PRECISION)]
 
 
 def _sweep(name: str, statement_id: str):
@@ -196,10 +197,7 @@ def _sweep(name: str, statement_id: str):
             bound.apply_defaults()
             values = bound.arguments
             for key, low, high in ranges:  # before the body builds anything of a value's size
-                if low is not None and values[key] < low:
-                    raise ValueError(f"{key} must be >= {low}, got {values[key]}")
-                if high is not None and values[key] > high:
-                    raise ValueError(f"{key} must be <= {high}, got {values[key]}")
+                check_range(key, values[key], low, high)
             params = {k: list(v) if isinstance(v, (tuple, list)) else v for k, v in values.items()}
             result = SweepResult(name, statement_id, params)
             body(result, **values)
@@ -352,7 +350,7 @@ def sweep_bernoulli(result: SweepResult, n_max: Annotated[int, Range(2, BERNOULL
 
 @_sweep("rezk-log", "degree-zero-logarithm")
 def sweep_rezk_log(
-    result: SweepResult, ells: tuple[int, ...] = (3, 5, 7, 11), precision: int = 64
+    result: SweepResult, ells: tuple[int, ...] = (3, 5, 7, 11), precision: Precision = 64
 ) -> None:
     """The degree-zero logarithm sends 1+l to an l-adic unit (so it is onto
     Z_l) and kills every Teichmuller representative."""
@@ -393,7 +391,7 @@ def sweep_surjectivity(
 
 @_sweep("norm-identity", "geometric-sum-identity")
 def sweep_norm_identity(
-    result: SweepResult, ell_max: LargestPrime = 23, d_max: int = 6, m_max: int = 10, precision: int = 20
+    result: SweepResult, ell_max: LargestPrime = 23, d_max: int = 6, m_max: int = 10, precision: Precision = 20
 ) -> None:
     """(u^d)^m - 1 = (u^m - 1)(1 + u^m + ... + (u^m)^(d-1)) in Z_l at the
     given precision, over the full (l, d, m) grid."""
@@ -451,7 +449,7 @@ def sweep_low_degree_j(
     result: SweepResult,
     inversion_samples: Samples = 1000,
     tame_samples: Samples = 10000,
-    precision: Annotated[int, Range(1, MAX_PRECISION)] = 64,
+    precision: Precision = 64,
     seed: int = DEFAULT_SEED,
 ) -> None:
     """The low-degree J tables: identity on pi_0 over R, negation and

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from ._integers import Rational, _jacobi, check_prime, check_rational, factorint, split_unit, vp_int
+from ._integers import Rational, _jacobi, check_prime, check_range, check_rational, factorint, split_unit, vp_int
 
 Sign = int  # always +1 or -1
 
@@ -83,7 +83,8 @@ def zolotarev_sign(a: int, p: int) -> Sign:
     first unvisited residue, found by ``bytearray.find``.  A prime above
     ORACLE_PRIME_CAP raises SymbolError before the walk's table is built.
     """
-    check_prime(_capped_prime(p), SymbolError, odd=True)
+    check_range("p", p, None, ORACLE_PRIME_CAP, SymbolError)
+    check_prime(p, SymbolError, odd=True)
     a %= p
     if a == 0:
         raise SymbolError("a must be prime to p")
@@ -176,13 +177,6 @@ def local_symbol_product(A: int, local_A: dict, B: int, local_B: dict, legendre_
 ORACLE_PRIME_CAP = 2**17  # the Zolotarev walk and the oracle's square-root table are O(p)
 
 
-def _capped_prime(p: int) -> int:
-    """p, if a walk over Z/p takes it; else SymbolError, before any table is built."""
-    if p > ORACLE_PRIME_CAP:
-        raise SymbolError(f"p must be <= {ORACLE_PRIME_CAP}, got {p}")
-    return p
-
-
 _SQRT_TABLE_ENTRIES = 2**19  # roots kept over all tables: four tables at ORACLE_PRIME_CAP
 _sqrt_tables: dict[int, dict[int, tuple[int, ...]]] = {}  # p -> its table, oldest first
 
@@ -246,7 +240,7 @@ def hilbert_oracle(a: Rational, b: Rational, place: Place) -> Sign:
     B = _cleared_int(b, "b")
     if not place.is_finite:
         return -1 if A < 0 and B < 0 else 1
-    p = _capped_prime(place.prime)
+    p = check_range("p", place.prime, None, ORACLE_PRIME_CAP, SymbolError)
     (alpha, u), (beta, w) = split_unit(A, p), split_unit(B, p)
     A, B = (-u * w, p * w) if alpha & beta & 1 else (u * p ** (alpha & 1), w * p ** (beta & 1))
     levels = 2 * vp_int(4 * A * B, p) + 3

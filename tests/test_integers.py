@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jshadow import jmaps, padic, symbols
+from jshadow import imj, jmaps, padic, symbols
 from jshadow._integers import (
     _PSI,
     _PSI_13,
     _is_strong_lucas_probable_prime,
     check_prime,
+    check_range,
     check_rational,
     factorint,
     is_prime,
@@ -121,6 +122,143 @@ def test_the_prime_check_returns_a_prime_and_raises_the_given_class():
         check_prime(2, Refused, odd=True)
     with pytest.raises(Refused, match="^1 is not an odd prime$"):
         check_prime(1, Refused, odd=True)
+
+
+def test_the_range_check_returns_the_value_and_raises_the_given_class():
+    for value in (-(10**30), -1, 0, 1, 10**30):
+        assert check_range("x", value) == value
+    assert check_range("x", 5, 5, 5) == 5 and check_range("x", 5, None, 5) == 5 and check_range("x", 5, 5) == 5
+    with pytest.raises(ValueError, match="^x must be >= 0, got -1$"):
+        check_range("x", -1, 0)
+
+    class Refused(ValueError):
+        pass
+
+    with pytest.raises(Refused, match="^x must be <= 4, got 5$"):
+        check_range("x", 5, 0, 4, Refused)
+    with pytest.raises(Refused, match="^x must be >= 2, got 1$"):
+        check_range("x", 1, 2, None, Refused)
+
+
+# Every bounded int argument of the library: (the call one step past the bound,
+# its exception class, its message, the call at the bound or None where that is slow).
+BOUNDED_ARGUMENTS = {
+    # 131073 = 3 * 43691 is composite: the cap's message shows the cap is checked before primality
+    "zolotarev_sign p above the cap": (
+        lambda: symbols.zolotarev_sign(2, symbols.ORACLE_PRIME_CAP + 1),
+        symbols.SymbolError,
+        "p must be <= 131072, got 131073",
+        lambda: symbols.zolotarev_sign(2, 131071),
+    ),
+    "hilbert_oracle p above the cap": (
+        lambda: symbols.hilbert_oracle(3, 5, symbols.Place(131101)),
+        symbols.SymbolError,
+        "p must be <= 131072, got 131101",
+        lambda: symbols.hilbert_oracle(3, 5, symbols.Place(131071)),
+    ),
+    "from_unit precision 0": (
+        lambda: padic.PadicNumber.from_unit(5, 0, 1, 0),
+        padic.PrecisionError,
+        "precision must be >= 1, got 0",
+        lambda: padic.PadicNumber.from_unit(5, 0, 1, 1),
+    ),
+    "from_unit precision above the cap": (
+        lambda: padic.PadicNumber.from_unit(5, 0, 1, padic.MAX_PRECISION + 1),
+        padic.PrecisionError,
+        "precision must be <= 4096, got 4097",
+        lambda: padic.PadicNumber.from_unit(5, 0, 1, 4096),
+    ),
+    "embed precision 0": (
+        lambda: padic.embed(Fraction(5, 9), 7, 0),
+        padic.PrecisionError,
+        "precision must be >= 1, got 0",
+        lambda: padic.embed(Fraction(5, 9), 7, 1),
+    ),
+    "embed precision above the cap": (
+        lambda: padic.embed(Fraction(5, 9), 7, padic.MAX_PRECISION + 1),
+        padic.PrecisionError,
+        "precision must be <= 4096, got 4097",
+        lambda: padic.embed(Fraction(5, 9), 7, 4096),
+    ),
+    "teichmuller precision 0": (
+        lambda: padic.teichmuller(2, 7, 0),
+        padic.PrecisionError,
+        "precision must be >= 1, got 0",
+        lambda: padic.teichmuller(2, 7, 1),
+    ),
+    "teichmuller precision above the cap": (
+        lambda: padic.teichmuller(2, 7, padic.MAX_PRECISION + 1),
+        padic.PrecisionError,
+        "precision must be <= 4096, got 4097",
+        lambda: padic.teichmuller(2, 7, 4096),
+    ),
+    "geometric_series_witness depth 0": (
+        lambda: padic.geometric_series_witness(3, 0),
+        ValueError,
+        "depth must be >= 1, got 0",
+        lambda: padic.geometric_series_witness(3, 1),
+    ),
+    "bernoulli n -1": (lambda: imj.bernoulli(-1), ValueError, "n must be >= 0, got -1", lambda: imj.bernoulli(0)),
+    "bernoulli n above the cap": (
+        lambda: imj.bernoulli(imj.BERNOULLI_CAP + 1),
+        ValueError,
+        "n must be <= 2048, got 2049",
+        None,
+    ),
+    "imj_order k 0": (lambda: imj.imj_order(0), ValueError, "k must be >= 1, got 0", lambda: imj.imj_order(1)),
+    "imj_order k above the cap": (
+        lambda: imj.imj_order(imj.BERNOULLI_CAP // 2 + 1),
+        ValueError,
+        "k must be <= 1024, got 1025",
+        None,
+    ),
+    "k_finite_field n -1": (
+        lambda: imj.k_finite_field(-1, 4),
+        ValueError,
+        "n must be >= 0, got -1",
+        lambda: imj.k_finite_field(0, 4),
+    ),
+    "surjectivity_check k 0": (
+        lambda: imj.surjectivity_check(3, 5, 0),
+        ValueError,
+        "k must be >= 1, got 0",
+        lambda: imj.surjectivity_check(3, 5, 1),
+    ),
+    "norm_identity_check d 0": (
+        lambda: imj.norm_identity_check(3, 2, 0, 1, 8),
+        ValueError,
+        "d must be >= 1, got 0",
+        lambda: imj.norm_identity_check(3, 2, 1, 1, 8),
+    ),
+    "norm_identity_check m 0": (
+        lambda: imj.norm_identity_check(3, 2, 1, 0, 8),
+        ValueError,
+        "m must be >= 1, got 0",
+        lambda: imj.norm_identity_check(3, 2, 1, 1, 8),
+    ),
+    "GroupOrderReport order 0": (
+        lambda: imj.GroupOrderReport(0),
+        ValueError,
+        "order must be >= 1, got 0",
+        lambda: imj.GroupOrderReport(1),
+    ),
+    "j_fp_pi0 k -1": (
+        lambda: jmaps.j_fp_pi0(-1, 3),
+        ValueError,
+        "k must be >= 0, got -1",
+        lambda: jmaps.j_fp_pi0(0, 3),
+    ),
+    "factorint n 0": (lambda: factorint(0), ValueError, "n must be >= 1, got 0", lambda: factorint(1)),
+}
+
+
+@pytest.mark.parametrize("refused, error, message, accepted", BOUNDED_ARGUMENTS.values(), ids=BOUNDED_ARGUMENTS)
+def test_each_bounded_argument_is_refused_one_step_past_its_bound(refused, error, message, accepted):
+    with pytest.raises(error, match=f"^{message}$") as caught:
+        refused()
+    assert type(caught.value) is error
+    if accepted is not None:
+        accepted()
 
 
 # Each public function that takes a rational, called on x in the position of a rational.

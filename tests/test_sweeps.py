@@ -159,6 +159,8 @@ def test_the_declared_ranges_are_the_bounds_of_each_grid():
         ("low-degree-j", "inversion_samples"): (0, None),
         ("low-degree-j", "tame_samples"): (0, None),
         ("low-degree-j", "precision"): (1, 4096),
+        ("rezk-log", "precision"): (1, 4096),
+        ("norm-identity", "precision"): (1, 4096),
     }
 
 
