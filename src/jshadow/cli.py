@@ -17,11 +17,12 @@ choices, and ``Annotated[kind, parse, help]`` as ``kind`` passed through
 line.  A prime is an ``int``, which the library refuses if it is not
 prime.  The handler returns its rows and verdict (``padic`` its inputs
 too); the registry records the arguments as ``inputs`` and the statement
-as provenance.  Only the parser of the command being run is
-built, once per process.  An argv of the exact form ``[--json] <command>
---flag=value ... --switch`` is read straight from that parser's flags
-(:func:`_exact_args`); argparse parses every other argv and ``sweep``, so
-help, usage and error messages are its own.
+as provenance.  ``_flags`` builds each signature's flag table, which
+both readers use.  argvs of the exact form ``[--json] <command>
+--flag=value ... --switch`` build no parser: :func:`_exact_args` reads
+them from the command's table.  Every other argv, and ``sweep``, shares
+one parser of every command, built once per process, so help, usage and
+error messages are argparse's own.
 
 ``sweep <name>`` reads its flags the same way, from the signature of the
 sweep's function: one subparser per sweep, whose ``--help`` lists each
@@ -39,6 +40,7 @@ import argparse
 import inspect
 import json
 import operator
+import os
 import re
 import sys
 from collections.abc import Callable, Sequence
@@ -156,42 +158,51 @@ def _canonical_json(value, indent: str = "\n") -> str:
 
 
 def _emit(report: dict, as_json: bool) -> int:
-    if as_json:
-        print(_canonical_json(report))
-    else:
-        print(f"command: {report['command']}")
-        for key in sorted(report["inputs"]):
-            print(f"  {key} = {report['inputs'][key]}")
-        for row in report["rows"]:
-            cells = "  ".join(f"{k}={v}" for k, v in row.items())
-            print(f"  | {cells}")
-        for entry in report["provenance"]:
-            print(f"checks: {entry['statement_id']}: {entry['statement']}")
-        print(f"verdict: {report['verdict']}")
+    try:
+        if as_json:
+            print(_canonical_json(report))
+        else:
+            print(f"command: {report['command']}")
+            for key in sorted(report["inputs"]):
+                print(f"  {key} = {report['inputs'][key]}")
+            for row in report["rows"]:
+                cells = "  ".join(f"{k}={v}" for k, v in row.items())
+                print(f"  | {cells}")
+            for entry in report["provenance"]:
+                print(f"checks: {entry['statement_id']}: {entry['statement']}")
+            print(f"verdict: {report['verdict']}")
+        sys.stdout.flush()
+    except BrokenPipeError:  # a closed stdout: what is left goes to devnull, not a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report["verdict"] in ("pass", "n/a") else 1
 
 
 # -- the command registry ---------------------------------------------------
 
-# name -> (help, handler, build), in the order `jshadow --help` lists them.  build(subparser)
-# adds the command's arguments and returns the function from them to the report.
-_COMMANDS: dict[str, tuple[str, Callable, Callable]] = {}
+# name -> (help, handler, flags, start), in the order `jshadow --help` lists them: flags is the
+# flag table of the handler's signature, start the namespace a parse starts from, its
+# defaults and its "handler", the function from the parsed arguments to the report.
+_COMMANDS: dict[str, tuple[str, Callable, dict, dict]] = {}
 
 
 def _command(name: str, statement_id: str | None, help: str):
     """Register the handler as single-shot command ``name``, citing ``statement_id`` if any."""
 
     def register(handler):
-        _COMMANDS[name] = help, handler, partial(_single_shot, name, statement_id, handler)
+        flags = _flags(inspect.signature(handler))
+        start = {dest: options["default"] for dest, options, _ in flags.values()}
+        report = partial(_single_shot, name, statement_id, handler, flags)
+        _COMMANDS[name] = help, handler, flags, start | {"handler": report}
         return handler
 
     return register
 
 
-def _flags(sp: argparse.ArgumentParser, signature: inspect.Signature) -> dict[str, Callable]:
-    """Add a flag to ``sp`` per parameter of ``signature``; return, by parameter name, the
-    function from the flag's value to the argument."""
-    parsers = {}
+def _flags(signature: inspect.Signature) -> dict[str, tuple[str, dict, Callable]]:
+    """The flag table of ``signature``, one flag per parameter: option string -> (parameter
+    name, the options ``add_argument`` takes, the function from the flag's value to the
+    argument)."""
+    table = {}
     for param in signature.parameters.values():
         note = param.annotation
         kind, *meta = get_args(note) if get_origin(note) is Annotated else (note,)
@@ -201,32 +212,27 @@ def _flags(sp: argparse.ArgumentParser, signature: inspect.Signature) -> dict[st
             options["action"] = "store_true"
         elif isinstance(kind, tuple):
             options["choices"] = kind
-        elif get_origin(kind) is tuple:  # a comma list; argparse reads a str default as given
+        elif get_origin(kind) is tuple:  # a comma list, its default shown as one
             options["type"] = lambda text: tuple(map(parse_int, text.split(",")))
-            options["default"] = ",".join(map(str, param.default))
         elif int in (kind, *get_args(kind)):
             options["type"] = parse_int
         notes = [m for m in meta if isinstance(m, str)]
         if options["default"] is not None and kind is not bool:
-            notes.append("default: %(default)s")
+            shown = ",".join(map(str, param.default)) if get_origin(kind) is tuple else "%(default)s"
+            notes.append("default: " + shown)
         options["help"] = "; ".join(notes) or None
-        sp.add_argument("--" + param.name.replace("_", "-"), **options)
-        parsers[param.name] = next((m for m in meta if callable(m)), lambda value: value)
-    return parsers
+        parse = next((m for m in meta if callable(m)), lambda value: value)
+        table["--" + param.name.replace("_", "-")] = param.name, options, parse
+    return table
 
 
-def _single_shot(name: str, statement_id: str | None, handler, sp) -> Callable:
-    """Add the handler's flags to ``sp``; return the function from their values to the report."""
-    parsers = _flags(sp, inspect.signature(handler))
-
-    def report(args) -> dict:
-        values = {key: parse(getattr(args, key)) for key, parse in parsers.items()}
-        rows, verdict, *inputs = handler(**values)
-        shown = {k: str(v) if isinstance(v, (Fraction, Place)) else v for k, v in values.items()}
-        statement_ids = [statement_id] if statement_id else []
-        return _report(name, inputs[0] if inputs else shown, rows, verdict, statement_ids)
-
-    return report
+def _single_shot(name: str, statement_id: str | None, handler, flags: dict, args) -> dict:
+    """The report of the handler on the values ``args`` holds of its flags."""
+    values = {dest: parse(getattr(args, dest)) for dest, _, parse in flags.values()}
+    rows, verdict, *inputs = handler(**values)
+    shown = {k: str(v) if isinstance(v, (Fraction, Place)) else v for k, v in values.items()}
+    statement_ids = [statement_id] if statement_id else []
+    return _report(name, inputs[0] if inputs else shown, rows, verdict, statement_ids)
 
 
 # -- single-shot commands, each a handler returning its rows and verdict ---
@@ -383,37 +389,33 @@ def _sweep(args) -> dict:
     return _report("sweep", {"sweep": "all", "seed": args.seed}, rows, verdict, statement_ids)
 
 
-def _sweep_arguments(sp: argparse.ArgumentParser) -> Callable:
+def _add_flags(sp: argparse.ArgumentParser, flags: dict) -> None:
+    for option, (_, options, _) in flags.items():
+        sp.add_argument(option, **options)
+
+
+def _sweep_arguments(sp: argparse.ArgumentParser) -> None:
     """One subparser per sweep, whose flags are its keywords, and one for ``all``.  Each
     takes ``--seed``, which reaches only the sweeps with a ``seed`` keyword."""
     names = sp.add_subparsers(
         dest="name", required=True, metavar="name", help=f"one of: {', '.join(sorted(SWEEPS))}, all"
     )
+    seed = "seed", {"type": parse_int, "default": DEFAULT_SEED, "help": "default: %(default)s"}, None
     for name in (*SWEEPS, "all"):
-        grid = names.add_parser(name)
-        keywords = _flags(grid, inspect.signature(SWEEPS[name])) if name in SWEEPS else {}
-        if "seed" not in keywords:
-            grid.add_argument(
-                "--seed", type=parse_int, default=DEFAULT_SEED, help="default: %(default)s"
-            )
-    return _sweep
+        flags = _flags(inspect.signature(SWEEPS[name])) if name in SWEEPS else {}
+        flags.setdefault("--seed", seed)
+        _add_flags(names.add_parser(name), flags)
 
 
 _COMMANDS["sweep"] = (
-    "run a named verification suite; its keywords are its flags", _sweep, _sweep_arguments
+    "run a named verification suite; its keywords are its flags", _sweep, {}, {"handler": _sweep}
 )
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser of the command argv names first (after any ``--json``), else of every one.
-    Each is built once per process and shared, so callers must not change it."""
-    chosen = next((arg for arg in argv if arg != "--json"), None)
-    return _parser(chosen if chosen in _COMMANDS else None)
-
-
 @cache
-def _parser(chosen: str | None) -> argparse.ArgumentParser:
-    """The parser of command ``chosen``, or of every command when None."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process from the flag tables and shared,
+    so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="jshadow",
         description=(
@@ -423,45 +425,40 @@ def _parser(chosen: str | None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (summary, _, build) in _COMMANDS.items():
-        if chosen in (None, name):
-            sp = sub.add_parser(name, help=summary)
-            sp.set_defaults(handler=build(sp))
+    for name, (summary, _, flags, start) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        _add_flags(sp, flags)
+        sp.set_defaults(handler=start["handler"])
+    _sweep_arguments(sub.choices["sweep"])
     return parser
 
 
-@cache
-def _flag_table(name: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.Action], dict]:
-    """Single-shot command ``name``'s subparser, the flags ``_flags`` gave it by option string,
-    and the values its parse starts from: each flag's default and the handler."""
-    sp = _parser(name)._actions[-1].choices[name]  # its subparsers action is added last
-    flags = {option: a for a in sp._actions if a.dest != "help" for option in a.option_strings}
-    start = {a.dest: a.default for a in flags.values()}
-    return sp, flags, start | {"handler": sp.get_default("handler")}
-
-
 def _exact_args(argv: Sequence[str]) -> argparse.Namespace | None:
-    """The namespace ``parse_args`` makes of an argv of the exact form; None for a prefix, a
-    separate value, a flag given twice, a switch given a value, a value its flag refuses, a
-    required flag missing, or any other argv."""
+    """The namespace ``build_parser().parse_args`` makes of an argv of the exact form, read
+    from the command's flag table; None for a prefix, a separate value, a flag given twice, a
+    switch given a value, a value its flag refuses, a required flag missing, or any other argv."""
     as_json = argv[:1] == ["--json"]
     name, *given = (argv[1:] if as_json else argv) or [None]
     if name == "sweep" or name not in _COMMANDS:
         return None
-    sp, flags, start = _flag_table(name)
+    _, _, flags, start = _COMMANDS[name]
     values = {}
     for arg in given:
         option, eq, text = arg.partition("=")
-        flag = flags.get(option)
+        if option not in flags:
+            return None
+        dest, options, _ = flags[option]
+        switch = options.get("action") == "store_true"
         # each flag at most once, a switch bare, a value after "=" (argparse reads "--" as none)
-        if flag is None or flag.dest in values or (flag.nargs == 0) == bool(eq) or text == "--":
+        if dest in values or switch == bool(eq) or text == "--":
             return None
         try:  # the flag's own type and choices, as argparse applies them
-            values[flag.dest] = flag.const if flag.nargs == 0 else sp._get_value(flag, text)
-            sp._check_value(flag, values[flag.dest])
-        except argparse.ArgumentError:
+            values[dest] = True if switch else options.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
             return None
-    complete = all(a.dest in values for a in flags.values() if a.required)
+        if "choices" in options and values[dest] not in options["choices"]:
+            return None
+    complete = all(dest in values for dest, options, _ in flags.values() if options["required"])
     return argparse.Namespace(json=as_json, subcommand=name, **start | values) if complete else None
 
 
@@ -472,9 +469,8 @@ def run(argv: list[str] | None = None) -> int:
     if empty:
         print(f"error: {', '.join(empty)}: expected one argument", file=sys.stderr)
         return 2
-    parser = build_parser(argv)
     try:
-        args = _exact_args(argv) or parser.parse_args(argv)
+        args = _exact_args(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -6,10 +6,13 @@ import contextlib
 import hashlib
 import importlib.util
 import inspect
+import io
 import json
+import os
 import re
 import shlex
 import signal
+import subprocess
 import sys
 import time
 from decimal import Decimal
@@ -18,7 +21,7 @@ from pathlib import Path
 from typing import Annotated, get_args, get_origin
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jshadow import imj, sweeps, symbols
@@ -100,7 +103,7 @@ def test_consecutive_runs_share_no_state(capsys):
     assert report["inputs"]["precision"] == DEFAULT_PRECISION
 
 
-# Default grids of 1-3 s each; cheaper argvs below build the same parsers.
+# Default grids of 1-3 s each; cheaper argvs below read the same flags.
 _SLOW_ARGVS = (
     ["sweep", "all"],
     ["sweep", "all", "--seed=7"],
@@ -184,7 +187,7 @@ def _time_bound(argv: list[str], seconds: float):
 
 
 def test_reused_parsers_carry_no_state_between_runs(monkeypatch, capsys):
-    # Each command's parser is built once per process; running every argv
+    # The parser is built once per process and shared; running every argv
     # again in reverse order must give the same exit code, stdout and stderr.
     argvs = _argvs_in_tests() + _queries_mixed_argvs(monkeypatch, seed=1)
     assert len(argvs) > 1100
@@ -202,11 +205,10 @@ def test_reused_parsers_carry_no_state_between_runs(monkeypatch, capsys):
     assert outputs(indices) == outputs(reversed(indices))
 
 
-def test_one_parser_per_command():
-    assert build_parser(["hilbert"]) is build_parser(["--json", "hilbert", "--a=2"])
-    # the sweep parser holds every sweep's subparser, so the sweep name is no part of its key
-    assert build_parser(["sweep", "zolotarev"]) is build_parser(["sweep", "reciprocity", "-h"])
-    assert build_parser([]) is build_parser(["-x", "sweep", "zolotarev"])
+def test_one_parser_of_every_command():
+    assert build_parser() is build_parser()
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(_COMMANDS)
 
 
 def test_reports_are_deterministic(capsys):
@@ -697,7 +699,7 @@ def test_readme_command_examples_run(capsys):
 
 @pytest.mark.parametrize("name", [name for name in _COMMANDS if name != "sweep"])
 def test_every_command_answers_help(capsys, name):
-    _, handler, _ = _COMMANDS[name]
+    handler = _COMMANDS[name][1]
     assert run([name, "--help"]) == 0
     out = capsys.readouterr().out
     assert out.startswith(f"usage: jshadow {name} ")
@@ -717,22 +719,6 @@ def test_sweep_help_lists_the_grid_flags_of_the_named_sweep(capsys, name):
             shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
             assert f"--{key.replace('_', '-')} {key.upper()} default: {shown}" in out
         assert "--seed SEED default: 1729" in out
-
-
-@pytest.mark.parametrize(
-    "argv, built",
-    [
-        (["--json", "hilbert", "--a=2"], {"hilbert"}),
-        (["sweep", "zolotarev"], {"sweep"}),
-        ([], set(_COMMANDS)),
-        (["no-such-command"], set(_COMMANDS)),
-        (["-h", "hilbert"], set(_COMMANDS)),  # the top-level help lists every command
-    ],
-)
-def test_only_the_named_command_is_built(argv, built):
-    parser = build_parser(argv)
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(subparsers.choices) == built
 
 
 def test_flags_take_prefixes_and_separate_values(capsys):
@@ -781,19 +767,94 @@ def test_exact_args_agree_with_argparse(monkeypatch, capsys):
     corpus += _FALLBACK_ARGVS + [argv for argv, _ in _dash_dash_argvs()]  # run refuses these first
     for argv in corpus + queries + [argv[1:] for argv in queries]:
         args = _exact_args(argv)
-        assert args is None or vars(args) == vars(build_parser(argv).parse_args(argv)), argv
+        assert args is None or vars(args) == vars(build_parser().parse_args(argv)), argv
     # every query of the benchmark argparse accepts is of the exact form
     for argv in queries:
         if _exact_args(argv) is None:
             with pytest.raises(SystemExit):
-                build_parser(argv).parse_args(argv)
+                build_parser().parse_args(argv)
     capsys.readouterr()
+
+
+_INTS = st.integers(-(10**6), 10**6).map(str) | st.sampled_from(["2", "3", "101", str(2**61 - 1)])
+_TEXTS = _INTS | st.sampled_from(["7/4", "-1/3", "inf", "x", ""])  # any text is a str flag's value
+_MALFORMED = st.sampled_from(["x", "1/0", "1_0", "", "7/4"])
+# the ways an argv departs from the exact form at one flag, each with the flags it applies to
+_DEPARTURES = {
+    "none": lambda option, options: False,
+    "left out": lambda option, options: options["required"],
+    "not its type": lambda option, options: "type" in options,
+    "not a choice": lambda option, options: "choices" in options,
+    "separate value": lambda option, options: "action" not in options,
+    "twice": lambda option, options: True,
+    "prefix": lambda option, options: "action" not in options and len(option) > 3,
+    "switch given =x": lambda option, options: "action" in options,
+}
+_STILL_EXACT = ("none", "left out", "not its type", "not a choice")
+
+
+@st.composite
+def _table_argv(draw, departure: str) -> list[str]:
+    """An argv of a single-shot command with a flag ``departure`` applies to, drawn from its flag
+    table: an optional leading --json, then the flags in any order, each optional one given or
+    not, each switch bare, each other flag written --flag=value with a value its type and
+    choices take; but at one flag the departure takes the place of that."""
+    applies = {
+        name: tuple(option for option, (_, o, _) in flags.items() if _DEPARTURES[departure](option, o))
+        for name, (_, _, flags, _) in _COMMANDS.items()
+        if name != "sweep"
+    }
+    name = draw(st.sampled_from([name for name, at in applies.items() if at] or list(applies)))
+    flags = _COMMANDS[name][2]
+    at = draw(st.sampled_from(applies[name])) if applies[name] else None
+    argv = [*draw(st.sampled_from(((), ("--json",)))), name]
+    for option in draw(st.permutations(tuple(flags))):
+        options = flags[option][1]
+        if option != at and not options["required"] and not draw(st.booleans()):
+            continue
+        if "action" in options:
+            value, written = "x", [option]
+        else:
+            valid = _INTS if "type" in options else _TEXTS
+            valid = st.sampled_from(options["choices"]) if "choices" in options else valid
+            malformed = option == at and departure in ("not its type", "not a choice")
+            value = draw(_MALFORMED if malformed else valid)
+            written = [option + "=" + value]
+        if option == at and departure == "prefix":
+            written = [option[: draw(st.integers(3, len(option) - 1))] + "=" + value]
+        elif option == at:
+            written = {
+                "left out": [],
+                "separate value": [option, value],
+                "twice": written * 2,
+                "switch given =x": [option + "=" + value],
+            }.get(departure, written)
+        argv += written
+    return argv
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_the_flag_table_reads_as_the_parser_does(data):
+    # each departure, at a command drawn among those it applies to: the table reader gives
+    # argparse's namespace or None, and None for an argv of the exact form only where argparse
+    # refuses it too
+    for departure in _DEPARTURES:
+        argv = data.draw(_table_argv(departure), label=departure)
+        args = _exact_args(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                parsed = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+        assert args is None or vars(args) == parsed, argv
+        assert args is not None or parsed is None or departure not in _STILL_EXACT, argv
 
 
 def _dash_dash_argvs() -> list[tuple[list[str], str]]:
     """(argv, flag): for every flag but a switch of every command and sweep subparser, an
     argv giving it the value "--" and each other required flag a value its parser takes."""
-    commands = {(name,): handler for name, (_, handler, _) in _COMMANDS.items() if name != "sweep"}
+    commands = {(name,): entry[1] for name, entry in _COMMANDS.items() if name != "sweep"}
     commands |= {("sweep", name): fn for name, fn in SWEEPS.items()}
     cases = [(["sweep", "all", "--seed=--"], "--seed")]
     for command, fn in commands.items():
@@ -882,6 +943,19 @@ def test_rational_flags_take_only_ascii_digits(capsys, argv):
 
 
 # -- exit codes ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("form", [["--json"], []], ids=["json", "text"])
+def test_a_closed_stdout_is_no_failure(form):
+    # `jshadow ... | true`: the reader is gone before the report is written, which ended
+    # in a BrokenPipeError traceback and exit 1, the code of a verification failure
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "jshadow.cli", *form, "sweep", "zolotarev", "--p-max=200"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,5 +1,6 @@
 """Tests for quadratic symbols, with independent brute-force oracles."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -133,6 +134,17 @@ def test_zolotarev_equals_legendre_small():
     for p in ODD_PRIMES_100:
         for a in range(1, p):
             assert zolotarev_sign(a, p) == legendre(a, p)
+
+
+def test_jacobi_at_odd_moduli_is_the_permutation_sign():
+    # Zolotarev-Frobenius: for odd n and gcd(a, n) = 1, (a|n) is the sign of x -> ax on Z/n
+    checked = 0
+    for n in range(3, 46, 2):
+        for a in range(1, n):
+            expected = brute_permutation_sign(a, n) if math.gcd(a, n) == 1 else 0
+            assert jacobi(a, n) == expected, (a, n)
+            checked += 1
+    assert checked == 506
 
 
 def test_zolotarev_rejects_multiples_of_p():

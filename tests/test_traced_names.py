@@ -35,25 +35,27 @@ def test_every_traced_name_resolves_on_jshadow():
 
 def test_run_calls_build_parser_once_per_run(monkeypatch, capsys):
     # The tracer wraps cli.build_parser by its module-global name, so its
-    # per-layer metrics count one call per run(), parsers reused or not.
+    # per-layer metrics count one call per run() of an argv not of the exact
+    # form, parser reused or not, and none for an argv of the exact form.
     calls = []
     build_parser = cli.build_parser
 
-    def counting(argv=()):
-        calls.append(list(argv))
-        return build_parser(argv)
+    def counting():
+        calls.append(None)
+        return build_parser()
 
     monkeypatch.setattr(cli, "build_parser", counting)
     argvs = [
-        ["hilbert", "--a=2", "--b=5", "--place=5"],
-        ["--json", "hilbert", "--a=3", "--b=5", "--place=5"],
-        ["hilbert", "--a=2", "--b=5", "--place=5"],
-        ["sweep", "zolotarev", "--help"],
-        ["sweep", "zolotarev", "--p-max=11"],
-        ["no-such-command"],
-        ["no-such-command"],
+        (["hilbert", "--a=2", "--b=5", "--place=5"], 0),
+        (["--json", "hilbert", "--a=3", "--b=5", "--place=5"], 0),
+        (["hilbert", "--a", "2", "--b=5", "--place=5"], 1),
+        (["sweep", "zolotarev", "--help"], 1),
+        (["sweep", "zolotarev", "--p-max=11"], 1),
+        (["no-such-command"], 1),
+        (["no-such-command"], 1),
     ]
-    for argv in argvs:
+    for argv, built in argvs:
+        calls.clear()
         cli.run(argv)
+        assert len(calls) == built, argv
     capsys.readouterr()
-    assert calls == argvs
