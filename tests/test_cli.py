@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jshadow import imj, sweeps, symbols
+from jshadow import cli, imj, sweeps, symbols
 from jshadow.cli import (
     _COMMANDS,
     _canonical_json,
@@ -205,7 +205,8 @@ def test_reused_parsers_carry_no_state_between_runs(monkeypatch, capsys):
     assert outputs(indices) == outputs(reversed(indices))
 
 
-def test_one_parser_of_every_command():
+def test_one_parser_per_command():
+    # every command's parser is the one parser, built once per process
     assert build_parser() is build_parser()
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert list(subparsers.choices) == list(_COMMANDS)
@@ -719,6 +720,32 @@ def test_sweep_help_lists_the_grid_flags_of_the_named_sweep(capsys, name):
             shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
             assert f"--{key.replace('_', '-')} {key.upper()} default: {shown}" in out
         assert "--seed SEED default: 1729" in out
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["--json", "hilbert", "--a=2", "--b=5", "--place=5"], set()),  # the exact form builds none
+        (["sweep", "zolotarev", "--p-max=11"], set(_COMMANDS)),
+        ([], set(_COMMANDS)),
+        (["no-such-command"], set(_COMMANDS)),
+        (["-h", "hilbert"], set(_COMMANDS)),  # the top-level help lists every command
+    ],
+)
+def test_only_the_named_command_is_built(monkeypatch, capsys, argv, built):
+    # run reads an argv of the exact form from its command's flag table alone; any other argv
+    # gets the one parser, which holds every command, so its usage lines name each one
+    parsers = []
+
+    def recording():
+        parsers.append(build_parser())
+        return parsers[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    run(argv)
+    capsys.readouterr()
+    subparsers = [next(a for a in p._actions if isinstance(a, argparse._SubParsersAction)) for p in parsers]
+    assert {name for action in subparsers for name in action.choices} == built
 
 
 def test_flags_take_prefixes_and_separate_values(capsys):
