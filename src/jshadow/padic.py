@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from ._integers import Rational, check_prime, check_range, check_rational, factorint, split_unit, vp_int
 
@@ -328,10 +329,14 @@ def _ilog(n: int, p: int) -> int:
 def padic_log(u: PadicNumber) -> "PadicNumber":
     """The p-adic logarithm of a 1-unit, for odd p.
 
-    Sums log(1+t) = t - t^2/2 + t^3/3 - ... until the term valuation
-    passes the tracked absolute precision.  Termination: with
-    m = vp(t) >= 1 and p odd, vp(t^k / k) >= k*m - log_p(k), which is
-    strictly increasing in k, so only finitely many terms contribute.
+    Reduces the argument first: with N the tracked absolute precision and
+    r = isqrt(N), log u = log(u^(p^r)) / p^r, and u mod p^N fixes u^(p^r)
+    mod p^(N+r), so the division by p^r is exact and leaves N digits.  Then
+    sums log(1+t) = t - t^2/2 + t^3/3 - ... for t = u^(p^r) - 1 until the
+    term valuation passes N + r: about N/(m+r) terms for m = vp(u - 1),
+    where the series of u itself runs about N/m.  Termination: with
+    m' = vp(t) = m + r >= 1 and p odd, vp(t^k / k) >= k*m' - log_p(k),
+    which is strictly increasing in k, so only finitely many terms contribute.
     """
     p = u.prime
     if p == 2:
@@ -344,13 +349,16 @@ def padic_log(u: PadicNumber) -> "PadicNumber":
     t = u.unit_digits - 1
     if t % _modulus(p, target) == 0:
         return PadicNumber._make(p, target, 0, 0)
-    m = vp_int(t, p)
-    # Last term index: first k with k*m - floor(log_p k) >= target.
+    r = isqrt(target)
+    m = vp_int(t, p) + r  # vp(u^(p^r) - 1), p odd
+    wide = target + r
+    # Last term index: first k with k*m - floor(log_p k) >= wide.
     kmax = 1
-    while kmax * m - _ilog(kmax, p) < target:
+    while kmax * m - _ilog(kmax, p) < wide:
         kmax += 1
     guard = _ilog(kmax, p) + 1
-    mod = _modulus(p, target + guard)
+    mod = _modulus(p, wide + guard)
+    t = pow(u.unit_digits, _modulus(p, r), mod) - 1
     total = 0
     power = 1
     for k in range(1, kmax + 1):
@@ -358,7 +366,7 @@ def padic_log(u: PadicNumber) -> "PadicNumber":
         e, unit = split_unit(k, p)
         term = power // _modulus(p, e) * pow(unit, -1, mod) % mod
         total = (total - term if k % 2 == 0 else total + term) % mod
-    total %= _modulus(p, target)
+    total = total % _modulus(p, wide) // _modulus(p, r)
     w, unit = split_unit(total, p) if total else (target, 0)  # a zero is O(p^target)
     return PadicNumber._make(p, w, unit, target - w)
 

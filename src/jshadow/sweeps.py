@@ -9,13 +9,14 @@ code path.
 
 A sweep is one function decorated with ``@_sweep(name, statement_id)``.
 Its body takes a fresh :class:`SweepResult` and then its parameters, each
-with a default, and states only what it checks: ``result.check(ok,
-**what)`` counts every check and records a failure row, and ``with
-result.bucket(**row):`` appends ``row`` with the failures recorded inside
-the block.  The decorator registers it in :data:`SWEEPS`, where ``jshadow
-sweep <name>`` and ``jshadow sweep all`` find it (each keyword is a flag
-of ``sweep <name>``, read by its annotation), records the parameters used
-in ``params``, and rejects a grid on which nothing was checked.  It
+with a default, and states only what it checks: ``result.check(ok) or
+result.fail(**what)`` counts every check and writes a failure row, whose
+values are evaluated only for a failure, and ``with result.bucket(**row):``
+appends ``row`` with the failures recorded inside the block.  The
+decorator registers it in :data:`SWEEPS`, where ``jshadow sweep <name>``
+and ``jshadow sweep all`` find it (each keyword is a flag of ``sweep
+<name>``, read by its annotation), records the parameters used in
+``params``, and rejects a grid on which nothing was checked.  It
 refuses a parameter outside the :class:`Range` its annotation declares
 before the body builds anything: a bound or largest prime past
 :data:`GRID_CAP`, a Bernoulli index past ``imj.BERNOULLI_CAP``.  A sweep
@@ -145,15 +146,19 @@ class SweepResult:
     def verdict(self) -> str:
         return "pass" if self.failures == 0 else "fail"
 
-    def check(self, ok: bool, **what) -> None:
-        """Count one check.  A failed one adds a failure row, at most
-        ``_MAX_FAILURE_ROWS`` of them, with values other than ints as strings."""
+    def check(self, ok: bool) -> bool:
+        """Count one check, and a failure when ``ok`` is false; return ``ok``."""
         self.checked += 1
         if not ok:
             self.failures += 1
-            if self.failures <= _MAX_FAILURE_ROWS:
-                row = {k: v if isinstance(v, int) else str(v) for k, v in what.items()}
-                self.rows.append({"failure": True} | row)
+        return ok
+
+    def fail(self, **what) -> None:
+        """Write the row of the failure just counted, while at most
+        ``_MAX_FAILURE_ROWS`` failures are counted, values other than ints as strings."""
+        if self.failures <= _MAX_FAILURE_ROWS:
+            row = {k: v if isinstance(v, int) else str(v) for k, v in what.items()}
+            self.rows.append({"failure": True} | row)
 
     @contextlib.contextmanager
     def bucket(self, key: str = "failures", **row):
@@ -261,11 +266,9 @@ def sweep_reciprocity(
     with result.bucket(kind="integer-grid", pairs=(2 * bound) ** 2):
         for a in nonzero:
             local_a = local[a]
-            for b in nonzero:  # only a failure passes its row values, here and below
-                if local_symbol_product(a, local_a, b, local[b], legendre_of) == 1:
-                    result.check(True)
-                else:
-                    result.check(False, a=a, b=b)
+            for b in nonzero:
+                ok = local_symbol_product(a, local_a, b, local[b], legendre_of) == 1
+                result.check(ok) or result.fail(a=a, b=b)
     rng = random.Random(seed)
     choice, randrange, top = rng.choice, rng.randrange, bound + 1  # randrange(1, top) is randint
     with result.bucket(kind="rational-sample", pairs=rational_samples):
@@ -274,10 +277,8 @@ def sweep_reciprocity(
             g, h = gcd(m, d), gcd(n, e)
             m, d, n, e = m // g, d // g, n // h, e // h
             cleared = *_cleared_local_data(local, m, d), *_cleared_local_data(local, n, e)
-            if local_symbol_product(*cleared, legendre_of) == 1:
-                result.check(True)
-            else:  # only a failure row builds Fractions, printed as str(Fraction) prints them
-                result.check(False, a=Fraction(m, d), b=Fraction(n, e))
+            ok = local_symbol_product(*cleared, legendre_of) == 1
+            result.check(ok) or result.fail(a=Fraction(m, d), b=Fraction(n, e))
 
 
 @_sweep("oracle-agreement", "hilbert-symbol-solvability")
@@ -298,7 +299,7 @@ def sweep_oracle_agreement(
             for a in nonzero:
                 for b in nonzero:
                     ok = hilbert_symbol(a, b, place) == hilbert_oracle(a, b, place)
-                    result.check(ok, place=place, a=a, b=b)
+                    result.check(ok) or result.fail(place=place, a=a, b=b)
     rng = random.Random(seed)
     with result.bucket("mismatches", place="rational-sample", pairs=rational_samples):
         for _ in range(rational_samples):
@@ -306,7 +307,7 @@ def sweep_oracle_agreement(
             b = Fraction(rng.choice(nonzero), rng.randint(1, coeff_bound))
             place = rng.choice(places)
             ok = hilbert_symbol(a, b, place) == hilbert_oracle(a, b, place)
-            result.check(ok, place=place, a=a, b=b)
+            result.check(ok) or result.fail(place=place, a=a, b=b)
 
 
 @_sweep("zolotarev", "zolotarev-lemma")
@@ -316,7 +317,7 @@ def sweep_zolotarev(result: SweepResult, p_max: LargestPrime = 500) -> None:
     for p in primes_up_to(p_max)[1:]:  # odd primes
         with result.bucket("mismatches", p=p, pairs=p - 1):
             for a in range(1, p):
-                result.check(zolotarev_sign(a, p) == legendre(a, p), p=p, a=a)
+                result.check(zolotarev_sign(a, p) == legendre(a, p)) or result.fail(p=p, a=a)
 
 
 @_sweep("imj-consistency", "image-of-j-order")
@@ -331,7 +332,7 @@ def sweep_imj_consistency(
         u = smallest_topological_generator(ell)
         with result.bucket(ell=ell, k_max=k_max, generator=u):
             for k in range(1, k_max + 1):
-                result.check(imj_consistency_check(ell, k), ell=ell, k=k)
+                result.check(imj_consistency_check(ell, k)) or result.fail(ell=ell, k=k)
 
 
 @_sweep("bernoulli", "von-staudt-clausen")
@@ -341,10 +342,10 @@ def sweep_bernoulli(result: SweepResult, n_max: Annotated[int, Range(2, BERNOULL
     for n in range(2, n_max + 1, 2):
         den = bernoulli(n).denominator
         expected = von_staudt_clausen_denominator(n)
-        result.check(den == expected, n=n, denominator=den, expected=expected)
+        result.check(den == expected) or result.fail(n=n, denominator=den, expected=expected)
         result.rows.append({"n": n, "denominator": den, "vsc_product": expected})
     b12 = bernoulli(12)
-    result.check(b12 == Fraction(-691, 2730), n=12, value=b12, expected="-691/2730")
+    result.check(b12 == Fraction(-691, 2730)) or result.fail(n=12, value=b12, expected="-691/2730")
     result.rows.append({"n": 12, "value": str(b12), "expected": "-691/2730"})
 
 
@@ -357,11 +358,11 @@ def sweep_rezk_log(
     for ell in ells:
         value = rezk_log_pi0(embed(1 + ell, ell, precision))
         unit_ok = (not value.is_zero) and value.valuation == 0
-        result.check(unit_ok, ell=ell, kind="1+l not a unit image")
+        result.check(unit_ok) or result.fail(ell=ell, kind="1+l not a unit image")
         killed = 0
         for a in range(1, ell):
             is_killed = rezk_log_pi0(teichmuller(a, ell, precision)).is_zero
-            result.check(is_killed, ell=ell, kind="teichmuller not killed", residue=a)
+            result.check(is_killed) or result.fail(ell=ell, kind="teichmuller not killed", residue=a)
             killed += is_killed
         result.rows.append(
             {
@@ -386,7 +387,8 @@ def sweep_surjectivity(
                 if p == ell:
                     continue
                 for k in range(1, k_max + 1):
-                    result.check(surjectivity_check(ell, p, k), ell=ell, p=p, k=k)
+                    ok = surjectivity_check(ell, p, k)
+                    result.check(ok) or result.fail(ell=ell, p=p, k=k)
 
 
 @_sweep("norm-identity", "geometric-sum-identity")
@@ -401,7 +403,7 @@ def sweep_norm_identity(
             for d in range(1, d_max + 1):
                 for m in range(1, m_max + 1):
                     ok = norm_identity_check(ell, u, d, m, precision)
-                    result.check(ok, ell=ell, d=d, m=m)
+                    result.check(ok) or result.fail(ell=ell, d=d, m=m)
 
 
 @_sweep("quillen", "k-groups-finite-field")
@@ -412,13 +414,13 @@ def sweep_quillen(
     q <= q_max and 1 <= i <= i_max, every order prime to q (K_0 alone is no grid)."""
     for q in filter(prime_power_base, range(2, q_max + 1)):
         with result.bucket(q=q, i_max=i_max):
-            result.check(k_finite_field(0, q).order is None, q=q, degree=0)
+            result.check(k_finite_field(0, q).order is None) or result.fail(q=q, degree=0)
             for i in range(1, i_max + 1):
                 odd = k_finite_field(2 * i - 1, q)
                 factored = prod(prime**exponent for prime, exponent in odd.factors)
                 ok = odd.order == q**i - 1 == factored and gcd(odd.order, q) == 1
-                result.check(ok, q=q, degree=2 * i - 1)
-                result.check(k_finite_field(2 * i, q).is_trivial, q=q, degree=2 * i)
+                result.check(ok) or result.fail(q=q, degree=2 * i - 1)
+                result.check(k_finite_field(2 * i, q).is_trivial) or result.fail(q=q, degree=2 * i)
 
 
 @_sweep("pi2-nontriviality", "local-symbol-nontriviality")
@@ -429,7 +431,7 @@ def sweep_pi2_nontriviality(result: SweepResult, p_max: LargestPrime = 100) -> N
         place = Place(p)
         pairs = ((a, b) for b in [p] + pool for a in pool)
         witness = next(((a, b) for a, b in pairs if hilbert_symbol(a, b, place) == -1), None)
-        result.check(witness is not None, p=p)
+        result.check(witness is not None) or result.fail(p=p)
         if witness is not None:
             result.rows.append({"p": p, "a": witness[0], "b": witness[1]})
 
@@ -438,9 +440,9 @@ def sweep_pi2_nontriviality(result: SweepResult, p_max: LargestPrime = 100) -> N
 def sweep_geometric_series(result: SweepResult, depth: int = 64) -> None:
     """Partial sums s_k of 1 + 3 + 3^2 + ... satisfy 2 s_k + 1 = 3^k for all
     k <= depth, certifying the 3-adic limit -1/2."""
-    result.check(geometric_series_witness(3, depth), depth=depth)
+    result.check(geometric_series_witness(3, depth)) or result.fail(depth=depth)
     s5 = sum(3**i for i in range(5))
-    result.check(2 * s5 + 1 == 3**5, k=5, partial_sum=s5)
+    result.check(2 * s5 + 1 == 3**5) or result.fail(k=5, partial_sum=s5)
     result.rows.append({"ell": 3, "depth": depth, "spot_check_s5": s5})
 
 
@@ -458,8 +460,8 @@ def sweep_low_degree_j(
     rng = random.Random(seed)
     with result.bucket(check="pi0-tables", samples=402):
         for k in range(-100, 101):
-            result.check(j_real_pi0(k) == k, check="real-pi0", k=k)
-            result.check(j_wild_pi0(k) == -k, check="wild-pi0", k=k)
+            result.check(j_real_pi0(k) == k) or result.fail(check="real-pi0", k=k)
+            result.check(j_wild_pi0(k) == -k) or result.fail(check="wild-pi0", k=k)
 
     primes = primes_up_to(50)
     with result.bucket(check="wild-pi1-inversion", samples=inversion_samples):
@@ -469,7 +471,8 @@ def sweep_low_degree_j(
             while digits % p == 0:
                 digits = rng.randrange(1, p**precision)
             x = PadicNumber.from_unit(p, 0, digits, precision)
-            result.check(x * j_wild_pi1(x) == embed(1, p, precision), check="wild-pi1", p=p)
+            ok = x * j_wild_pi1(x) == embed(1, p, precision)
+            result.check(ok) or result.fail(check="wild-pi1", p=p)
 
     with result.bucket(check="tame-pi1", samples=tame_samples):
         for _ in range(tame_samples):
@@ -495,11 +498,11 @@ def sweep_low_degree_j(
             # multiplicativity against a second sample
             y = Fraction(rng.randint(1, 1000), rng.randint(1, 1000))
             ok = ok and j_tame_pi1(x * y, p) == value * j_tame_pi1(y, p)
-            result.check(ok, check="tame-pi1", p=p, x=x)
+            result.check(ok) or result.fail(check="tame-pi1", p=p, x=x)
 
     with result.bucket(check="adelic-norm-product", samples=200):
         for _ in range(200):
             num = rng.choice([-1, 1]) * rng.randint(1, 10**6)
             den = rng.randint(1, 10**6)
             ok = adelic_norm_product(Fraction(num, den)) == 1
-            result.check(ok, check="norm-product", x=f"{num}/{den}")
+            result.check(ok) or result.fail(check="norm-product", x=f"{num}/{den}")

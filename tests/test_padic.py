@@ -402,6 +402,74 @@ def test_precision_underflow_raises():
         embed(1, 5, 10**9)  # beyond the configured maximum
 
 
+def _log_by_the_earlier_series(u: PadicNumber) -> PadicNumber:
+    # padic_log before it reduced the argument: the series of u itself, one
+    # term per digit when vp(u - 1) = 1, mod p^(target + guard).
+    p, target = u.prime, u.abs_precision
+    t = u.unit_digits - 1
+    if t % p**target == 0:
+        return PadicNumber._make(p, target, 0, 0)
+
+    def ilog(n):
+        e = 0
+        while p ** (e + 1) <= n:
+            e += 1
+        return e
+
+    m = split_unit(t, p)[0]
+    kmax = 1
+    while kmax * m - ilog(kmax) < target:
+        kmax += 1
+    mod = p ** (target + ilog(kmax) + 1)
+    total, power = 0, 1
+    for k in range(1, kmax + 1):
+        power = power * t % mod
+        e, unit = split_unit(k, p)
+        term = power // p**e * pow(unit, -1, mod) % mod
+        total = (total - term if k % 2 == 0 else total + term) % mod
+    total %= p**target
+    w, unit = split_unit(total, p) if total else (target, 0)
+    return PadicNumber._make(p, w, unit, target - w)
+
+
+@st.composite
+def one_units(draw):
+    # 1 + p^v s at precisions 1-300, v = vp(t) from 1 to 4; v >= precision,
+    # and s = 0, give the exact zero.
+    p = draw(st.sampled_from(ODD_PRIMES_50 + [101]))
+    precision = draw(st.integers(1, 300))
+    v = draw(st.integers(1, 4))
+    s = draw(st.integers(0, p**precision - 1) | st.just(0))
+    return PadicNumber._make(p, 0, (1 + p**v * s) % p**precision, precision)
+
+
+@settings(max_examples=400, deadline=None)
+@given(u=one_units())
+def test_the_log_matches_the_earlier_series(u):
+    got, expected = padic_log(u), _log_by_the_earlier_series(u)
+    assert got == expected
+    assert (got._valuation, got._unit_digits, got.precision) == (
+        expected._valuation,
+        expected._unit_digits,
+        expected.precision,
+    )
+
+
+@pytest.mark.parametrize(
+    "p, n, count", [(3, 20, 300), (5, 20, 300), (7, 20, 300), (11, 20, 300), (13, 20, 300), (101, 200, 5)]
+)
+def test_the_log_is_the_limit_of_its_difference_quotients(p, n, count):
+    # log x = lim (x^(p^k) - 1)/p^k for x = 1 mod p; at odd p the error has
+    # valuation >= k + 2, so k = N gives N digits.  One pow and one exact
+    # division: no series.  x = 1 comes first, the exact zero.
+    rng = random.Random(p)
+    modulus = p**n
+    for x in [1] + [1 + p * rng.randrange(p ** (n - 1)) for _ in range(count - 1)]:
+        expected = (pow(x, p**n, modulus * modulus) - 1) // modulus % modulus
+        got = padic_log(embed(x, p, n))
+        assert (0 if got.is_zero else got.unit_digits * p**got.valuation) == expected
+
+
 def test_log_rejects_non_one_units():
     with pytest.raises(PadicError):
         padic_log(embed(2, 3, 10))

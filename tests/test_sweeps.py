@@ -5,6 +5,7 @@ None of these runs a default grid; the acceptance suite does that.
 
 import argparse
 import functools
+import hashlib
 import inspect
 import itertools
 import json
@@ -20,6 +21,7 @@ from jshadow._integers import factorint, primes_up_to, split_unit
 from jshadow.cli import build_parser, run
 from jshadow.sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, Range, SweepResult
 from jshadow.symbols import hilbert_reciprocity_check, hilbert_symbol
+from test_faults import ZOLOTAREV_GRID, _one_cycle_too_many
 
 # The params each sweep reports at its defaults, in signature order, with
 # the sweeps in the order `sweep all` runs and reports them.
@@ -324,6 +326,51 @@ def test_failure_rows_stop_at_the_cap(monkeypatch):
     assert result.failures == result.checked == sum(p - 1 for p in odd_primes)
     assert len([row for row in result.rows if "failure" in row]) == sweeps._MAX_FAILURE_ROWS == 32
     assert sum(row["mismatches"] for row in result.rows if "mismatches" in row) == result.failures
+
+
+# One small passing grid per sweep, each well under a second.
+SMALL_GRIDS = {
+    "reciprocity": {"bound": 5, "rational_samples": 50},
+    "oracle-agreement": {"prime_max": 7, "coeff_bound": 5, "rational_samples": 50},
+    "zolotarev": {"p_max": 30},
+    "imj-consistency": {"ell_max": 13, "k_max": 6},
+    "bernoulli": {"n_max": 20},
+    "rezk-log": {"ells": (3, 5), "precision": 16},
+    "surjectivity": {"ell_max": 7, "p_max": 13, "k_max": 6},
+    "norm-identity": {"ell_max": 7, "d_max": 3, "m_max": 3, "precision": 10},
+    "quillen": {"q_max": 9, "i_max": 3},
+    "pi2-nontriviality": {"p_max": 30},
+    "geometric-series": {"depth": 10},
+    "low-degree-j": {"inversion_samples": 50, "tame_samples": 100, "precision": 16},
+}
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_a_passing_check_builds_no_failure_row(monkeypatch, name):
+    def fail(self, **what):
+        raise AssertionError(f"a passing check of {name} reached fail({what})")
+
+    monkeypatch.setattr(SweepResult, "fail", fail)
+    result = SWEEPS[name](**SMALL_GRIDS[name])
+    assert result.verdict == "pass" and result.checked > 0
+
+
+def test_a_check_takes_no_row_values():
+    result = SweepResult("zolotarev", "zolotarev-lemma", {})
+    with pytest.raises(TypeError):
+        result.check(False, p=3, a=1)
+
+
+def test_the_capped_failure_rows_keep_their_bytes(monkeypatch):
+    # 312 failures at p_max = 50; the 32 rows kept and the 14 bucket rows,
+    # pinned as the driver wrote them before check and fail were split.
+    monkeypatch.setattr(sweeps, "zolotarev_sign", _one_cycle_too_many)
+    result = SWEEPS["zolotarev"](**ZOLOTAREV_GRID)
+    assert (result.failures, result.checked) == (312, 312)
+    assert len([row for row in result.rows if "failure" in row]) == 32 and len(result.rows) == 46
+    assert result.rows[:2] == [{"failure": True, "p": 3, "a": 1}, {"failure": True, "p": 3, "a": 2}]
+    digest = hashlib.sha256(json.dumps(result.rows).encode()).hexdigest()
+    assert digest == "6f44f4d98290ea0bb141a65d7ee150612dda47761a4bf425501ba28ade620715"
 
 
 def test_a_failing_sweep_exits_1_with_a_report(monkeypatch, capsys):
