@@ -320,12 +320,17 @@ def test_passing_rational_samples_build_no_fraction(monkeypatch):
 
 
 def test_failure_rows_stop_at_the_cap(monkeypatch):
-    monkeypatch.setattr(sweeps, "zolotarev_sign", lambda a, p: 0)
-    result = SWEEPS["zolotarev"](p_max=50)
+    monkeypatch.setattr(sweeps, "zolotarev_sign", _one_cycle_too_many)
+    result = SWEEPS["zolotarev"](**ZOLOTAREV_GRID)
     odd_primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-    assert result.failures == result.checked == sum(p - 1 for p in odd_primes)
+    assert result.failures == result.checked == sum(p - 1 for p in odd_primes) == 312
     assert len([row for row in result.rows if "failure" in row]) == sweeps._MAX_FAILURE_ROWS == 32
     assert sum(row["mismatches"] for row in result.rows if "mismatches" in row) == result.failures
+    # The 32 failure rows and 14 bucket rows, pinned as the driver wrote them
+    # before check and fail were split.
+    assert result.rows[:2] == [{"failure": True, "p": 3, "a": 1}, {"failure": True, "p": 3, "a": 2}]
+    digest = hashlib.sha256(json.dumps(result.rows).encode()).hexdigest()
+    assert digest == "6f44f4d98290ea0bb141a65d7ee150612dda47761a4bf425501ba28ade620715"
 
 
 # One small passing grid per sweep, each well under a second.
@@ -359,18 +364,6 @@ def test_a_check_takes_no_row_values():
     result = SweepResult("zolotarev", "zolotarev-lemma", {})
     with pytest.raises(TypeError):
         result.check(False, p=3, a=1)
-
-
-def test_the_capped_failure_rows_keep_their_bytes(monkeypatch):
-    # 312 failures at p_max = 50; the 32 rows kept and the 14 bucket rows,
-    # pinned as the driver wrote them before check and fail were split.
-    monkeypatch.setattr(sweeps, "zolotarev_sign", _one_cycle_too_many)
-    result = SWEEPS["zolotarev"](**ZOLOTAREV_GRID)
-    assert (result.failures, result.checked) == (312, 312)
-    assert len([row for row in result.rows if "failure" in row]) == 32 and len(result.rows) == 46
-    assert result.rows[:2] == [{"failure": True, "p": 3, "a": 1}, {"failure": True, "p": 3, "a": 2}]
-    digest = hashlib.sha256(json.dumps(result.rows).encode()).hexdigest()
-    assert digest == "6f44f4d98290ea0bb141a65d7ee150612dda47761a4bf425501ba28ade620715"
 
 
 def test_a_failing_sweep_exits_1_with_a_report(monkeypatch, capsys):
