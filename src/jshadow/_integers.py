@@ -154,8 +154,6 @@ def _is_strong_lucas_probable_prime(n: int) -> bool:
 
 def _pollard_brent(n: int) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
     x0, c, m = 2, 1, 128
     while True:
         y, r, q = x0, 1, 1
@@ -212,8 +210,11 @@ def factorint(n: int) -> dict[int, int]:
 
 def split_unit(n: int, p: int) -> tuple[int, int]:
     """(alpha, u) with n = p**alpha * u and u prime to p, the sign kept in u.
-    ``factorint`` divides by its own trial primes, and the brute valuation
-    of ``sweeps.sweep_low_degree_j`` keeps its own loop as an independent oracle."""
+    Four places write unit parts without it: ``factorint`` divides by its own trial
+    primes; ``sweeps._cleared_local_data`` multiplies split unit parts by the other
+    side's whole value, one product where a split costs a loop; ``is_prime``, the
+    strong Lucas test and ``_jacobi`` split off 2**e by the lowest set bit; and the
+    brute valuation of ``sweeps.sweep_low_degree_j`` is an independent oracle."""
     if n == 0:
         raise ValueError("valuation of 0 is undefined")
     alpha = 0

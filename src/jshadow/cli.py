@@ -117,12 +117,12 @@ def _marked(row: dict, p: int | None) -> dict:
     return row
 
 
-def _sweep_report(result: SweepResult, command: str) -> dict:
+def _sweep_report(result: SweepResult) -> dict:
     rows = result.rows + [
         {"summary": True, "checked": result.checked, "failures": result.failures}
     ]
     inputs = result.params | {"sweep": result.name}
-    return _report(command, inputs, rows, result.verdict, [result.statement_id])
+    return _report("sweep", inputs, rows, result.verdict, [result.statement_id])
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -293,10 +293,9 @@ def _bernoulli(n: int):
 @_command("imj-order", "image-of-j-order", "image-of-J order in stem 4k-1")
 def _imj_order(k: int):
     report = imj_order(k)
-    odd = report.order >> (report.order & -report.order).bit_length() - 1
     factorization = " * ".join(f"{p}^{e}" for p, e in report.factors) or "1"
     row = {"k": k, "stem": 4 * k - 1, "order": report.order}
-    return [row | {"factorization": factorization, "odd_part": odd}], "n/a"
+    return [row | {"factorization": factorization, "odd_part": report.order // report.part(2)}], "n/a"
 
 
 @_command("k1-sphere", "image-of-j-order", "order of pi_{2k-1} of the K(1)-local sphere")
@@ -375,7 +374,7 @@ def _run_sweep(name: str, args) -> SweepResult:
 
 def _sweep(args) -> dict:
     if args.name != "all":
-        return _sweep_report(_run_sweep(args.name, args), "sweep")
+        return _sweep_report(_run_sweep(args.name, args))
     results = [_run_sweep(name, args) for name in SWEEPS]
     rows = [
         {"sweep": r.name, "checked": r.checked, "failures": r.failures, "verdict": r.verdict}

@@ -219,20 +219,17 @@ def _sweep(name: str, statement_id: str):
 
 def _sieve_tables(bound: int):
     """Tables for the integers 0 < |n| <= bound, built once per sweep call:
-    ``local[n]``, the local data p -> (alpha, u) of n (n = p^alpha u, u prime
-    to p) from a smallest-prime-factor sieve, and ``legendre_of(x, p)``, the
-    Legendre symbol (x|p) read from a table chi_p[x mod p] for each odd
-    p <= bound, filled by the Jacobi ladder."""
+    ``local``, keyed by the grid -bound..bound without 0 in order, maps n to its
+    local data p -> (alpha, u) (n = p^alpha u, u prime to p), in ascending p,
+    written by ``split_unit`` in one pass over the primes p <= bound and their
+    multiples; ``legendre_of(x, p)``, the Legendre symbol (x|p) read from a
+    table chi_p[x mod p] for each odd p <= bound, filled by the Jacobi ladder."""
     primes = primes_up_to(bound)
-    spf = list(range(bound + 1))
-    for p in reversed(primes):  # the smallest prime factor is written last
-        spf[p::p] = [p] * len(spf[p::p])
-    local = {1: {}, -1: {}}
-    for n in range(2, bound + 1):  # n = p^alpha m with p = spf[n], from the data of m < n
-        p = spf[n]
-        alpha, m = split_unit(n, p)
-        local[n] = {p: (alpha, m)} | {q: (beta, w * n // m) for q, (beta, w) in local[m].items()}
-        local[-n] = {q: (beta, -w) for q, (beta, w) in local[n].items()}
+    local = {n: {} for n in range(-bound, bound + 1) if n}
+    for p in primes:
+        for n in range(p, bound + 1, p):
+            alpha, u = split_unit(n, p)
+            local[n][p], local[-n][p] = (alpha, u), (alpha, -u)
     chi = {p: [_jacobi(r, p) for r in range(p)] for p in primes[1:]}
 
     def legendre_of(x: int, p: int) -> int:
@@ -262,13 +259,12 @@ def sweep_reciprocity(
     sample of rational pairs with numerator and denominator <= bound.  The
     local symbols come from sieve tables built once per call."""
     local, legendre_of = _sieve_tables(bound)
-    nonzero = [n for n in range(-bound, bound + 1) if n]
     with result.bucket(kind="integer-grid", pairs=(2 * bound) ** 2):
-        for a in nonzero:
-            local_a = local[a]
-            for b in nonzero:
-                ok = local_symbol_product(a, local_a, b, local[b], legendre_of) == 1
+        for a, local_a in local.items():
+            for b, local_b in local.items():
+                ok = local_symbol_product(a, local_a, b, local_b, legendre_of) == 1
                 result.check(ok) or result.fail(a=a, b=b)
+    nonzero = list(local)
     rng = random.Random(seed)
     choice, randrange, top = rng.choice, rng.randrange, bound + 1  # randrange(1, top) is randint
     with result.bucket(kind="rational-sample", pairs=rational_samples):

@@ -58,7 +58,7 @@ def _report(number: int, label: str, result) -> None:
     print(line)
     assert result.failures == 0, line
     canonical = json.dumps(
-        _sweep_report(result, "sweep"), sort_keys=True, separators=(",", ": "), indent=1
+        _sweep_report(result), sort_keys=True, separators=(",", ": "), indent=1
     )
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     assert digest == REPORT_SHA256[result.name], f"{result.name} report changed"

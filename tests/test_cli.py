@@ -985,6 +985,37 @@ def test_a_closed_stdout_is_no_failure(form):
     assert (proc.returncode, err) == (0, b"")
 
 
+# Paths of the CLI that no other test reaches: (argv, exit code, the report's verdict or stderr).
+CLI_EDGE_PATHS = {
+    "add without --y": (["padic", "--p=3", "--op=add", "--x=1"], 2, "error: add needs --x and --y\n"),
+    "pow without --exponent": (
+        ["padic", "--p=3", "--op=pow", "--x=2"], 2, "error: pow needs --x and --exponent\n"
+    ),
+    "teichmuller without --residue": (
+        ["padic", "--p=3", "--op=teichmuller"], 2, "error: teichmuller needs --residue\n"
+    ),
+    "log without --x": (["padic", "--p=3", "--op=log"], 2, "error: log needs --x\n"),
+    "an odd Bernoulli index": (["bernoulli", "--n=3"], 0, "n/a"),
+    "Bernoulli index 0": (["bernoulli", "--n=0"], 0, "n/a"),
+    # log(1) is 0 known to one digit: dividing it by 3 leaves no digit
+    "rezk-log to one digit": (
+        ["rezk-log", "--ell=3", "--x=1", "--precision=1"],
+        2,
+        "error: not enough digits to divide by the prime\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, outcome", CLI_EDGE_PATHS.values(), ids=CLI_EDGE_PATHS)
+def test_each_edge_path_exits_as_stated(capsys, argv, code, outcome):
+    assert run(["--json", *argv]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert (out, err) == ("", outcome)
+    else:
+        assert err == "" and json.loads(out)["verdict"] == outcome
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(["hilbert", "--a=0", "--b=1", "--place=3"]) == 2
     assert run(["hilbert", "--a=1", "--b=1", "--place=4"]) == 2

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -14,6 +15,7 @@ from jshadow._integers import (
     _PSI,
     _PSI_13,
     _is_strong_lucas_probable_prime,
+    _pollard_brent,
     check_prime,
     check_range,
     check_rational,
@@ -259,6 +261,63 @@ def test_each_bounded_argument_is_refused_one_step_past_its_bound(refused, error
     assert type(caught.value) is error
     if accepted is not None:
         accepted()
+
+
+# Refusals and edge values of the library that no other test reaches: (the call,
+# the exception it raises, class and message, or the value it returns).
+EDGE_CASES = {
+    "jacobi of an even modulus": (
+        lambda: symbols.jacobi(3, 4),
+        symbols.SymbolError("Jacobi symbol needs odd n >= 1"),
+    ),
+    "jacobi modulo 0": (lambda: symbols.jacobi(3, 0), symbols.SymbolError("Jacobi symbol needs odd n >= 1")),
+    "reciprocity at a = 0": (
+        lambda: symbols.hilbert_reciprocity_check(0, 2),
+        symbols.SymbolError("inputs must be nonzero"),
+    ),
+    "p-part of an infinite group": (
+        lambda: imj.GroupOrderReport(None).part(3),
+        ValueError("infinite group has no p-part"),
+    ),
+    "zero to no digit": (
+        lambda: padic.PadicNumber.zero(3, 0),
+        padic.PrecisionError("zero must be known modulo at least one digit"),
+    ),
+    "unit digits of zero": (
+        lambda: padic.PadicNumber.zero(3, 2).unit_digits,
+        padic.ZeroOperandError("the zero element has no unit part"),
+    ),
+    "log of zero": (
+        lambda: padic.padic_log(padic.PadicNumber.zero(3, 5)),
+        padic.ZeroOperandError("log of the zero element"),
+    ),
+    "a float exponent": (
+        lambda: padic.embed(2, 3) ** 1.5,
+        TypeError("unsupported operand type(s) for ** or pow(): 'PadicNumber' and 'float'"),
+    ),
+    "primes up to 1": (lambda: primes_up_to(1), []),
+    "primes up to -3": (lambda: primes_up_to(-3), []),
+    "the Lucas test of a square": (lambda: _is_strong_lucas_probable_prime(1009**2), False),
+    "the Lucas test where D = 5 shares a factor": (lambda: _is_strong_lucas_probable_prime(35), False),
+}
+
+
+@pytest.mark.parametrize("call, outcome", EDGE_CASES.values(), ids=EDGE_CASES)
+def test_each_edge_case_raises_or_returns_as_stated(call, outcome):
+    if isinstance(outcome, Exception):
+        with pytest.raises(type(outcome), match=f"^{re.escape(str(outcome))}$") as caught:
+            call()
+        assert type(caught.value) is type(outcome)
+    else:
+        value = call()
+        assert (type(value), value) == (type(outcome), outcome)
+
+
+def test_pollard_brent_moves_its_start_and_constant_when_a_cycle_fails():
+    # From x0 = 2, c = 1 the cycle closes on the whole of 143 = 11 * 13 once and of
+    # 217 = 7 * 31 twice before a proper factor shows.
+    assert _pollard_brent(143) == 13
+    assert _pollard_brent(217) == 7
 
 
 # Each public function that takes a rational, called on x in the position of a rational.

@@ -249,6 +249,28 @@ def test_cleared_local_data_agrees_with_factoring_the_product():
         assert sweeps._cleared_local_data(local, num, den) == (X, expected), (num, den)
 
 
+def test_sieve_tables_are_keyed_by_the_grid_in_order():
+    # The rational samples draw from list(local), so this order is part of every seeded digest.
+    for bound in range(1, 61):
+        local, _ = sweeps._sieve_tables(bound)
+        assert list(local) == [n for n in range(-bound, bound + 1) if n], bound
+
+
+def test_sieve_tables_hold_each_split_in_ascending_primes():
+    local, _ = sweeps._sieve_tables(1000)
+    assert len(local) == 2000
+    for n, data in local.items():
+        assert list(data.items()) == [(p, split_unit(n, p)) for p in factorint(abs(n))], n
+
+
+def test_legendre_tables_agree_with_eulers_criterion():
+    _, legendre_of = sweeps._sieve_tables(200)
+    for p in primes_up_to(200)[1:]:
+        for x in range(-2 * p, 2 * p):
+            euler = pow(x, (p - 1) // 2, p)
+            assert legendre_of(x, p) == {0: 0, 1: 1, p - 1: -1}[euler], (x, p)
+
+
 # -- the failure path: kernels patched as jshadow.sweeps sees them ----------
 
 
