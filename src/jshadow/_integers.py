@@ -49,6 +49,7 @@ def primes_up_to(n: int) -> list[int]:
 
 _SMALL_PRIMES = primes_up_to(_SMALL_PRIME_LIMIT)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+_TRIAL_PRIMES = _SMALL_PRIMES[:25]  # the primes below 100, tried before Miller-Rabin
 
 
 def is_prime(n: int) -> bool:
@@ -60,7 +61,7 @@ def is_prime(n: int) -> bool:
         return False
     if n <= _SMALL_PRIME_LIMIT:
         return n in _SMALL_PRIME_SET
-    for p in _SMALL_PRIMES[:25]:
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
             return False
     s = ((n - 1) & (1 - n)).bit_length() - 1  # 2**s exactly divides n - 1

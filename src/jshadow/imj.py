@@ -24,7 +24,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from ._integers import check_prime, check_range, factorint, is_prime, prime_power_base, vp_int
-from .padic import PadicNumber, embed, is_topological_generator, smallest_topological_generator
+from .padic import (
+    MAX_PRECISION, PadicNumber, PrecisionError, _modulus, is_topological_generator, smallest_topological_generator
+)
 
 BERNOULLI_CAP = 2048  # B_2048's numerator has 4,266 digits, under str()'s 4,300; a cold B_2048 takes ~0.9 s
 ORDER_CAP = 10**4300 - 1  # the largest K-group order of F_q: str() prints at most 4,300 digits
@@ -218,8 +220,12 @@ def surjectivity_check(ell: int, p: int, k: int) -> bool:
     if p == ell:
         raise ValueError("p must differ from l")
     check_range("k", k, 1)
-    u = smallest_topological_generator(ell)
-    return _vl_power_minus_one(p, k, ell) >= _vl_power_minus_one(u, k, ell)
+    return _surjects(ell, p, k, smallest_topological_generator(ell))
+
+
+def _surjects(ell: int, p: int, k: int, generator: int) -> bool:
+    """v_l(p^k - 1) >= v_l(u^k - 1) for the generator u: surjectivity_check's comparison, unchecked."""
+    return _vl_power_minus_one(p, k, ell) >= _vl_power_minus_one(generator, k, ell)
 
 
 def norm_identity_check(ell: int, u: int, d: int, m: int, precision: int) -> bool:
@@ -229,10 +235,12 @@ def norm_identity_check(ell: int, u: int, d: int, m: int, precision: int) -> boo
         raise ValueError(f"{u} does not topologically generate Z_{ell}^x")
     check_range("d", d, 1)
     check_range("m", m, 1)
-    x = embed(u, ell, precision)
+    # The generator test proved l an odd prime and u a unit: embed's other checks hold.
+    check_range("precision", precision, 1, MAX_PRECISION, PrecisionError)
+    x = PadicNumber._make(ell, 0, u % _modulus(ell, precision), precision)
     xm = x**m
     lhs = (x**d) ** m - 1
-    total = power = PadicNumber._make(ell, 0, 1, precision)  # exact 1; embed checked ell, precision
+    total = power = PadicNumber._make(ell, 0, 1, precision)  # exact 1
     for _ in range(1, d):
         power = power * xm
         total = total + power

@@ -149,11 +149,12 @@ class PadicNumber:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _coerce(self, other: "PadicNumber | Rational") -> "PadicNumber":
+    def _operand(self, other: "PadicNumber | Rational") -> "tuple[int, int, int] | None":
+        """The (valuation, unit digits, precision) of an operand, building nothing; None for another type."""
         if isinstance(other, PadicNumber):
             if other.prime != self.prime:
                 raise PadicError("mixed primes")
-            return other
+            return other._valuation, other._unit_digits, other.precision
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroOperandError("cannot coerce exact 0; use PadicNumber.zero")
@@ -165,55 +166,47 @@ class PadicNumber:
             # checked when self was built; one split gives valuation and unit.
             p = self.prime
             (vn, num), (vd, den) = split_unit(other.numerator, p), split_unit(other.denominator, p)
-            digits = max(self.precision, self._valuation + self.precision - vn + vd, 1)
-            return _embed_unit(p, vn - vd, num, den, min(MAX_PRECISION, digits))
-        return NotImplemented  # type: ignore[return-value]
+            digits = min(MAX_PRECISION, max(self.precision, self._valuation + self.precision - vn + vd, 1))
+            return vn - vd, _unit_mod(p, num, den, digits), digits
+        return None
 
     def __neg__(self) -> "PadicNumber":
         m = _modulus(self.prime, self.precision)
         return PadicNumber._make(self.prime, self._valuation, -self._unit_digits % m, self.precision)
 
-    def __add__(self, other: "PadicNumber | Rational") -> "PadicNumber":
+    def _sum(self, other: "PadicNumber | Rational", sign: int, other_sign: int) -> "PadicNumber":
+        """sign * self + other_sign * other, each sign +-1 applied to unit digits inside the reduction."""
         if isinstance(other, (int, Fraction)) and other == 0:
-            return self
-        other = self._coerce(other)
-        if other is NotImplemented:
+            return self if sign == 1 else -self
+        if (read := self._operand(other)) is None:
             return NotImplemented
-        p = self.prime
-        low, high = (self, other) if self._valuation <= other._valuation else (other, self)
-        v = low._valuation
+        p, (hv, high, hn) = self.prime, read
+        v, low, n, high = self._valuation, sign * self._unit_digits, self.precision, other_sign * high
+        if hv < v:  # low is the operand of lower valuation
+            v, low, n, hv, high, hn = hv, high, hn, v, low, n
         # 0 when a flagged zero's O(p^A) swallows every digit
-        width = min(low.precision, high._valuation + high.precision - v)
+        width = min(n, hv + hn - v)
         m = _modulus(p, width)
         # Only high is scaled.  A gap >= width vanishes mod m: the cap builds no p^A for a zero.
-        s = (low._unit_digits + high._unit_digits * _modulus(p, min(high._valuation - v, width))) % m
+        s = (low + high * _modulus(p, min(hv - v, width))) % m
         if s == 0 and v + width < 1:
             raise PrecisionError("zero must be known modulo at least one digit")
         w, unit = split_unit(s, p) if s else (width, 0)  # a zero is O(p^(v + width))
         return PadicNumber._make(p, v + w, unit, width - w)
 
+    def __add__(self, other: "PadicNumber | Rational") -> "PadicNumber":
+        return self._sum(other, 1, 1)
+
     __radd__ = __add__
 
     def __sub__(self, other: "PadicNumber | Rational") -> "PadicNumber":
-        if isinstance(other, (PadicNumber, int, Fraction)):
-            return self + -other
-        return NotImplemented
+        return self._sum(other, 1, -1)
 
     def __rsub__(self, other: Rational) -> "PadicNumber":
-        return (-self).__add__(other)
+        return self._sum(other, -1, 1)
 
     def __mul__(self, other: "PadicNumber | Rational") -> "PadicNumber":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.prime
-        # A zero factor (precision 0) gives O(p^v), v = A + v(x), which needs v >= 1.
-        n = min(self.precision, other.precision)
-        digits = self._unit_digits * other._unit_digits % _modulus(p, n)
-        v = self._valuation + other._valuation
-        if not digits and v < 1:
-            raise PrecisionError("zero must be known modulo at least one digit")
-        return PadicNumber._make(p, v, digits, n)
+        return self._product(other, False)
 
     __rmul__ = __mul__
 
@@ -224,10 +217,24 @@ class PadicNumber:
         return PadicNumber._make(self.prime, -self._valuation, digits, self.precision)
 
     def __truediv__(self, other: "PadicNumber | Rational") -> "PadicNumber":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        return self._product(other, True)
+
+    def _product(self, other: "PadicNumber | Rational", invert: bool) -> "PadicNumber":
+        """self * other, or self / other with ``invert``: other's unit digits inverted, no inverse built."""
+        if (read := self._operand(other)) is None:
             return NotImplemented
-        return self.__mul__(other.inv())
+        p, (v, unit, n) = self.prime, read
+        if invert:
+            if not unit:
+                raise ZeroOperandError("cannot invert the zero element")
+            v, unit = -v, _inverse_mod_power(unit, p, n)
+        # A zero factor (precision 0) gives O(p^v), v = A + v(x), which needs v >= 1.
+        n = min(self.precision, n)
+        digits = self._unit_digits * unit % _modulus(p, n)
+        v += self._valuation
+        if not digits and v < 1:
+            raise PrecisionError("zero must be known modulo at least one digit")
+        return PadicNumber._make(p, v, digits, n)
 
     def __rtruediv__(self, other: Rational) -> "PadicNumber":
         return self.inv().__mul__(other)
@@ -282,22 +289,21 @@ def embed(x: Rational, prime: int, precision: int = DEFAULT_PRECISION) -> "Padic
     """Embed a nonzero rational into Q_p, the unit part known mod p**precision.
 
     Checks the prime, the precision and x once, then splits x at the prime;
-    ``_embed_unit`` inverts the denominator's unit by Newton's iteration.
+    ``_unit_mod`` inverts the denominator's unit by Newton's iteration.
     """
     check_prime(prime, PadicError)
     check_range("precision", precision, 1, MAX_PRECISION, PrecisionError)
     if check_rational(x) == 0:
         raise ZeroOperandError("cannot embed 0; use PadicNumber.zero")
     (vn, num), (vd, den) = split_unit(x.numerator, prime), split_unit(x.denominator, prime)
-    return _embed_unit(prime, vn - vd, num, den, precision)
+    return PadicNumber._make(prime, vn - vd, _unit_mod(prime, num, den, precision), precision)
 
 
-def _embed_unit(prime: int, valuation: int, num: int, den: int, precision: int) -> "PadicNumber":
-    """p**valuation * num / den, num and den prime to p, known mod p**precision:
-    ``embed`` without its checks, for it and for a scalar operand."""
+def _unit_mod(prime: int, num: int, den: int, precision: int) -> int:
+    """num / den mod p**precision, num and den prime to p: the unit digits of embed and of a scalar."""
     if den != 1:  # an int has nothing to invert
         num *= _inverse_mod_power(den, prime, precision)
-    return PadicNumber._make(prime, valuation, num % _modulus(prime, precision), precision)
+    return num % _modulus(prime, precision)
 
 
 def teichmuller(a: int, prime: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":

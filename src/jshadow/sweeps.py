@@ -39,11 +39,11 @@ from typing import Annotated, get_args
 from ._integers import _jacobi, check_range, prime_power_base, primes_up_to, split_unit
 from .imj import (
     BERNOULLI_CAP,
+    _surjects,
     bernoulli,
     imj_consistency_check,
     k_finite_field,
     norm_identity_check,
-    surjectivity_check,
     von_staudt_clausen_denominator,
 )
 from .jmaps import adelic_norm_product, j_fp_pi0, j_real_pi0, j_tame_pi1, j_wild_pi0, j_wild_pi1
@@ -378,13 +378,13 @@ def sweep_surjectivity(
     p <= p_max with p != l, and 1 <= k <= k_max."""
     primes = primes_up_to(p_max)
     for ell in primes_up_to(ell_max)[1:]:  # odd primes
+        u = smallest_topological_generator(ell)
         with result.bucket(ell=ell):
-            for p in primes:
+            for p in primes:  # p and l proven by the sieve, k counted from 1
                 if p == ell:
                     continue
                 for k in range(1, k_max + 1):
-                    ok = surjectivity_check(ell, p, k)
-                    result.check(ok) or result.fail(ell=ell, p=p, k=k)
+                    result.check(_surjects(ell, p, k, u)) or result.fail(ell=ell, p=p, k=k)
 
 
 @_sweep("norm-identity", "geometric-sum-identity")

@@ -69,6 +69,10 @@ def _top_digit_of_a_product_shifted(self: PadicNumber, other) -> PadicNumber:
     return PadicNumber._make(p, product.valuation, (product.unit_digits + p ** (n - 1)) % p**n, n)
 
 
+def _difference_as_a_sum(self: PadicNumber, other) -> PadicNumber:
+    return self + other
+
+
 def _top_digit_of_a_power_lost(self: PadicNumber, exponent: int) -> PadicNumber:
     power = _pow(self, exponent)
     if power.is_zero or power.precision < 2:
@@ -135,7 +139,9 @@ def _primes_of_b_alone_dropped(A: int, local_A: dict, B: int, local_B: dict, leg
 # checks).  A half-digit Teichmuller lift is still killed only at a = 1,
 # whose lift is exactly 1; the undivided log leaves 1+l at valuation 1, one
 # failure per l.  A wrong top digit of every product, or of every power,
-# breaks the geometric-sum identity at 436 and 34 grid points.  The
+# breaks the geometric-sum identity at 436 and 34 grid points, and a
+# difference taken as a sum at all 480, so the difference's own code path
+# is caught by a sweep and not only by unit tests.  The
 # oracle-agreement rows patch the closed forms where hilbert_symbol looks
 # them up, at a grid of 2,900 checks (365 and 629 failures at the default).
 # The reciprocity rows patch the same closed forms, which local_symbol_product
@@ -169,6 +175,7 @@ FAULTS = [
     ("rezk-log", {}, "jshadow.sweeps.rezk_log_pi0", _rezk_log_without_dividing_by_l, 4),
     ("norm-identity", {}, "jshadow.padic.PadicNumber.__mul__", _top_digit_of_a_product_shifted, 436),
     ("norm-identity", {}, "jshadow.padic.PadicNumber.__pow__", _top_digit_of_a_power_lost, 34),
+    ("norm-identity", {}, "jshadow.padic.PadicNumber.__sub__", _difference_as_a_sum, 480),
     ("imj-consistency", {}, "jshadow.imj._vl_power_minus_one", _valuation_plus_one, 720),
     ("imj-consistency", {}, "jshadow.imj._vl_power_minus_one", _valuation_plus_one_at_3, 30),
     ("quillen", {}, "jshadow.imj.factorint", _largest_prime_dropped, 217),

@@ -248,7 +248,7 @@ def test_scalar_coercion():
 
 @pytest.mark.parametrize("p", [3, 7, 101])
 def test_scalar_operands_at_the_largest_precision(p):
-    # _coerce asked embed for abs_precision - v(r) digits, past MAX_PRECISION
+    # PadicNumber._coerce asked embed for abs_precision - v(r) digits, past MAX_PRECISION
     # here, so x + 1 and x * 1 raised PrecisionError.
     exact_x = Fraction(7 * p**2, 11)
     x = embed(exact_x, p, MAX_PRECISION)
@@ -266,7 +266,7 @@ def test_scalar_operands_at_the_largest_precision(p):
 
 
 def test_an_exact_scalar_costs_a_product_no_digits():
-    # _coerce gave an exact r only abs_precision - v(r) digits, fewer than
+    # PadicNumber._coerce gave an exact r only abs_precision - v(r) digits, fewer than
     # x's own when v(r) > v(x): x * 27 had precision 7, and 1 / x had 4094
     # where x.inv() has 4096.
     assert embed(9, 3, 8) * 27 == embed(243, 3, 8)
@@ -707,7 +707,7 @@ def scalars(draw, p):
 @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
 def test_a_scalar_operand_matches_its_embedding(data, p):
     x, r = data.draw(padic_operands(p)), data.draw(scalars(p))
-    # _coerce's digit rule: enough digits that r never limits the result.
+    # The operand reader's digit rule: enough digits that r never limits the result.
     n = min(MAX_PRECISION, max(x.precision, x.abs_precision - vp(r, p), 1))
     e = embed(r, p, n)
     pairs = (
@@ -719,6 +719,112 @@ def test_a_scalar_operand_matches_its_embedding(data, p):
     )
     for scalar, embedded in pairs:
         assert _outcome(scalar) == _outcome(embedded)
+
+
+def _coerce_as_before(x: PadicNumber, other) -> PadicNumber:
+    # PadicNumber._coerce before the operand reader: a scalar became a
+    # PadicNumber at x's prime, with the same digit rule and cap.
+    if isinstance(other, PadicNumber):
+        if other.prime != x.prime:
+            raise PadicError("mixed primes")
+        return other
+    if other == 0:
+        raise ZeroOperandError("cannot coerce exact 0; use PadicNumber.zero")
+    p = x.prime
+    (vn, num), (vd, den) = split_unit(other.numerator, p), split_unit(other.denominator, p)
+    n = min(MAX_PRECISION, max(x.precision, x._valuation + x.precision - vn + vd, 1))
+    return PadicNumber._make(p, vn - vd, num * pow(den, -1, p**n) % p**n, n)
+
+
+def _by_the_earlier_path(op: str, x: PadicNumber, r) -> PadicNumber:
+    """x op r, or r op x, as the arithmetic computed it with _coerce: a
+    difference was a sum with a negated operand built first (__neg__, then
+    __add__), and a quotient a product with an inverse built first."""
+    p = x.prime
+
+    def neg(a):
+        q = a.prime
+        return PadicNumber._make(q, a._valuation, -a._unit_digits % q**a.precision, a.precision)
+
+    def add(a, other):
+        if isinstance(other, (int, Fraction)) and other == 0:
+            return a
+        return _sum_by_the_earlier_formula(a, _coerce_as_before(a, other))
+
+    def mul(a, other):
+        b = _coerce_as_before(a, other)
+        n = min(a.precision, b.precision)
+        digits, v = a._unit_digits * b._unit_digits % p**n, a._valuation + b._valuation
+        if not digits and v < 1:
+            raise PrecisionError("zero must be known modulo at least one digit")
+        return PadicNumber._make(p, v, digits, n)
+
+    def inv(a):
+        if a.is_zero:
+            raise ZeroOperandError("cannot invert the zero element")
+        return PadicNumber._make(p, -a._valuation, pow(a._unit_digits, -1, p**a.precision), a.precision)
+
+    operations = {
+        "x + r": lambda: add(x, r),
+        "x - r": lambda: add(x, neg(r) if isinstance(r, PadicNumber) else -r),
+        "r - x": lambda: add(neg(x), r),
+        "x * r": lambda: mul(x, r),
+        "x / r": lambda: mul(x, inv(_coerce_as_before(x, r))),
+        "r / x": lambda: mul(inv(x), r),
+    }
+    return operations[op]()
+
+
+_OPERATIONS = {
+    "x + r": lambda x, r: x + r,
+    "x - r": lambda x, r: x - r,
+    "r - x": lambda x, r: r - x,
+    "x * r": lambda x, r: x * r,
+    "x / r": lambda x, r: x / r,
+    "r / x": lambda x, r: r / x,
+}
+
+
+def _result_or_error(operation):
+    """The result of operation(), or the class and message of the PadicError it raises."""
+    try:
+        return operation()
+    except PadicError as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+def test_the_operand_reader_matches_the_earlier_path(data, p):
+    # x a PadicNumber (flagged zeros and MAX_PRECISION among them); the other
+    # operand a PadicNumber (so x - y and x / y), an int or a Fraction with p
+    # in its numerator or denominator, an exact 0, or a number at another prime.
+    x = data.draw(padic_operands(p))
+    r = data.draw(
+        st.one_of(
+            padic_operands(p),
+            scalars(p),
+            st.just(0),
+            st.sampled_from([embed(5, 11, 3), PadicNumber.zero(13, 2)]),
+        )
+    )
+    for op, operation in _OPERATIONS.items():
+        if op[0] == "r" and isinstance(r, PadicNumber):
+            continue  # y - x and y / x are another draw's x - y and x / y
+        expected = _result_or_error(lambda: _by_the_earlier_path(op, x, r))
+        assert _result_or_error(lambda: operation(x, r)) == expected, op
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_the_operand_reader_where_the_cap_binds(p):
+    # v(r) < v(x) at MAX_PRECISION: the digit rule asks for more than
+    # MAX_PRECISION digits, and the cap gives r exactly MAX_PRECISION.
+    x = embed(Fraction(5 * p**3, 8), p, MAX_PRECISION)
+    for r in (Fraction(1, p), Fraction(-(p**2), 11), 1, -4):
+        assert x.abs_precision - vp(r, p) > MAX_PRECISION
+        for op, operation in _OPERATIONS.items():
+            expected = _by_the_earlier_path(op, x, r)
+            assert operation(x, r) == expected, (p, r, op)
 
 
 # -- results pinned byte for byte ---------------------------------------------

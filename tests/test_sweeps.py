@@ -10,15 +10,18 @@ import inspect
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 from typing import get_args
 
 import pytest
 
-from jshadow import sweeps, symbols
+from jshadow import imj, padic, sweeps, symbols
 from jshadow._integers import factorint, primes_up_to, split_unit
 from jshadow.cli import build_parser, run
+from jshadow.imj import surjectivity_check
+from jshadow.padic import smallest_topological_generator
 from jshadow.sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, Range, SweepResult
 from jshadow.symbols import hilbert_reciprocity_check, hilbert_symbol
 from test_faults import ZOLOTAREV_GRID, _one_cycle_too_many
@@ -449,3 +452,68 @@ def test_statements_are_exactly_the_cited_ones(monkeypatch, capsys):
             fn()
         cited.add(built.value.args[0])
     assert cited == set(STATEMENTS)
+
+
+# -- the surjectivity sweep against the checked function ------------------------
+
+# The default grid, then the (ell_max, p_max, k_max) grids of perfbench's padic-imj workload.
+SURJECTIVITY_GRIDS = [
+    {},
+    *(
+        {"ell_max": ell, "p_max": p, "k_max": k}
+        for ell, p, k in ((61, 139, 5), (97, 199, 3), (139, 97, 4), (43, 251, 6), (199, 61, 5), (31, 331, 8))
+    ),
+]
+_valuation = imj._vl_power_minus_one
+
+
+def _valuation_plus_one_at_1_mod_4(u: int, k: int, ell: int) -> int:
+    # A shift of every valuation cancels between v_l(p^k - 1) and
+    # v_l(u^k - 1); one that depends on the base does not.
+    return _valuation(u, k, ell) + (u % 4 == 1)
+
+
+@pytest.mark.parametrize("fault", [None, _valuation_plus_one_at_1_mod_4], ids=["exact", "shifted-at-1-mod-4"])
+@pytest.mark.parametrize("grid", SURJECTIVITY_GRIDS, ids=lambda grid: "-".join(map(str, grid.values())) or "default")
+def test_the_surjectivity_sweep_fails_where_the_check_does(monkeypatch, grid, fault):
+    # The sweep reads the generator once per l and compares through
+    # imj._surjects, with no argument checks; surjectivity_check checks
+    # every point and compares through the same kernel.  Each bucket row
+    # must count the points where the check returns False.
+    if fault is not None:
+        monkeypatch.setattr(imj, "_vl_power_minus_one", fault)
+    result = SWEEPS["surjectivity"](**grid)
+    params = result.params
+    expected = [
+        {
+            "ell": ell,
+            "failures": sum(
+                not surjectivity_check(ell, p, k)
+                for p in primes_up_to(params["p_max"])
+                if p != ell
+                for k in range(1, params["k_max"] + 1)
+            ),
+        }
+        for ell in primes_up_to(params["ell_max"])[1:]
+    ]
+    assert [row for row in result.rows if "failures" in row] == expected
+    assert (result.failures > 0) == (fault is not None)
+
+
+def test_a_surjectivity_sweep_proves_each_prime_at_most_once_per_ell(monkeypatch):
+    # Its primes come from the sieve, so no check needs proving them again.
+    # The generator search, cached per l, tries each candidate u with a
+    # proof of l; it runs first, so the count is the sweep's own.
+    grid = {"ell_max": 31, "p_max": 61, "k_max": 8}
+    ells = primes_up_to(grid["ell_max"])[1:]
+    for ell in ells:
+        smallest_topological_generator(ell)
+    proofs = Counter()
+    for module in (imj, padic):
+        def counting(p, *args, _check_prime=module.check_prime, **kwargs):
+            proofs[p] += 1
+            return _check_prime(p, *args, **kwargs)
+
+        monkeypatch.setattr(module, "check_prime", counting)
+    assert SWEEPS["surjectivity"](**grid).verdict == "pass"
+    assert all(count <= len(ells) for count in proofs.values()), proofs
