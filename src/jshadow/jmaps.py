@@ -40,7 +40,8 @@ def j_fp_pi0(k: int, p: int) -> int:
 
 def j_tame_pi1(x: Rational, p: int) -> Fraction:
     """The tame pi_1 value p**v_p(x), the inverse of the p-adic norm of x."""
-    return Fraction(p) ** vp(x, p)
+    v = vp(x, p)
+    return Fraction(p**v) if v >= 0 else Fraction(1, p**-v)
 
 
 def j_wild_pi0(k: int) -> int:

@@ -75,32 +75,38 @@ def legendre(a: int, p: int) -> int:
 
 
 def zolotarev_sign(a: int, p: int) -> Sign:
-    """The sign of the permutation x -> a*x of Z/p, by cycle decomposition.
-
-    A permutation of n points with c cycles has sign (-1)^(n - c).  The walk
-    visits each of the n = p - 1 nonzero residues once, counting cycles; a
-    cycle closes when it returns to its start, and the next start is the
-    first unvisited residue, found by ``bytearray.find``.  A prime above
-    ORACLE_PRIME_CAP raises SymbolError before the walk's table is built.
-    """
+    """The sign of the permutation x -> a*x of Z/p, by cycle decomposition
+    (see :func:`_permutation_sign`).  A prime above ORACLE_PRIME_CAP raises
+    SymbolError before the walk's table is built."""
     check_range("p", p, None, ORACLE_PRIME_CAP, SymbolError)
     check_prime(p, SymbolError, odd=True)
     a %= p
     if a == 0:
         raise SymbolError("a must be prime to p")
-    visited = bytearray(p)
+    return _permutation_sign(a, p)
+
+
+def _permutation_sign(a: int, n: int) -> Sign:
+    """The sign of x -> a*x on Z/n for a prime to n, unchecked.
+
+    A permutation of m points with c cycles has sign (-1)^(m - c).  The walk
+    visits each of the m = n - 1 nonzero residues once, counting cycles; a
+    cycle closes when it returns to its start, and the next start is the
+    first unvisited residue, found by ``bytearray.find``.
+    """
+    visited = bytearray(n)
     visited[0] = 1  # 0 is a fixed point
     cycles = 0
     start = 1
     while start > 0:  # find returns -1 once every residue is visited
         cycles += 1
         visited[start] = 1
-        j = a * start % p
+        j = a * start % n
         while j != start:
             visited[j] = 1
-            j = a * j % p
+            j = a * j % n
         start = visited.find(0, start)
-    return -1 if (p - 1 - cycles) % 2 else 1
+    return -1 if (n - 1 - cycles) % 2 else 1
 
 
 def _cleared_int(x: Rational, what: str) -> int:
@@ -129,7 +135,12 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> Sign:
     if not place.is_finite:
         return -1 if A < 0 and B < 0 else 1
     p = place.prime
-    (alpha, u), (beta, w) = split_unit(A, p), split_unit(B, p)
+    return _local_sign(*split_unit(A, p), *split_unit(B, p), p)
+
+
+def _local_sign(alpha: int, u: int, beta: int, w: int, p: int) -> Sign:
+    """(A,B)_p for A = p^alpha u and B = p^beta w with u, w prime to p, by
+    the closed form at 2 or at an odd prime."""
     if p == 2:
         return _symbol_at_two(alpha, u, beta, w)
     return _symbol_at_odd_prime(alpha, u, beta, w, p, _jacobi)
@@ -241,7 +252,12 @@ def hilbert_oracle(a: Rational, b: Rational, place: Place) -> Sign:
     if not place.is_finite:
         return -1 if A < 0 and B < 0 else 1
     p = check_range("p", place.prime, None, ORACLE_PRIME_CAP, SymbolError)
-    (alpha, u), (beta, w) = split_unit(A, p), split_unit(B, p)
+    return _oracle_sign(*split_unit(A, p), *split_unit(B, p), p)
+
+
+def _oracle_sign(alpha: int, u: int, beta: int, w: int, p: int) -> Sign:
+    """(A,B)_p for A = p^alpha u and B = p^beta w with u, w prime to the prime
+    p <= ORACLE_PRIME_CAP, unchecked, by the search of :func:`hilbert_oracle`."""
     A, B = (-u * w, p * w) if alpha & beta & 1 else (u * p ** (alpha & 1), w * p ** (beta & 1))
     levels = 2 * vp_int(4 * A * B, p) + 3
     found = _search_primitive_solution(A, B, p, levels, range(p))

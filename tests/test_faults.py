@@ -5,17 +5,19 @@ With the fault in place the sweep must record failures; without it the
 same sweep, at the same grid, must pass.
 """
 
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
-from jshadow import imj, jmaps, padic, symbols
+from jshadow import imj, jmaps, padic, sweeps, symbols
 from jshadow._integers import factorint
 from jshadow.padic import PadicNumber
 from jshadow.sweeps import SWEEPS
+from test_acceptance import REPORT_SHA256
 
-_walk = symbols.zolotarev_sign
+_walk = symbols._permutation_sign
 _jacobi = symbols._jacobi
 _at_odd_prime = symbols._symbol_at_odd_prime
 _at_two = symbols._symbol_at_two
@@ -133,8 +135,9 @@ def _primes_of_b_alone_dropped(A: int, local_A: dict, B: int, local_B: dict, leg
 
 
 # (sweep, grid, patched name, fault, failures it records).  The zolotarev
-# sweep at p_max=50 catches both of its faults: the walk fault fails every
-# check, and the flipped (-1|p) fails a = p - 1 at p = 7, 23, 31 and 47.
+# sweep at p_max=50 catches both of its faults, each patched where the sweep
+# looks up its unchecked kernel: the walk fault fails every check, and the
+# flipped (-1|p) fails a = p - 1 at p = 7, 23, 31 and 47.
 # rezk-log and norm-identity run at their default grids (26 and 480
 # checks).  A half-digit Teichmuller lift is still killed only at a = 1,
 # whose lift is exactly 1; the undivided log leaves 1+l at valuation 1, one
@@ -142,8 +145,9 @@ def _primes_of_b_alone_dropped(A: int, local_A: dict, B: int, local_B: dict, leg
 # breaks the geometric-sum identity at 436 and 34 grid points, and a
 # difference taken as a sum at all 480, so the difference's own code path
 # is caught by a sweep and not only by unit tests.  The
-# oracle-agreement rows patch the closed forms where hilbert_symbol looks
-# them up, at a grid of 2,900 checks (365 and 629 failures at the default).
+# oracle-agreement rows patch the closed forms where symbols._local_sign,
+# which the sweep and hilbert_symbol call, looks them up, at a grid of 2,900
+# checks (365 and 629 failures at the default).
 # The reciprocity rows patch the same closed forms, which local_symbol_product
 # calls, at a grid of 1,800 checks.  Its Legendre symbols come from chi
 # tables that the sweep fills through jshadow.sweeps._jacobi, so the flipped
@@ -164,18 +168,18 @@ ZOLOTAREV_GRID = {"p_max": 50}
 ORACLE_GRID = {"prime_max": 13, "coeff_bound": 10, "rational_samples": 100}
 RECIPROCITY_GRID = {"bound": 20, "rational_samples": 200}
 FAULTS = [
-    ("zolotarev", ZOLOTAREV_GRID, "jshadow.sweeps.zolotarev_sign", _one_cycle_too_many, 312),
-    ("zolotarev", ZOLOTAREV_GRID, "jshadow.symbols._jacobi", _minus_one_flipped_at_7_mod_8, 4),
-    ("oracle-agreement", ORACLE_GRID, "jshadow.symbols._symbol_at_odd_prime", _odd_symbol_without_its_sign, 22),
-    ("oracle-agreement", ORACLE_GRID, "jshadow.symbols._symbol_at_two", _symbol_at_two_without_beta_omega_u, 68),
-    ("reciprocity", RECIPROCITY_GRID, "jshadow.symbols._symbol_at_odd_prime", _odd_symbol_without_its_sign, 122),
-    ("reciprocity", RECIPROCITY_GRID, "jshadow.symbols._symbol_at_two", _symbol_at_two_without_beta_omega_u, 269),
-    ("reciprocity", RECIPROCITY_GRID, "jshadow.sweeps._jacobi", _minus_one_flipped_at_7_mod_8, 62),
+    ("zolotarev", ZOLOTAREV_GRID, "jshadow.sweeps._permutation_sign", _one_cycle_too_many, 312),
+    ("zolotarev", ZOLOTAREV_GRID, "jshadow.sweeps._jacobi", _minus_one_flipped_at_7_mod_8, 4),
     ("rezk-log", {}, "jshadow.sweeps.teichmuller", _teichmuller_to_half_its_digits, 18),
     ("rezk-log", {}, "jshadow.sweeps.rezk_log_pi0", _rezk_log_without_dividing_by_l, 4),
     ("norm-identity", {}, "jshadow.padic.PadicNumber.__mul__", _top_digit_of_a_product_shifted, 436),
     ("norm-identity", {}, "jshadow.padic.PadicNumber.__pow__", _top_digit_of_a_power_lost, 34),
     ("norm-identity", {}, "jshadow.padic.PadicNumber.__sub__", _difference_as_a_sum, 480),
+    ("oracle-agreement", ORACLE_GRID, "jshadow.symbols._symbol_at_odd_prime", _odd_symbol_without_its_sign, 22),
+    ("oracle-agreement", ORACLE_GRID, "jshadow.symbols._symbol_at_two", _symbol_at_two_without_beta_omega_u, 68),
+    ("reciprocity", RECIPROCITY_GRID, "jshadow.symbols._symbol_at_odd_prime", _odd_symbol_without_its_sign, 122),
+    ("reciprocity", RECIPROCITY_GRID, "jshadow.symbols._symbol_at_two", _symbol_at_two_without_beta_omega_u, 269),
+    ("reciprocity", RECIPROCITY_GRID, "jshadow.sweeps._jacobi", _minus_one_flipped_at_7_mod_8, 62),
     ("imj-consistency", {}, "jshadow.imj._vl_power_minus_one", _valuation_plus_one, 720),
     ("imj-consistency", {}, "jshadow.imj._vl_power_minus_one", _valuation_plus_one_at_3, 30),
     ("quillen", {}, "jshadow.imj.factorint", _largest_prime_dropped, 217),
@@ -200,21 +204,36 @@ def test_the_sweep_records_the_fault(sweep, grid, target, fault, failures):
     assert result.failures == failures
 
 
-@pytest.mark.parametrize(
-    "sweep, grid",
-    [
-        ("zolotarev", ZOLOTAREV_GRID),
-        ("rezk-log", {}),
-        ("norm-identity", {}),
-        ("oracle-agreement", ORACLE_GRID),
-        ("reciprocity", RECIPROCITY_GRID),
-        ("imj-consistency", {}),
-        ("quillen", {}),
-        ("low-degree-j", {}),
-        ("bernoulli", {}),
-        ("pi2-nontriviality", {}),
-    ],
-)
+# Each sweep of FAULTS at its grid, in the order of its first row.
+UNPATCHED = list({sweep: grid for sweep, grid, *_ in FAULTS}.items())
+
+
+@pytest.mark.parametrize("sweep, grid", UNPATCHED)
 def test_the_unpatched_sweep_passes(sweep, grid):
     result = SWEEPS[sweep](**grid)
     assert result.verdict == "pass" and result.failures == 0
+
+
+class _Built(Exception):
+    pass
+
+
+def test_the_statements_with_fewer_than_two_faults_are_pinned(monkeypatch):
+    # A ratchet: rows for one of these statements shrink the set, and a
+    # sweep added with fewer than two rows grows it and fails here.
+    def build(name, statement_id, params):
+        raise _Built(statement_id)  # before the grid runs
+
+    monkeypatch.setattr(sweeps, "SweepResult", build)
+    rows = Counter(sweep for sweep, *_ in FAULTS)
+    cited = set()
+    for name, fn in SWEEPS.items():
+        if rows[name] < 2:
+            with pytest.raises(_Built) as built:
+                fn()
+            cited.add(built.value.args[0])
+    assert cited == {"k-theory-order-domination", "three-adic-geometric-series"}
+
+
+def test_every_sweep_has_a_pinned_report():
+    assert set(REPORT_SHA256) == set(SWEEPS)

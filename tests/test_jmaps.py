@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jshadow._integers import primes_up_to
 from jshadow.jmaps import (
@@ -14,7 +16,7 @@ from jshadow.jmaps import (
     j_wild_pi0,
     j_wild_pi1,
 )
-from jshadow.padic import ZeroOperandError, embed, vp
+from jshadow.padic import PadicError, ZeroOperandError, embed, vp
 from jshadow.symbols import INFINITY, Place, hilbert_reciprocity_check, hilbert_symbol, legendre
 
 
@@ -39,6 +41,51 @@ def test_j_tame_pi1_examples():
         assert j_tame_pi1(u, 3) == 1
     assert j_tame_pi1(3, 3) == 3
     assert j_tame_pi1(Fraction(4, 3), 3) == Fraction(1, 3)
+
+
+_PRIMES_50 = primes_up_to(50)
+
+
+def _outcome(call):
+    """(type, value) of what ``call()`` returns, or (class, message) of the
+    ValueError it raises."""
+    try:
+        value = call()
+    except ValueError as error:
+        return type(error), str(error)
+    return type(value), value
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    p=st.sampled_from(_PRIMES_50 + [-3, 0, 1, 4, 9, 15, 91]),
+    base=st.sampled_from(_PRIMES_50),
+    k=st.integers(-6, 6),
+    m=st.integers(-1000, 1000),
+    n=st.integers(1, 1000),
+    as_int=st.booleans(),
+)
+@example(p=3, base=3, k=2, m=1, n=1, as_int=True)  # an int of valuation 2
+@example(p=5, base=5, k=0, m=7, n=1, as_int=True)  # an int of valuation 0
+@example(p=2, base=2, k=-3, m=3, n=5, as_int=False)  # a Fraction of valuation -3
+@example(p=7, base=7, k=1, m=0, n=1, as_int=True)  # zero
+@example(p=9, base=3, k=1, m=2, n=1, as_int=False)  # a composite p
+def test_j_tame_pi1_is_p_to_the_valuation_as_a_fraction(p, base, k, m, n, as_int):
+    # x = m/n * base^k with base = p at a prime p, an int or a Fraction, its
+    # valuation at p of any sign; against Fraction(p) ** vp(x, p)
+    if p in _PRIMES_50:
+        base = p
+    x = Fraction(m * base ** max(k, 0), n * base ** max(-k, 0))
+    if as_int:
+        x = x.numerator
+    expected = _outcome(lambda: Fraction(p) ** vp(x, p))
+    assert _outcome(lambda: j_tame_pi1(x, p)) == expected
+    if p not in _PRIMES_50:
+        assert expected[0] is PadicError
+    elif x == 0:
+        assert expected[0] is ZeroOperandError
+    else:
+        assert expected[0] is Fraction
 
 
 def test_j_wild_pi0_is_negation():

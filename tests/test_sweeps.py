@@ -17,7 +17,7 @@ from typing import get_args
 
 import pytest
 
-from jshadow import imj, padic, sweeps, symbols
+from jshadow import cli, imj, jmaps, padic, sweeps, symbols
 from jshadow._integers import factorint, primes_up_to, split_unit
 from jshadow.cli import build_parser, run
 from jshadow.imj import surjectivity_check
@@ -278,12 +278,12 @@ def test_legendre_tables_agree_with_eulers_criterion():
 
 
 def test_a_failed_check_lands_in_its_bucket_and_one_row(monkeypatch):
-    legendre = sweeps.legendre
+    legendre = sweeps._jacobi
 
     def flipped(a, p):
         return -legendre(a, p) if (a, p) == (2, 7) else legendre(a, p)
 
-    monkeypatch.setattr(sweeps, "legendre", flipped)
+    monkeypatch.setattr(sweeps, "_jacobi", flipped)
     result = SWEEPS["zolotarev"](p_max=13)
     assert result.verdict == "fail" and result.failures == 1
     assert result.checked == 2 + 4 + 6 + 10 + 12
@@ -345,7 +345,7 @@ def test_passing_rational_samples_build_no_fraction(monkeypatch):
 
 
 def test_failure_rows_stop_at_the_cap(monkeypatch):
-    monkeypatch.setattr(sweeps, "zolotarev_sign", _one_cycle_too_many)
+    monkeypatch.setattr(sweeps, "_permutation_sign", _one_cycle_too_many)
     result = SWEEPS["zolotarev"](**ZOLOTAREV_GRID)
     odd_primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
     assert result.failures == result.checked == sum(p - 1 for p in odd_primes) == 312
@@ -392,7 +392,7 @@ def test_a_check_takes_no_row_values():
 
 
 def test_a_failing_sweep_exits_1_with_a_report(monkeypatch, capsys):
-    monkeypatch.setattr(sweeps, "zolotarev_sign", lambda a, p: 0)
+    monkeypatch.setattr(sweeps, "_permutation_sign", lambda a, p: 0)
     assert run(["--json", "sweep", "zolotarev", "--p-max=50"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -517,3 +517,42 @@ def test_a_surjectivity_sweep_proves_each_prime_at_most_once_per_ell(monkeypatch
         monkeypatch.setattr(module, "check_prime", counting)
     assert SWEEPS["surjectivity"](**grid).verdict == "pass"
     assert all(count <= len(ells) for count in proofs.values()), proofs
+
+
+# -- the brute-force sweeps check their grid once -----------------------------
+
+
+def _count_calls(monkeypatch, modules, name, counts, key=lambda *args: args):
+    """Patch ``name`` in each of ``modules`` to count its calls in ``counts`` by ``key``."""
+    for module in modules:
+        def counting(*args, _original=getattr(module, name), **kwargs):
+            counts[key(*args)] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+
+def test_a_zolotarev_sweep_proves_each_prime_at_most_once(monkeypatch, capsys):
+    # Its primes come from the sieve, so the walk and the Jacobi ladder run
+    # unchecked: neither zolotarev_sign nor legendre proves p at each a.
+    proofs = Counter()
+    modules = [m for m in (cli, imj, jmaps, padic, sweeps, symbols) if hasattr(m, "check_prime")]
+    _count_calls(monkeypatch, modules, "check_prime", proofs, key=lambda p, *args: p)
+    assert run(["sweep", "zolotarev", "--p-max=50"]) == 0
+    capsys.readouterr()
+    assert all(count <= 1 for count in proofs.values()), proofs
+
+
+def test_the_oracle_agreement_grid_splits_each_coefficient_once_per_place(monkeypatch):
+    # At a finite place each n is split once and the kernels compare the
+    # splits; only the infinite place clears its pairs, through the public
+    # functions (two coefficients in each of two calls).
+    grid = {"prime_max": 13, "coeff_bound": 10, "rational_samples": 0}
+    splits, cleared = Counter(), Counter()
+    _count_calls(monkeypatch, (sweeps, symbols), "split_unit", splits)
+    _count_calls(monkeypatch, (symbols,), "_cleared_int", cleared, key=lambda x, what: what)
+    result = SWEEPS["oracle-agreement"](**grid)
+    assert result.verdict == "pass"
+    nonzero = [n for n in range(-10, 11) if n]
+    assert splits == Counter((n, p) for p in primes_up_to(13) for n in nonzero)
+    assert cleared == {"a": 2 * len(nonzero) ** 2, "b": 2 * len(nonzero) ** 2}

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jshadow import symbols
-from jshadow._integers import primes_up_to
+from jshadow._integers import primes_up_to, split_unit
 from jshadow.cli import UsageError, parse_place
 from jshadow.padic import vp
 from jshadow.symbols import (
@@ -158,6 +158,64 @@ def test_zolotarev_rejects_multiples_of_p():
 def test_zolotarev_rejects_p_not_an_odd_prime(p):
     with pytest.raises(SymbolError, match="not an odd prime"):
         zolotarev_sign(1, p)
+
+
+# -- the unchecked kernels behind the public symbols ----------------------
+
+
+def test_the_permutation_walk_is_zolotarev_sign_at_odd_primes():
+    for p in primes_up_to(200)[1:]:
+        for a in range(1, p):
+            assert symbols._permutation_sign(a, p) == zolotarev_sign(a, p), (a, p)
+
+
+def test_the_permutation_walk_at_odd_composite_moduli_is_the_inversion_sign():
+    # Frobenius: x -> ax permutes Z/n for every a prime to n, prime or not
+    checked = 0
+    for n in range(9, 46, 2):
+        if n in ODD_PRIMES_100:
+            continue
+        for a in range(1, n):
+            if math.gcd(a, n) == 1:
+                assert symbols._permutation_sign(a, n) == brute_permutation_sign(a, n), (a, n)
+                checked += 1
+    assert checked == 156  # phi(n) over n = 9, 15, 21, 25, 27, 33, 35, 39, 45
+
+
+def test_the_symbol_kernels_on_split_data_are_the_public_symbols():
+    nonzero = [n for n in range(-30, 31) if n]
+    for p in primes_up_to(50):
+        place = Place(p)
+        for a in nonzero:
+            for b in nonzero:
+                split = *split_unit(a, p), *split_unit(b, p), p
+                assert symbols._local_sign(*split) == hilbert_symbol(a, b, place), (a, b, p)
+                assert symbols._oracle_sign(*split) == hilbert_oracle(a, b, place), (a, b, p)
+
+
+@pytest.mark.parametrize(
+    "symbol, args, message",
+    [
+        (zolotarev_sign, (2, 9), "9 is not an odd prime"),
+        (zolotarev_sign, (2, 91), "91 is not an odd prime"),
+        (zolotarev_sign, (3, 2), "2 is not an odd prime"),
+        (zolotarev_sign, (-21, 7), "a must be prime to p"),
+        (zolotarev_sign, (0, 3), "a must be prime to p"),
+        (zolotarev_sign, (2, 131101), f"p must be <= {symbols.ORACLE_PRIME_CAP}, got 131101"),
+        (hilbert_oracle, (2, 3, Place(131101)), f"p must be <= {symbols.ORACLE_PRIME_CAP}, got 131101"),
+        (hilbert_symbol, (0, 3, Place(3)), "a must be nonzero"),
+        (hilbert_symbol, (3, Fraction(0), Place(2)), "b must be nonzero"),
+        (hilbert_oracle, (0, 3, Place(3)), "a must be nonzero"),
+        (hilbert_oracle, (3, 0, INFINITY), "b must be nonzero"),
+        (Place, (9,), "9 is not prime"),
+        (Place, (2**17,), "131072 is not prime"),
+    ],
+)
+def test_the_public_symbols_keep_their_refusals(symbol, args, message):
+    # the kernels check nothing, so each refusal is the public function's own
+    with pytest.raises(SymbolError) as refused:
+        symbol(*args)
+    assert str(refused.value) == message
 
 
 # -- Hilbert symbol -------------------------------------------------------
