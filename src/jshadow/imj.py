@@ -207,9 +207,14 @@ def imj_consistency_check(ell: int, k: int) -> bool:
     """Whether the l-part of the image-of-J order in stem 4k-1 equals both
     the order of pi_{4k-1} of the K(1)-local sphere (= pi_{2m-1}, m = 2k)
     and that order's closed form."""
-    report = imj_order(k)
-    order, closed = _k1_order(ell, 2 * k, smallest_topological_generator(ell))
-    return report.part(ell) == order == closed
+    check_range("k", k, 1, BERNOULLI_CAP // 2)  # imj_order's refusal, before the generator's
+    return _imj_consistent(ell, k, smallest_topological_generator(ell))
+
+
+def _imj_consistent(ell: int, k: int, generator: int) -> bool:
+    """imj_consistency_check's comparison for the generator u, unchecked."""
+    order, closed = _k1_order(ell, 2 * k, generator)
+    return imj_order(k).part(ell) == order == closed
 
 
 def surjectivity_check(ell: int, p: int, k: int) -> bool:
@@ -220,12 +225,12 @@ def surjectivity_check(ell: int, p: int, k: int) -> bool:
     if p == ell:
         raise ValueError("p must differ from l")
     check_range("k", k, 1)
-    return _surjects(ell, p, k, smallest_topological_generator(ell))
+    return _surjects(ell, p, k, _vl_power_minus_one(smallest_topological_generator(ell), k, ell))
 
 
-def _surjects(ell: int, p: int, k: int, generator: int) -> bool:
-    """v_l(p^k - 1) >= v_l(u^k - 1) for the generator u: surjectivity_check's comparison, unchecked."""
-    return _vl_power_minus_one(p, k, ell) >= _vl_power_minus_one(generator, k, ell)
+def _surjects(ell: int, p: int, k: int, floor: int) -> bool:
+    """v_l(p^k - 1) >= floor, the generator's v_l(u^k - 1): surjectivity_check's comparison, unchecked."""
+    return _vl_power_minus_one(p, k, ell) >= floor
 
 
 def norm_identity_check(ell: int, u: int, d: int, m: int, precision: int) -> bool:
@@ -238,13 +243,17 @@ def norm_identity_check(ell: int, u: int, d: int, m: int, precision: int) -> boo
     # The generator test proved l an odd prime and u a unit: embed's other checks hold.
     check_range("precision", precision, 1, MAX_PRECISION, PrecisionError)
     x = PadicNumber._make(ell, 0, u % _modulus(ell, precision), precision)
-    xm = x**m
-    lhs = (x**d) ** m - 1
-    total = power = PadicNumber._make(ell, 0, 1, precision)  # exact 1
+    return _norm_identity(x**d, x**m, d, m)
+
+
+def _norm_identity(xd: PadicNumber, xm: PadicNumber, d: int, m: int) -> bool:
+    """norm_identity_check's identity for x = u embedded, from its powers x^d and x^m, unchecked."""
+    precision = xm.precision
+    lhs = xd**m - 1
+    total = power = PadicNumber._make(xm.prime, 0, 1, precision)  # exact 1
     for _ in range(1, d):
         power = power * xm
         total = total + power
     rhs = (xm - 1) * total
     diff = lhs - rhs
     return diff.is_zero and diff.abs_precision >= precision
-

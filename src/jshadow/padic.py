@@ -149,12 +149,9 @@ class PadicNumber:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _operand(self, other: "PadicNumber | Rational") -> "tuple[int, int, int] | None":
-        """The (valuation, unit digits, precision) of an operand, building nothing; None for another type."""
-        if isinstance(other, PadicNumber):
-            if other.prime != self.prime:
-                raise PadicError("mixed primes")
-            return other._valuation, other._unit_digits, other.precision
+    def _operand(self, other: Rational) -> "tuple[int, int, int] | None":
+        """The (valuation, unit digits, precision) of a rational operand, building nothing;
+        None for a type other than int and Fraction.  A PadicNumber operand is read in place."""
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroOperandError("cannot coerce exact 0; use PadicNumber.zero")
@@ -176,22 +173,33 @@ class PadicNumber:
 
     def _sum(self, other: "PadicNumber | Rational", sign: int, other_sign: int) -> "PadicNumber":
         """sign * self + other_sign * other, each sign +-1 applied to unit digits inside the reduction."""
-        if isinstance(other, (int, Fraction)) and other == 0:
+        p = self.prime
+        if isinstance(other, PadicNumber):
+            if other.prime != p:
+                raise PadicError("mixed primes")
+            hv, high, hn = other._valuation, other._unit_digits, other.precision
+        elif isinstance(other, (int, Fraction)) and other == 0:
             return self if sign == 1 else -self
-        if (read := self._operand(other)) is None:
+        elif (read := self._operand(other)) is None:
             return NotImplemented
-        p, (hv, high, hn) = self.prime, read
+        else:
+            hv, high, hn = read
         v, low, n, high = self._valuation, sign * self._unit_digits, self.precision, other_sign * high
         if hv < v:  # low is the operand of lower valuation
             v, low, n, hv, high, hn = hv, high, hn, v, low, n
         # 0 when a flagged zero's O(p^A) swallows every digit
         width = min(n, hv + hn - v)
         m = _modulus(p, width)
-        # Only high is scaled.  A gap >= width vanishes mod m: the cap builds no p^A for a zero.
-        s = (low + high * _modulus(p, min(hv - v, width))) % m
-        if s == 0 and v + width < 1:
-            raise PrecisionError("zero must be known modulo at least one digit")
-        w, unit = split_unit(s, p) if s else (width, 0)  # a zero is O(p^(v + width))
+        # Only high is scaled, and only across a gap.  A gap >= width vanishes
+        # mod m: the cap builds no p^A for a zero.
+        s = (low + (high if hv == v else high * _modulus(p, min(hv - v, width)))) % m
+        if s % p:  # a unit: nothing to split
+            return PadicNumber._make(p, v, s, width)
+        if s == 0:  # a zero is O(p^(v + width))
+            if v + width < 1:
+                raise PrecisionError("zero must be known modulo at least one digit")
+            return PadicNumber._make(p, v + width, 0, 0)
+        w, unit = split_unit(s, p)
         return PadicNumber._make(p, v + w, unit, width - w)
 
     def __add__(self, other: "PadicNumber | Rational") -> "PadicNumber":
@@ -221,9 +229,15 @@ class PadicNumber:
 
     def _product(self, other: "PadicNumber | Rational", invert: bool) -> "PadicNumber":
         """self * other, or self / other with ``invert``: other's unit digits inverted, no inverse built."""
-        if (read := self._operand(other)) is None:
+        p = self.prime
+        if isinstance(other, PadicNumber):
+            if other.prime != p:
+                raise PadicError("mixed primes")
+            v, unit, n = other._valuation, other._unit_digits, other.precision
+        elif (read := self._operand(other)) is None:
             return NotImplemented
-        p, (v, unit, n) = self.prime, read
+        else:
+            v, unit, n = read
         if invert:
             if not unit:
                 raise ZeroOperandError("cannot invert the zero element")

@@ -483,6 +483,40 @@ def test_norm_identity_examples():
         norm_identity_check(5, 7, 2, 2, 20)  # 7 is not a generator mod 5
 
 
+# (check, arguments, the refusal's class and message).  Each public check
+# refuses its arguments before it calls its unchecked kernel, in the order
+# the checks ran when they had no kernel: imj_consistency_check refuses k
+# before l, as imj_order did first.
+REFUSALS = [
+    ('imj_consistency_check', (3, 0), 'ValueError: k must be >= 1, got 0'),
+    ('imj_consistency_check', (4, 0), 'ValueError: k must be >= 1, got 0'),
+    ('imj_consistency_check', (3, 1025), 'ValueError: k must be <= 1024, got 1025'),
+    ('imj_consistency_check', (4, 1), 'PadicError: 4 is not an odd prime'),
+    ('imj_consistency_check', (2, 1), 'PadicError: 2 is not an odd prime'),
+    ('imj_consistency_check', (9, 2000), 'ValueError: k must be <= 1024, got 2000'),
+    ('surjectivity_check', (4, 5, 1), 'PadicError: 4 is not an odd prime'),
+    ('surjectivity_check', (3, 3, 1), 'ValueError: p must differ from l'),
+    ('surjectivity_check', (3, 4, 0), 'ValueError: 4 is not prime'),
+    ('surjectivity_check', (4, 5, 0), 'ValueError: k must be >= 1, got 0'),
+    ('surjectivity_check', (2, 5, 1), 'PadicError: 2 is not an odd prime'),
+    ('norm_identity_check', (4, 2, 0, 0, 0), 'PadicError: 4 is not an odd prime'),
+    ('norm_identity_check', (3, 4, 0, 1, 8), 'ValueError: 4 does not topologically generate Z_3^x'),
+    ('norm_identity_check', (3, 2, 0, 0, 0), 'ValueError: d must be >= 1, got 0'),
+    ('norm_identity_check', (3, 2, 1, 0, 0), 'ValueError: m must be >= 1, got 0'),
+    ('norm_identity_check', (3, 2, 1, 1, 0), 'PrecisionError: precision must be >= 1, got 0'),
+    ('norm_identity_check', (3, 2, 1, 1, 5000), 'PrecisionError: precision must be <= 4096, got 5000'),
+    ('norm_identity_check', (3, 3, 1, 1, 8), 'ZeroOperandError: u must be prime to l'),
+    ('norm_identity_check', (2, 3, 1, 1, 8), 'PadicError: 2 is not an odd prime'),
+]
+
+
+@pytest.mark.parametrize("name, args, refusal", REFUSALS)
+def test_the_public_checks_keep_their_refusals(name, args, refusal):
+    with pytest.raises(ValueError) as raised:
+        getattr(imj, name)(*args)
+    assert f"{type(raised.value).__name__}: {raised.value}" == refusal
+
+
 def test_smallest_generator_recorded():
     for ell in (3, 5, 7, 11):
         result = k1_sphere_order(ell, 2)

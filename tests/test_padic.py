@@ -1,6 +1,7 @@
 """Tests for the p-adic arithmetic substrate."""
 
 import hashlib
+import operator
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -236,6 +237,75 @@ def test_a_scalar_operand_makes_no_primality_test(op):
 def test_mixed_prime_rejected():
     with pytest.raises(PadicError):
         embed(1, 3, 4) + embed(1, 5, 4)
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@pytest.mark.parametrize("op", _OPERATORS)
+def test_every_operation_between_primes_is_refused(op):
+    # A PadicNumber operand is read in place, so each operation checks its prime.
+    operate = _OPERATORS[op]
+    threes = (embed(1, 3, 4), embed(Fraction(2, 9), 3, 6), PadicNumber.zero(3, 2))
+    fives = (embed(1, 5, 4), embed(25, 5, 6), PadicNumber.zero(5, 2))
+    for a in threes:
+        for b in fives:
+            for left, right in ((a, b), (b, a)):
+                with pytest.raises(PadicError, match="^mixed primes$"):
+                    operate(left, right)
+
+
+# repr() of each result, or the error's class and message, as the code before
+# the same-prime fast paths gave them: x = 7, y = 25 and w = 1/5 in Q_5 at
+# precisions 6, 6 and 2, and the flagged zeros z1, z4, z9 = O(5^1), O(5^4), O(5^9).
+FLAGGED_ZERO_RESULTS = {
+    "z4 + x": "PadicNumber.from_unit(5, 0, 7, 4)",
+    "x + z4": "PadicNumber.from_unit(5, 0, 7, 4)",
+    "z4 - x": "PadicNumber.from_unit(5, 0, 618, 4)",
+    "x - z4": "PadicNumber.from_unit(5, 0, 7, 4)",
+    "z4 + y": "PadicNumber.from_unit(5, 2, 1, 2)",
+    "y - z4": "PadicNumber.from_unit(5, 2, 1, 2)",
+    "z9 + y": "PadicNumber.from_unit(5, 2, 1, 6)",
+    "w + z1": "PadicNumber.from_unit(5, -1, 1, 2)",
+    "z1 - w": "PadicNumber.from_unit(5, -1, 24, 2)",
+    "z4 + z9": "PadicNumber.zero(5, 4)",
+    "z9 - z4": "PadicNumber.zero(5, 4)",
+    "z4 - z4": "PadicNumber.zero(5, 4)",
+    "z4 * x": "PadicNumber.zero(5, 4)",
+    "y * z4": "PadicNumber.zero(5, 6)",
+    "z4 * w": "PadicNumber.zero(5, 3)",
+    "z1 * w": "PrecisionError: zero must be known modulo at least one digit",
+    "z4 * z9": "PadicNumber.zero(5, 13)",
+    "z4 / x": "PadicNumber.zero(5, 4)",
+    "z4 / y": "PadicNumber.zero(5, 2)",
+    "x / z4": "ZeroOperandError: cannot invert the zero element",
+    "z4 / z9": "ZeroOperandError: cannot invert the zero element",
+    "z4 + 3": "PadicNumber.from_unit(5, 0, 3, 4)",
+    "3 - z4": "PadicNumber.from_unit(5, 0, 3, 4)",
+    "z4 - 25": "PadicNumber.from_unit(5, 2, 24, 2)",
+    "z4 * 5": "PadicNumber.zero(5, 5)",
+    "z1 * 1/25": "PrecisionError: zero must be known modulo at least one digit",
+    "z4 / 5": "PadicNumber.zero(5, 3)",
+    "5 / z4": "ZeroOperandError: cannot invert the zero element",
+    "z4 + 0": "PadicNumber.zero(5, 4)",
+    "0 - z4": "PadicNumber.zero(5, 4)",
+}
+
+
+def test_a_flagged_zero_on_either_side_gives_the_pinned_results():
+    named = {"x": embed(7, 5, 6), "y": embed(25, 5, 6), "w": embed(Fraction(1, 5), 5, 2)}
+    named |= {f"z{a}": PadicNumber.zero(5, a) for a in (1, 4, 9)}
+
+    def operand(token):
+        return named[token] if token in named else Fraction(token) if "/" in token else int(token)
+
+    for label, expected in FLAGGED_ZERO_RESULTS.items():
+        left, op, right = label.split()
+        try:
+            got = repr(_OPERATORS[op](operand(left), operand(right)))
+        except PadicError as error:
+            got = f"{type(error).__name__}: {error}"
+        assert got == expected, label
 
 
 def test_scalar_coercion():

@@ -20,11 +20,11 @@ import pytest
 from jshadow import cli, imj, jmaps, padic, sweeps, symbols
 from jshadow._integers import factorint, primes_up_to, split_unit
 from jshadow.cli import build_parser, run
-from jshadow.imj import surjectivity_check
+from jshadow.imj import imj_consistency_check, norm_identity_check, surjectivity_check
 from jshadow.padic import smallest_topological_generator
 from jshadow.sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, Range, SweepResult
 from jshadow.symbols import hilbert_reciprocity_check, hilbert_symbol
-from test_faults import ZOLOTAREV_GRID, _one_cycle_too_many
+from test_faults import ZOLOTAREV_GRID, _one_cycle_too_many, _top_digit_of_a_product_shifted, _valuation_plus_one_at_3
 
 # The params each sweep reports at its defaults, in signature order, with
 # the sweeps in the order `sweep all` runs and reports them.
@@ -157,7 +157,10 @@ def test_the_declared_ranges_are_the_bounds_of_each_grid():
         ("bernoulli", "n_max"): (2, 2048),
         ("surjectivity", "ell_max"): (2, 4096),
         ("surjectivity", "p_max"): (2, 4096),
+        ("surjectivity", "k_max"): (1, 4096),
         ("norm-identity", "ell_max"): (2, 4096),
+        ("norm-identity", "d_max"): (1, 4096),
+        ("norm-identity", "m_max"): (1, 4096),
         ("quillen", "q_max"): (2, 4096),
         ("quillen", "i_max"): (1, None),
         ("pi2-nontriviality", "p_max"): (2, 4096),
@@ -556,3 +559,104 @@ def test_the_oracle_agreement_grid_splits_each_coefficient_once_per_place(monkey
     nonzero = [n for n in range(-10, 11) if n]
     assert splits == Counter((n, p) for p in primes_up_to(13) for n in nonzero)
     assert cleared == {"a": 2 * len(nonzero) ** 2, "b": 2 * len(nonzero) ** 2}
+
+
+# -- the image-of-J sweeps against the checked functions ------------------------
+
+
+def _bucket_failures(result: SweepResult) -> list[dict]:
+    return [row for row in result.rows if "failures" in row]
+
+
+# The default grid, then the largest grid of perfbench's padic-imj workload.
+NORM_IDENTITY_GRIDS = [{}, {"ell_max": 31, "d_max": 3, "m_max": 8, "precision": 256}]
+
+
+@pytest.mark.parametrize("fault", [None, _top_digit_of_a_product_shifted], ids=["exact", "product-top-digit-shifted"])
+@pytest.mark.parametrize("grid", NORM_IDENTITY_GRIDS, ids=lambda grid: "-".join(map(str, grid.values())) or "default")
+def test_the_norm_identity_sweep_fails_where_the_check_does(monkeypatch, grid, fault):
+    # The sweep embeds u and raises it to each d and m once per l, then runs
+    # imj._norm_identity on those powers; norm_identity_check checks every
+    # point and runs the same kernel.  Each bucket row must count the points
+    # where the check returns False.
+    if fault is not None:
+        monkeypatch.setattr(padic.PadicNumber, "__mul__", fault)
+    result = SWEEPS["norm-identity"](**grid)
+    params = result.params
+    expected = []
+    for ell in primes_up_to(params["ell_max"])[1:]:
+        u = smallest_topological_generator(ell)
+        failures = sum(
+            not norm_identity_check(ell, u, d, m, params["precision"])
+            for d in range(1, params["d_max"] + 1)
+            for m in range(1, params["m_max"] + 1)
+        )
+        expected.append({"ell": ell, "generator": u, "failures": failures})
+    assert _bucket_failures(result) == expected
+    assert (result.failures > 0) == (fault is not None)
+
+
+# The default grid, then the largest grid of perfbench's padic-imj workload.
+IMJ_CONSISTENCY_GRIDS = [{}, {"ell_max": 97, "k_max": 120}]
+
+
+@pytest.mark.parametrize("fault", [None, _valuation_plus_one_at_3], ids=["exact", "shifted-at-3"])
+@pytest.mark.parametrize("grid", IMJ_CONSISTENCY_GRIDS, ids=lambda grid: "-".join(map(str, grid.values())) or "default")
+def test_the_imj_consistency_sweep_fails_where_the_check_does(monkeypatch, grid, fault):
+    # The sweep reads the generator once per l and compares through
+    # imj._imj_consistent; imj_consistency_check checks k and l at every
+    # point and compares through the same kernel.
+    if fault is not None:
+        monkeypatch.setattr(imj, "_vl_power_minus_one", fault)
+    result = SWEEPS["imj-consistency"](**grid)
+    k_max = result.params["k_max"]
+    expected = [
+        {
+            "ell": ell,
+            "k_max": k_max,
+            "generator": smallest_topological_generator(ell),
+            "failures": sum(not imj_consistency_check(ell, k) for k in range(1, k_max + 1)),
+        }
+        for ell in primes_up_to(result.params["ell_max"])[1:]
+    ]
+    assert _bucket_failures(result) == expected
+    assert (result.failures > 0) == (fault is not None)
+
+
+def test_a_surjectivity_sweep_takes_each_generator_valuation_once(monkeypatch):
+    # v_l(u^k - 1) of the generator does not depend on p: one call per (l, k),
+    # and one more per (l, k) as v_l(p^k - 1) where u is itself a prime of the grid.
+    grid = {"ell_max": 31, "p_max": 61, "k_max": 8}
+    generators = {ell: smallest_topological_generator(ell) for ell in primes_up_to(grid["ell_max"])[1:]}
+    primes = primes_up_to(grid["p_max"])
+    calls = Counter()
+    _count_calls(monkeypatch, (imj,), "_vl_power_minus_one", calls)
+    assert SWEEPS["surjectivity"](**grid).verdict == "pass"
+    for ell, u in generators.items():
+        for k in range(1, grid["k_max"] + 1):
+            assert calls[u, k, ell] == 1 + (u in primes), (ell, k)
+
+
+def test_a_norm_identity_sweep_proves_embeds_and_raises_each_generator_once(monkeypatch):
+    # l comes from the sieve and u from the generator search, so the sweep
+    # proves neither; it embeds u once per l, raises it to each d and each m
+    # once, and raises x^d to the m at each of the d_max * m_max points.
+    grid = {"ell_max": 31, "d_max": 3, "m_max": 8, "precision": 64}
+    ells = primes_up_to(grid["ell_max"])[1:]
+    for ell in ells:
+        smallest_topological_generator(ell)  # the cached search runs first, so the counts are the sweep's own
+    proofs, embeddings, powers = Counter(), Counter(), Counter()
+    _count_calls(monkeypatch, (imj, padic), "is_topological_generator", proofs, key=lambda u, ell: ell)
+    _count_calls(monkeypatch, (sweeps, padic), "embed", embeddings, key=lambda x, prime, *args: prime)
+    power = padic.PadicNumber.__pow__
+
+    def counting_power(self, exponent):
+        powers[self.prime] += 1
+        return power(self, exponent)
+
+    monkeypatch.setattr(padic.PadicNumber, "__pow__", counting_power)
+    assert SWEEPS["norm-identity"](**grid).verdict == "pass"
+    assert all(count <= 1 for count in proofs.values()), proofs
+    assert all(count <= 1 for count in embeddings.values()), embeddings
+    d_max, m_max = grid["d_max"], grid["m_max"]
+    assert powers == {ell: d_max + m_max + d_max * m_max for ell in ells}
