@@ -22,17 +22,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import mul
 
 from ._integers import check_prime, check_range, factorint, is_prime, prime_power_base, vp_int
 from .padic import (
     MAX_PRECISION, PadicNumber, PrecisionError, _modulus, is_topological_generator, smallest_topological_generator
 )
 
-BERNOULLI_CAP = 2048  # B_2048's numerator has 4,266 digits, under str()'s 4,300; a cold B_2048 takes ~0.9 s
+BERNOULLI_CAP = 2048  # B_2048's numerator has 4,266 digits, under str()'s 4,300; a cold B_2048 takes ~0.5 s
 ORDER_CAP = 10**4300 - 1  # the largest K-group order of F_q: str() prints at most 4,300 digits
 
 _bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-_tangent_column: list[int] = [1]  # column k of the tangent-number recurrence; it ends in T_k
+# Column L of the tangent-number recurrence, entry i scaled by (L - i)!; it ends in T_L, unscaled.
+_tangent_column: list[int] = [1]
+_PRONIC = [t * (t + 1) for t in range(BERNOULLI_CAP // 2 + 1)]  # the scaled step's coefficients
 
 
 def bernoulli(n: int) -> Fraction:
@@ -40,12 +44,16 @@ def bernoulli(n: int) -> Fraction:
 
     B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), reduced, for the tangent
     number T_k (Brent-Harvey, arXiv:1108.0286, TangentNumbers run one column
-    at a time).  Entry p of column j is T_j after pass p + 1 of the recurrence
-    T_j <- (j-i) T_{j-1} + (j-i+2) T_j, so its last entry is T_j itself; column
-    j+1 is column j updated in place, j - 1 multiply-adds and one entry more.
+    at a time).  Entry i of Brent-Harvey's column L is T_L after pass i + 1 of
+    the recurrence new_i = (L-i) old_i + (L-i+2) new_{i-1}, so its last entry
+    is T_L itself.  The kept column holds entry i times (L-i)!, which turns the
+    step into new_i = (L-i)(L-i+1) old_i + new_{i-1}: column L+1 is a running
+    sum over column L, updated in place, and one entry more, equal to the last.
     A step that raises resets the column to [1], so no half-updated column is
     read later.  An n above BERNOULLI_CAP raises ValueError before the cache grows.
     """
+    if 0 <= n < len(_bernoulli_cache):
+        return _bernoulli_cache[n]
     check_range("n", n, 0, BERNOULLI_CAP)
     while len(_bernoulli_cache) <= n:
         m = len(_bernoulli_cache)
@@ -54,11 +62,10 @@ def bernoulli(n: int) -> Fraction:
             continue
         col = _tangent_column
         try:
-            for j in range(len(col), m // 2):
-                prev = col[0] = col[0] * j
-                for i in range(1, j):
-                    prev = col[i] = (j - i) * col[i] + (j - i + 2) * prev
-                col.append(2 * prev)
+            for length in range(len(col), m // 2):
+                for i, entry in enumerate(accumulate(map(mul, _PRONIC[length:0:-1], col))):
+                    col[i] = entry
+                col.append(col[-1])
         except BaseException:
             col[:] = [1]
             raise
@@ -242,8 +249,13 @@ def norm_identity_check(ell: int, u: int, d: int, m: int, precision: int) -> boo
     check_range("m", m, 1)
     # The generator test proved l an odd prime and u a unit: embed's other checks hold.
     check_range("precision", precision, 1, MAX_PRECISION, PrecisionError)
-    x = PadicNumber._make(ell, 0, u % _modulus(ell, precision), precision)
+    x = _embed_unit(ell, u, precision)
     return _norm_identity(x**d, x**m, d, m)
+
+
+def _embed_unit(ell: int, u: int, precision: int) -> PadicNumber:
+    """u in Z_l, known mod l**precision, for a prime l, a unit u at l and a checked precision, unchecked."""
+    return PadicNumber._make(ell, 0, u % _modulus(ell, precision), precision)
 
 
 def _norm_identity(xd: PadicNumber, xm: PadicNumber, d: int, m: int) -> bool:

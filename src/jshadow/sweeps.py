@@ -40,6 +40,7 @@ from . import imj
 from ._integers import _jacobi, check_range, prime_power_base, primes_up_to, split_unit
 from .imj import (
     BERNOULLI_CAP,
+    _embed_unit,
     _imj_consistent,
     _norm_identity,
     _surjects,
@@ -411,11 +412,12 @@ def sweep_norm_identity(
 ) -> None:
     """(u^d)^m - 1 = (u^m - 1)(1 + u^m + ... + (u^m)^(d-1)) in Z_l at the
     given precision, over the full (l, d, m) grid.  u is embedded once per
-    l and raised to each d and each m once; the identity kernel runs on
+    l, unchecked (the sieve proved l prime and the search made u a unit),
+    and raised to each d and each m once; the identity kernel runs on
     those powers unchecked."""
     for ell in primes_up_to(ell_max)[1:]:  # odd primes
         u = smallest_topological_generator(ell)
-        x = embed(u, ell, precision)
+        x = _embed_unit(ell, u, precision)
         powers_d = [x**d for d in range(1, d_max + 1)]
         powers_m = [x**m for m in range(1, m_max + 1)]
         with result.bucket(ell=ell, generator=u):

@@ -1,5 +1,6 @@
 """Tests for Bernoulli machinery, group orders, and the consistency checks."""
 
+import hashlib
 import json
 import math
 import random
@@ -103,6 +104,18 @@ def test_bernoulli_rejects_negative():
         bernoulli(-1)
 
 
+def test_bernoulli_refuses_out_of_range_n_without_growing_the_cache():
+    # The cache-hit test reads 0 <= n, so a negative n is not taken for an index from the end.
+    bernoulli(101)
+    cached = len(imj._bernoulli_cache)
+    for n in (-1, -101):
+        with pytest.raises(ValueError, match=f"^n must be >= 0, got {n}$"):
+            bernoulli(n)
+    with pytest.raises(ValueError, match=f"^n must be <= {BERNOULLI_CAP}, got {BERNOULLI_CAP + 1}$"):
+        bernoulli(BERNOULLI_CAP + 1)
+    assert len(imj._bernoulli_cache) == cached
+
+
 def test_bernoulli_cap():
     # B_2100's numerator is past the interpreter's 4,300-digit limit on int-to-str conversion;
     # every index up to the cap prints.
@@ -135,6 +148,14 @@ def test_a_cold_cache_grows_the_same_way_from_any_state(cold_cache, reference_40
     assert ns.index(400) < len(ns) - 1  # a request below the cache's length follows B_400
     for n in ns:
         assert bernoulli(n) == reference_400[n], n
+
+
+def test_a_cold_cache_grows_every_number_up_to_the_cap_exactly(cold_cache):
+    # The sha256 of repr(B_0 .. B_2048), recorded from the unscaled tangent-number column.
+    values = repr([bernoulli(n) for n in range(BERNOULLI_CAP + 1)])
+    assert hashlib.sha256(values.encode()).hexdigest() == (
+        "9f637f094dc6bea63bc96c6a7d96b09e38fb80015034d74a4e78c11cc1f301ab"
+    )
 
 
 class _InterruptedColumn(list):

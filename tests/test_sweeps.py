@@ -645,8 +645,10 @@ def test_a_norm_identity_sweep_proves_embeds_and_raises_each_generator_once(monk
     ells = primes_up_to(grid["ell_max"])[1:]
     for ell in ells:
         smallest_topological_generator(ell)  # the cached search runs first, so the counts are the sweep's own
-    proofs, embeddings, powers = Counter(), Counter(), Counter()
+    proofs, embeddings, powers, prime_proofs = Counter(), Counter(), Counter(), Counter()
     _count_calls(monkeypatch, (imj, padic), "is_topological_generator", proofs, key=lambda u, ell: ell)
+    modules = [m for m in (imj, padic, sweeps) if hasattr(m, "check_prime")]
+    _count_calls(monkeypatch, modules, "check_prime", prime_proofs, key=lambda p, *args: p)
     _count_calls(monkeypatch, (sweeps, padic), "embed", embeddings, key=lambda x, prime, *args: prime)
     power = padic.PadicNumber.__pow__
 
@@ -658,5 +660,6 @@ def test_a_norm_identity_sweep_proves_embeds_and_raises_each_generator_once(monk
     assert SWEEPS["norm-identity"](**grid).verdict == "pass"
     assert all(count <= 1 for count in proofs.values()), proofs
     assert all(count <= 1 for count in embeddings.values()), embeddings
+    assert not prime_proofs, prime_proofs
     d_max, m_max = grid["d_max"], grid["m_max"]
     assert powers == {ell: d_max + m_max + d_max * m_max for ell in ells}
