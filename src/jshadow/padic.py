@@ -409,12 +409,11 @@ def rezk_log_pi0(x: PadicNumber) -> "PadicNumber":
     return PadicNumber._make(ell, lg._valuation - 1, lg._unit_digits, lg.precision)
 
 
-@lru_cache(maxsize=1024, typed=True)
 def is_topological_generator(u: int, ell: int) -> bool:
     """Whether the integer u topologically generates Z_l^x (l odd).
 
     Holds iff u generates the multiplicative group mod l and
-    v_l(u**(l-1) - 1) = 1; consequently it depends only on u mod l**2.  Cached per (u, l).
+    v_l(u**(l-1) - 1) = 1; consequently it depends only on u mod l**2.
     """
     check_prime(ell, PadicError, odd=True)
     if u % ell == 0:

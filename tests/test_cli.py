@@ -17,6 +17,7 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Annotated, get_args, get_origin
 
@@ -38,6 +39,8 @@ from jshadow.cli import (
 )
 from jshadow.padic import DEFAULT_PRECISION
 from jshadow.sweeps import SWEEPS
+from test_acceptance import SWEEP_TABLE
+from test_faults import _one_cycle_too_many
 
 REPORT_KEYS = {"command", "inputs", "rows", "verdict", "provenance", "version"}
 
@@ -553,82 +556,32 @@ def test_single_shot_reports_are_byte_identical(capsys, argv, text_sha256, json_
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
 
 
-# sha256 of stdout, as text and with --json, for one small-grid argv of each sweep,
-# recorded while the sweeps still read their grid flags with a lexer of their own.
-SWEEP_REPORT_SHA256 = [
-    (
-        ["sweep", "reciprocity", "--bound=6", "--rational-samples=40", "--seed=7"],
-        "ebce54af889c5560330c36327f1961976f2ee157044223cbbc3df0d7cedb24a0",
-        "3a3cad716812b9a0ed102c6b739f82fa5969628259f92b5e52463c9c5eecac00",
-    ),
-    (
-        ["sweep", "oracle-agreement", "--prime-max=7", "--coeff-bound=4", "--rational-samples=10",
-         "--seed=7"],
-        "1730f83fd0c639ad68ec69dbacadbda23b275552a7b4bb3e1eed063b891228cd",
-        "cf815c8f24b8ad889ca75595f7c803de39abf2dd67cc7b13b77c4af41cbe5d60",
-    ),
-    (
-        ["sweep", "zolotarev", "--p-max=50"],
-        "74790e47fd8a02f4edb9bf4ae788198c759faa1fe73f7b777313c9d8f5bd3ce9",
-        "26cdcf68f498264e7a90a9148b0181ef8df99079877530700f55f8d8991e83aa",
-    ),
-    (
-        ["sweep", "imj-consistency", "--ell-max=13", "--k-max=5"],
-        "76359d08d0c86ef1844517126c3dcba624f905dbfd25fc8fc1c9584225d9ae3f",
-        "6d39b1f17a5fdf73966af0b8eebb6f2aa31ff348bef97e83e8b14a02845dea93",
-    ),
-    (
-        ["sweep", "bernoulli", "--n-max=20"],
-        "c90e53f50c119caa154f2a21e45f21f4fc0c03238b0c2e48ae72cf9d21124103",
-        "1088b29625f943a56f2b76be9f8e21413fdb0cd206cad1c815c1c91aaf02f9ec",
-    ),
-    (
-        ["sweep", "rezk-log", "--ells=3,5", "--precision=16"],
-        "fe43ba837c573728c4713b2aaa702ad6bbabfac3b098f41496834a624f3a4b7c",
-        "b3527f5e96bbd40d1aa9496fd431d2a6ea07a4e82db0d8a5f801ed8bda2e8b57",
-    ),
-    (
-        ["sweep", "surjectivity", "--ell-max=7", "--p-max=11", "--k-max=6"],
-        "cb6ca52cdaeade34552ffc22831097da27647ed11d9cc72a99632691127f3f66",
-        "e08218b1aa086389aa80a1285b70e4690279d81518925f5e63bf058d8c36c001",
-    ),
-    (
-        ["sweep", "norm-identity", "--ell-max=7", "--d-max=3", "--m-max=4", "--precision=8"],
-        "e4bbcf4a23ac042b6982b835db36f473f2ef5ee1194454f7ff2a7e1b59cc35d3",
-        "1c4c65d53946fcb950b75ad9a9db0fc03aef4fbea7cfefbf3bd36c1523be7117",
-    ),
-    (
-        ["sweep", "quillen", "--q-max=9", "--i-max=3"],
-        "36920d8960b77f94c645bb343fb5d3a8f113d29840e4ccc7a9b9eec71a207f06",
-        "3384c7f2de4096cffee4f75212aa542eb78517c49c658157a2bee3eb42d1bc4c",
-    ),
-    (
-        ["sweep", "pi2-nontriviality", "--p-max=20"],
-        "9d5f921c2aed14804c3ea6e04b67f623b3f0bf605707416ab0f6c9b02928ba04",
-        "bb039d26826921c742192e874d0a362f6e7a821b05bda289e48cb98d43e556f1",
-    ),
-    (
-        ["sweep", "geometric-series", "--depth=16"],
-        "60ee6b96b7f68d3d2253361375d9ad701fa3995b1a37afb989c90801b4bfdf89",
-        "18ac388270d255058b46bfb620a4f1cb6ff2a1fc7c2ed550f6f9d92410466046",
-    ),
-    (
-        ["sweep", "low-degree-j", "--inversion-samples=10", "--tame-samples=50", "--precision=8",
-         "--seed=7"],
-        "d5943c44aac997ff235c3c82fc407a1479a1f31d3bf03ea690a77c798ca2e705",
-        "2f30ac734668376de7ad72d88445f0a48fd4f06b94cabc246ee1fe73b336b64a",
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "argv, text_sha256, json_sha256", SWEEP_REPORT_SHA256, ids=[a[1] for a, _, _ in SWEEP_REPORT_SHA256]
-)
-def test_sweep_reports_are_byte_identical(capsys, argv, text_sha256, json_sha256):
-    assert [argv[1] for argv, _, _ in SWEEP_REPORT_SHA256] == list(SWEEPS)
-    for prefix, expected in (([], text_sha256), (["--json"], json_sha256)):
-        assert run(prefix + argv) == 0
+@pytest.mark.parametrize("name", SWEEP_TABLE)
+def test_sweep_reports_are_byte_identical(capsys, name):
+    row = SWEEP_TABLE[name]
+    for prefix, expected in (([], row.text_sha256), (["--json"], row.json_sha256)):
+        assert run(prefix + row.argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
+def test_sweep_all_reports_each_sweep_and_their_sums(monkeypatch, capsys):
+    build_parser()  # from the registered signatures, before they are narrowed
+    for name, row in SWEEP_TABLE.items():
+        monkeypatch.setitem(SWEEPS, name, partial(SWEEPS[name], **row.small_grid))
+    results = [SWEEPS[name]() for name in SWEEPS]
+    code, report = run_json(capsys, ["sweep", "all"])
+    assert code == 0 and report["verdict"] == "pass"
+    *rows, summary = report["rows"]
+    assert rows == [
+        {"sweep": r.name, "checked": r.checked, "failures": r.failures, "verdict": r.verdict}
+        for r in results
+    ]
+    sums = {"checked": sum(r.checked for r in results), "failures": sum(r.failures for r in results)}
+    assert summary == {"summary": True} | sums
+    assert [p["statement_id"] for p in report["provenance"]] == [r.statement_id for r in results]
+    monkeypatch.setattr(sweeps, "_permutation_sign", _one_cycle_too_many)  # the walk fault of FAULTS
+    code, report = run_json(capsys, ["sweep", "all"])
+    assert code == 1 and report["verdict"] == "fail"
 
 
 def _json_reference(value) -> str:

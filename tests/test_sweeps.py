@@ -1,6 +1,9 @@
-"""Tests for the sweep registry: order, recorded parameters, seeding.
+"""Tests for the sweep registry: recorded parameters, seeding, failure rows.
 
-None of these runs a default grid; the acceptance suite does that.
+Most run small grids.  The surjectivity, norm-identity and image-of-J
+consistency sweeps are compared with their checked functions at their
+default grids too (the ``{}`` of each ``*_GRIDS`` list); the acceptance
+suite runs every sweep at its default grid.
 """
 
 import argparse
@@ -22,40 +25,13 @@ from jshadow._integers import factorint, primes_up_to, split_unit
 from jshadow.cli import build_parser, run
 from jshadow.imj import imj_consistency_check, norm_identity_check, surjectivity_check
 from jshadow.padic import smallest_topological_generator
-from jshadow.sweeps import DEFAULT_SEED, STATEMENTS, SWEEPS, Range, SweepResult
+from jshadow.sweeps import STATEMENTS, SWEEPS, Range, SweepResult
 from jshadow.symbols import hilbert_reciprocity_check, hilbert_symbol
+from test_acceptance import SWEEP_TABLE
 from test_faults import ZOLOTAREV_GRID, _one_cycle_too_many, _top_digit_of_a_product_shifted, _valuation_plus_one_at_3
-
-# The params each sweep reports at its defaults, in signature order, with
-# the sweeps in the order `sweep all` runs and reports them.
-DEFAULT_PARAMS = {
-    "reciprocity": {"bound": 200, "rational_samples": 20000, "seed": DEFAULT_SEED},
-    "oracle-agreement": {
-        "prime_max": 50,
-        "coeff_bound": 30,
-        "rational_samples": 2000,
-        "seed": DEFAULT_SEED,
-    },
-    "zolotarev": {"p_max": 500},
-    "imj-consistency": {"ell_max": 97, "k_max": 30},
-    "bernoulli": {"n_max": 60},
-    "rezk-log": {"ells": [3, 5, 7, 11], "precision": 64},
-    "surjectivity": {"ell_max": 50, "p_max": 50, "k_max": 40},
-    "norm-identity": {"ell_max": 23, "d_max": 6, "m_max": 10, "precision": 20},
-    "quillen": {"q_max": 49, "i_max": 10},
-    "pi2-nontriviality": {"p_max": 100},
-    "geometric-series": {"depth": 64},
-    "low-degree-j": {
-        "inversion_samples": 1000,
-        "tame_samples": 10000,
-        "precision": 64,
-        "seed": DEFAULT_SEED,
-    },
-}
 
 
 def test_registry_order_and_module_names():
-    assert tuple(SWEEPS) == tuple(DEFAULT_PARAMS)
     for name, fn in SWEEPS.items():
         assert getattr(sweeps, "sweep_" + name.replace("-", "_")) is fn
 
@@ -64,7 +40,7 @@ class _Built(Exception):
     pass
 
 
-@pytest.mark.parametrize("name", DEFAULT_PARAMS)
+@pytest.mark.parametrize("name", SWEEP_TABLE)
 def test_default_params(monkeypatch, name):
     # Stop each sweep as it builds its result, before the grid runs.
     def build(name, statement_id, params):
@@ -75,7 +51,7 @@ def test_default_params(monkeypatch, name):
     with pytest.raises(_Built) as built:
         SWEEPS[name]()
     assert built.value.args[0] == name
-    assert list(built.value.args[1].items()) == list(DEFAULT_PARAMS[name].items())
+    assert list(built.value.args[1].items()) == list(SWEEP_TABLE[name].defaults.items())
 
 
 def test_params_record_the_arguments_used():
@@ -361,30 +337,13 @@ def test_failure_rows_stop_at_the_cap(monkeypatch):
     assert digest == "6f44f4d98290ea0bb141a65d7ee150612dda47761a4bf425501ba28ade620715"
 
 
-# One small passing grid per sweep, each well under a second.
-SMALL_GRIDS = {
-    "reciprocity": {"bound": 5, "rational_samples": 50},
-    "oracle-agreement": {"prime_max": 7, "coeff_bound": 5, "rational_samples": 50},
-    "zolotarev": {"p_max": 30},
-    "imj-consistency": {"ell_max": 13, "k_max": 6},
-    "bernoulli": {"n_max": 20},
-    "rezk-log": {"ells": (3, 5), "precision": 16},
-    "surjectivity": {"ell_max": 7, "p_max": 13, "k_max": 6},
-    "norm-identity": {"ell_max": 7, "d_max": 3, "m_max": 3, "precision": 10},
-    "quillen": {"q_max": 9, "i_max": 3},
-    "pi2-nontriviality": {"p_max": 30},
-    "geometric-series": {"depth": 10},
-    "low-degree-j": {"inversion_samples": 50, "tame_samples": 100, "precision": 16},
-}
-
-
-@pytest.mark.parametrize("name", SWEEPS)
+@pytest.mark.parametrize("name", SWEEP_TABLE)
 def test_a_passing_check_builds_no_failure_row(monkeypatch, name):
     def fail(self, **what):
         raise AssertionError(f"a passing check of {name} reached fail({what})")
 
     monkeypatch.setattr(SweepResult, "fail", fail)
-    result = SWEEPS[name](**SMALL_GRIDS[name])
+    result = SWEEPS[name](**SWEEP_TABLE[name].small_grid)
     assert result.verdict == "pass" and result.checked > 0
 
 
@@ -416,11 +375,11 @@ def test_cli_seeds_exactly_the_sweeps_with_a_seed_parameter(monkeypatch, capsys)
 
         monkeypatch.setitem(SWEEPS, name, stub)
     assert run(["sweep", "all", "--seed=7"]) == 0
-    for name in DEFAULT_PARAMS:
+    for name in SWEEPS:
         assert run(["sweep", name, "--seed=7"]) == 0
     capsys.readouterr()
     seeded = {"reciprocity", "oracle-agreement", "low-degree-j"}
-    expected = [(n, 7 if n in seeded else None) for n in DEFAULT_PARAMS]
+    expected = [(n, 7 if n in seeded else None) for n in SWEEPS]
     assert [(n, kwargs.get("seed")) for n, _, kwargs in calls] == expected + expected
 
 
