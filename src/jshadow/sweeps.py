@@ -11,11 +11,12 @@ A sweep is one function decorated with ``@_sweep(name, statement_id)``.
 Its body takes a fresh :class:`SweepResult` and then its parameters, each
 with a default, and states only what it checks: ``result.check(ok) or
 result.fail(**what)`` counts every check and writes a failure row, whose
-values are evaluated only for a failure, and ``with result.bucket(**row):``
-appends ``row`` with the failures recorded inside the block.  The
-decorator registers it in :data:`SWEEPS`, where ``jshadow sweep <name>``
-and ``jshadow sweep all`` find it (each keyword is a flag of ``sweep
-<name>``, read by its annotation), records the parameters used in
+values are evaluated only for a failure (``result.check_bits`` counts a
+row of checks whose failures are the set bits of an int), and ``with
+result.bucket(**row):`` appends ``row`` with the failures recorded inside
+the block.  The decorator registers it in :data:`SWEEPS`, where ``jshadow
+sweep <name>`` and ``jshadow sweep all`` find it (each keyword is a flag of
+``sweep <name>``, read by its annotation), records the parameters used in
 ``params``, and rejects a grid on which nothing was checked.  It
 refuses a parameter outside the :class:`Range` its annotation declares
 before the body builds anything: a bound or largest prime past
@@ -67,6 +68,7 @@ from .symbols import (
     hilbert_oracle,
     hilbert_symbol,
     local_symbol_product,
+    symbol_product_masks,
 )
 
 DEFAULT_SEED = 1729
@@ -162,6 +164,18 @@ class SweepResult:
         if self.failures <= _MAX_FAILURE_ROWS:
             row = {k: v if isinstance(v, int) else str(v) for k, v in what.items()}
             self.rows.append({"failure": True} | row)
+
+    def check_bits(self, count: int, failed: int, row) -> None:
+        """Count ``count`` checks, the i-th failing when bit i of ``failed`` is
+        set, and write ``row(i)`` for each failure, lowest bit first, as
+        :meth:`fail` would."""
+        self.checked += count
+        while failed and self.failures < _MAX_FAILURE_ROWS:
+            low = failed & -failed
+            failed ^= low
+            self.failures += 1
+            self.fail(**row(low.bit_length() - 1))
+        self.failures += failed.bit_count()
 
     @contextlib.contextmanager
     def bucket(self, key: str = "failures", **row):
@@ -260,14 +274,14 @@ def sweep_reciprocity(
     """Hilbert reciprocity: the product of (a,b)_v over all places is +1,
     exhaustively for integer pairs with |a|, |b| <= bound and for a seeded
     sample of rational pairs with numerator and denominator <= bound.  The
-    local symbols come from sieve tables built once per call."""
+    local symbols come from sieve tables built once per call; the integer
+    grid is decided a row of b at a time, as bitmasks of the failing b."""
     local, legendre_of = _sieve_tables(bound)
-    with result.bucket(kind="integer-grid", pairs=(2 * bound) ** 2):
-        for a, local_a in local.items():
-            for b, local_b in local.items():
-                ok = local_symbol_product(a, local_a, b, local_b, legendre_of) == 1
-                result.check(ok) or result.fail(a=a, b=b)
     nonzero = list(local)
+    size = len(nonzero)
+    with result.bucket(kind="integer-grid", pairs=size**2):
+        for a, failed in zip(nonzero, symbol_product_masks(local, legendre_of)):
+            result.check_bits(size, failed, lambda i: {"a": a, "b": nonzero[i]})
     rng = random.Random(seed)
     choice, randrange, top = rng.choice, rng.randrange, bound + 1  # randrange(1, top) is randint
     with result.bucket(kind="rational-sample", pairs=rational_samples):

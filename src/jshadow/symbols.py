@@ -28,11 +28,24 @@ Conventions:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import prod
+from operator import getitem, xor
 
-from ._integers import Rational, _jacobi, check_prime, check_range, check_rational, factorint, split_unit, vp_int
+from ._integers import (
+    Rational,
+    _jacobi,
+    check_prime,
+    check_range,
+    check_rational,
+    factorint,
+    primes_up_to,
+    split_unit,
+    vp_int,
+)
 
 Sign = int  # always +1 or -1
 
@@ -138,12 +151,13 @@ def hilbert_symbol(a: Rational, b: Rational, place: Place) -> Sign:
     return _local_sign(*split_unit(A, p), *split_unit(B, p), p)
 
 
-def _local_sign(alpha: int, u: int, beta: int, w: int, p: int) -> Sign:
+def _local_sign(alpha: int, u: int, beta: int, w: int, p: int, legendre_of=None) -> Sign:
     """(A,B)_p for A = p^alpha u and B = p^beta w with u, w prime to p, by
-    the closed form at 2 or at an odd prime."""
+    the closed form at 2 or at an odd prime, where ``legendre_of(x, p)`` gives
+    (x|p), the Jacobi ladder by default."""
     if p == 2:
         return _symbol_at_two(alpha, u, beta, w)
-    return _symbol_at_odd_prime(alpha, u, beta, w, p, _jacobi)
+    return _symbol_at_odd_prime(alpha, u, beta, w, p, legendre_of or _jacobi)
 
 
 def _symbol_at_two(alpha: int, u: int, beta: int, w: int) -> Sign:
@@ -183,6 +197,67 @@ def local_symbol_product(A: int, local_A: dict, B: int, local_B: dict, legendre_
         if p != 2 and p not in local_A:
             sign *= _symbol_at_odd_prime(0, A, beta, w, p, legendre_of)
     return -sign if A < 0 and B < 0 else sign
+
+
+# For each class c, the table that translates the byte c to b"1" and any other to b"0".
+_CLASS_DIGITS = [bytes(48 + (i == c) for i in range(256)) for c in range(8)]
+
+
+def symbol_product_masks(local: dict, legendre_of) -> Iterator[int]:
+    """For each a of the grid 0 < |n| <= bound, in order (-bound first), the
+    set of b in the grid whose product of (a,b)_v over all places is -1, as a
+    bitmask whose bit i stands for the grid's i-th member: the reciprocity
+    sweep's integer-grid kernel.
+
+    ``local`` maps each grid member, in grid order, to its local data at every
+    prime dividing it, and ``legendre_of(x, p)`` gives (x|p), as
+    :func:`local_symbol_product` reads them.  The closed forms read only a class
+    of each argument at a place (see :func:`_class_at`) and, at infinity, its
+    sign.  So at 2 and at each odd prime p <= bound each member gets one byte,
+    its class, the closed form is called once per pair of classes present, on
+    the local data of one member of each, and each class of a gets the mask of
+    the b with (a,b)_p = -1: the members of the classes of b whose call gave
+    -1.  The call reads of each member only what its class fixes, so it is the
+    symbol of every pair it stands for.  The mask of a is the XOR of its
+    classes' masks over the primes, and of the b < 0 when a < 0.
+    """
+    grid = list(local)
+    size = len(grid)
+    bound = size // 2
+    columns = bytearray()  # the class of each member at each prime, prime by prime
+    minus = []  # per prime, class of a -> the b with (a,b)_p = -1
+    for p in primes_up_to(max(bound, 2)):  # 2 is a place of every pair
+        # a member n prime to p has data (0, n), whose class is periodic in n; the multiples of p are set after
+        period = 8 if p == 2 else p
+        pattern = bytes(_class_at(p, 0, r, legendre_of) for r in range(period)) * (size // period + 2)
+        start = -bound % period
+        classes = bytearray(pattern[start : start + size + 1])
+        del classes[bound]  # n = 0
+        for n in range(p, bound + 1, p):
+            classes[bound - 1 + n] = _class_at(p, *local[n][p], legendre_of)
+            classes[bound - n] = _class_at(p, *local[-n][p], legendre_of)
+        present = []  # (class, the mask of its members, the local data of one)
+        for c in range(8):
+            i = classes.find(c)
+            if i >= 0:
+                mask = int(classes.translate(_CLASS_DIGITS[c])[::-1], 2)  # bit k: the k-th member
+                present.append((c, mask, local[grid[i]].get(p, (0, grid[i]))))
+        masks = [0] * 8
+        for c, _, data in present:
+            masks[c] = sum(mask for _, mask, other in present if _local_sign(*data, *other, p, legendre_of) < 0)
+        columns += classes
+        minus.append(masks)
+    negative = (1 << bound) - 1  # the b < 0, listed first
+    for i in range(size):
+        yield reduce(xor, map(getitem, minus, columns[i::size]), negative if i < bound else 0)
+
+
+def _class_at(p: int, alpha: int, u: int, legendre_of) -> int:
+    """The class of p^alpha u that the closed form at p reads, as an index below
+    8: (alpha mod 2, u mod 8) at 2 and (alpha mod 2, (u|p)) at an odd p."""
+    if p == 2:
+        return (alpha & 1) << 2 | (u & 7) >> 1
+    return (alpha & 1) << 1 | (legendre_of(u, p) < 0)
 
 
 ORACLE_PRIME_CAP = 2**17  # the Zolotarev walk and the oracle's square-root table are O(p)

@@ -30,6 +30,7 @@ _vsc = imj.von_staudt_clausen_denominator
 _bernoulli = imj.bernoulli
 _hilbert = symbols.hilbert_symbol
 _product = symbols.local_symbol_product
+_masks = symbols.symbol_product_masks
 
 
 def _one_cycle_too_many(a: int, p: int) -> int:
@@ -133,6 +134,17 @@ def _primes_of_b_alone_dropped(A: int, local_A: dict, B: int, local_B: dict, leg
     return _product(A, local_A, B, kept, legendre_of)
 
 
+def _odd_primes_of_b_alone_dropped(local: dict, legendre_of):
+    # each mask skips the odd places whose prime divides b but not a
+    grid = list(local)
+    for a, failed in zip(grid, _masks(local, legendre_of)):
+        for i, b in enumerate(grid):
+            for p, (beta, w) in local[b].items():
+                if p != 2 and p not in local[a] and _at_odd_prime(0, a, beta, w, p, legendre_of) < 0:
+                    failed ^= 1 << i
+        yield failed
+
+
 # (sweep, grid, patched name, fault, failures it records).  The zolotarev
 # sweep at p_max=50 catches both of its faults, each patched where the sweep
 # looks up its unchecked kernel: the walk fault fails every check, and the
@@ -148,9 +160,10 @@ def _primes_of_b_alone_dropped(A: int, local_A: dict, B: int, local_B: dict, leg
 # which the sweep and hilbert_symbol call, looks them up, at a grid of 2,900
 # checks (365 and 629 failures at the default).
 # The reciprocity rows patch the same closed forms, which local_symbol_product
-# calls, at a grid of 1,800 checks.  Its Legendre symbols come from chi
-# tables that the sweep fills through jshadow.sweeps._jacobi, so the flipped
-# (-1|p) is patched there: patched at jshadow.symbols._jacobi it records 0.
+# and symbol_product_masks call, at a grid of 1,800 checks.  Its Legendre
+# symbols come from chi tables that the sweep fills through
+# jshadow.sweeps._jacobi, so the flipped (-1|p) is patched there: patched at
+# jshadow.symbols._jacobi it records 0.
 # imj-consistency, quillen and low-degree-j run at their default grids (720,
 # 483 and 11,602 checks; low-degree-j takes about 0.15 s a run).  Giving K_4j
 # the order of K_4j-1 fails the triviality check at even i, 5 per prime
@@ -160,9 +173,11 @@ def _primes_of_b_alone_dropped(A: int, local_A: dict, B: int, local_B: dict, leg
 # doubled von Staudt-Clausen product at n = 10, 20, ..., 60 fails 6
 # denominators; a negated B_n keeps every denominator and fails only the
 # B_12 spot check.  A symbol forced to +1 leaves no witness at each of the
-# 6 primes p = 7 mod 8 below 100, or at 2.  The last row patches the
-# reciprocity walk itself where the sweep looks it up: skipping the primes
-# of b alone fails 519 of the 1,800 checks.
+# 6 primes p = 7 mod 8 below 100, or at 2.  The last two rows patch the
+# reciprocity kernels themselves where the sweep looks them up, each with the
+# primes of b alone skipped: the walk, which now decides only the rational
+# samples, fails 75 of their 200, and the integer grid's bitmasks 444 of its
+# 1,600 pairs, together the 519 the walk failed when it decided both.
 ZOLOTAREV_GRID = {"p_max": 50}
 ORACLE_GRID = {"prime_max": 13, "coeff_bound": 10, "rational_samples": 100}
 RECIPROCITY_GRID = {"bound": 20, "rational_samples": 200}
@@ -189,7 +204,8 @@ FAULTS = [
     ("bernoulli", {}, "jshadow.sweeps.bernoulli", _bernoulli_negated, 1),
     ("pi2-nontriviality", {}, "jshadow.sweeps.hilbert_symbol", _plus_one_at_7_mod_8, 6),
     ("pi2-nontriviality", {}, "jshadow.sweeps.hilbert_symbol", _plus_one_at_2, 1),
-    ("reciprocity", RECIPROCITY_GRID, "jshadow.sweeps.local_symbol_product", _primes_of_b_alone_dropped, 519),
+    ("reciprocity", RECIPROCITY_GRID, "jshadow.sweeps.local_symbol_product", _primes_of_b_alone_dropped, 75),
+    ("reciprocity", RECIPROCITY_GRID, "jshadow.sweeps.symbol_product_masks", _odd_primes_of_b_alone_dropped, 444),
 ]
 
 

@@ -13,6 +13,7 @@ import inspect
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
@@ -28,7 +29,15 @@ from jshadow.padic import smallest_topological_generator
 from jshadow.sweeps import STATEMENTS, SWEEPS, Range, SweepResult
 from jshadow.symbols import hilbert_reciprocity_check, hilbert_symbol
 from test_acceptance import SWEEP_TABLE
-from test_faults import ZOLOTAREV_GRID, _one_cycle_too_many, _top_digit_of_a_product_shifted, _valuation_plus_one_at_3
+from test_faults import (
+    ZOLOTAREV_GRID,
+    _minus_one_flipped_at_7_mod_8,
+    _odd_symbol_without_its_sign,
+    _one_cycle_too_many,
+    _symbol_at_two_without_beta_omega_u,
+    _top_digit_of_a_product_shifted,
+    _valuation_plus_one_at_3,
+)
 
 
 def test_registry_order_and_module_names():
@@ -253,6 +262,65 @@ def test_legendre_tables_agree_with_eulers_criterion():
             assert legendre_of(x, p) == {0: 0, 1: 1, p - 1: -1}[euler], (x, p)
 
 
+# -- the reciprocity sweep's integer grid, as bitmasks -----------------------
+
+
+def _per_pair_grid(bound: int) -> SweepResult:
+    # the integer grid as the sweep checked it before its bitmasks: one
+    # local_symbol_product per pair, in grid order
+    result = SweepResult("reciprocity", "hilbert-reciprocity", {})
+    local, legendre_of = sweeps._sieve_tables(bound)
+    with result.bucket(kind="integer-grid", pairs=(2 * bound) ** 2):
+        for a, local_a in local.items():
+            for b, local_b in local.items():
+                ok = symbols.local_symbol_product(a, local_a, b, local_b, legendre_of) == 1
+                result.check(ok) or result.fail(a=a, b=b)
+    return result
+
+
+CLOSED_FORM_FAULTS = [
+    ("jshadow.symbols._symbol_at_odd_prime", _odd_symbol_without_its_sign),
+    ("jshadow.symbols._symbol_at_two", _symbol_at_two_without_beta_omega_u),
+    ("jshadow.sweeps._jacobi", _minus_one_flipped_at_7_mod_8),
+]
+
+
+@pytest.mark.parametrize(
+    "target, fault", [(None, None), *CLOSED_FORM_FAULTS], ids=["exact", *(f.__name__ for _, f in CLOSED_FORM_FAULTS)]
+)
+def test_the_bitmask_grid_equals_the_per_pair_loop(monkeypatch, target, fault):
+    # rows, checks and failures, the 32-row cap included, unpatched and with
+    # each closed-form fault of the catalogue
+    if target:
+        monkeypatch.setattr(target, fault)
+    capped = 0
+    for bound in [*range(1, 31), 60]:
+        expected = _per_pair_grid(bound)
+        result = SWEEPS["reciprocity"](bound=bound, rational_samples=0)
+        assert result.rows[:-1] == expected.rows, bound
+        assert (result.checked, result.failures) == (expected.checked, expected.failures), bound
+        capped += result.failures > sweeps._MAX_FAILURE_ROWS
+    assert (capped > 0) == (fault is not None)  # a fault fails some grids past the row cap
+
+
+def test_the_bitmask_grid_keeps_one_byte_of_class_per_prime_and_member():
+    # The kernel builds its tables before the first mask, and each later mask
+    # takes one slice and a few ints.  The tables are a class byte per (p, n)
+    # and at most 8 masks per p; a list of mask references per (p, n) alone
+    # would hold 8 bytes a cell.
+    bound = 2048
+    local, legendre_of = sweeps._sieve_tables(bound)
+    tracemalloc.start()
+    try:
+        first = next(symbols.symbol_product_masks(local, legendre_of))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == 0
+    cells = len(primes_up_to(bound)) * 2 * bound
+    assert peak < 2 * cells, (peak, cells)
+
+
 # -- the failure path: kernels patched as jshadow.sweeps sees them ----------
 
 
@@ -272,14 +340,9 @@ def test_a_failed_check_lands_in_its_bucket_and_one_row(monkeypatch):
 
 
 def test_failure_rows_hold_rationals_as_strings(monkeypatch):
-    # fail exactly the rational sample, whose arguments are Fractions; the
-    # 16 integer pairs of bound 2 come first
-    calls = itertools.count()
-
-    def product(A, local_A, B, local_B, legendre_of):
-        return 1 if next(calls) < 16 else -1
-
-    monkeypatch.setattr(sweeps, "local_symbol_product", product)
+    # fail exactly the rational samples, whose arguments are Fractions; the
+    # 16 integer pairs of bound 2, decided by the grid's bitmasks, pass
+    monkeypatch.setattr(sweeps, "local_symbol_product", lambda *args: -1)
     result = SWEEPS["reciprocity"](bound=2, rational_samples=3)
     assert (result.checked, result.failures) == (16 + 3, 3)
     failures = [row for row in result.rows if "failure" in row]
@@ -296,6 +359,7 @@ def test_failure_rows_pin_the_rational_sample_stream(monkeypatch):
     # Every pair fails, so the 32 rows are the 16 integer pairs of bound 2
     # and then the first 16 rational samples, drawn as m/d and n/e in that
     # order from the seed.  A reference loop of Fractions gives their rows.
+    monkeypatch.setattr(sweeps, "symbol_product_masks", lambda local, _: itertools.repeat(2 ** len(local) - 1))
     monkeypatch.setattr(sweeps, "local_symbol_product", lambda *args: -1)
     result = SWEEPS["reciprocity"](bound=2, rational_samples=40, seed=11)
     assert (result.checked, result.failures) == (16 + 40, 16 + 40)
